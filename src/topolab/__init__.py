@@ -8,6 +8,10 @@ for trivial centralizers.  Every closed-form decision is paired with an
 independent brute-force oracle.
 """
 
+# the one version string: pyproject.toml and report.TOOL_VERSION read it;
+# set before the submodule imports so report can import it
+__version__ = "0.1.0"
+
 from .classify import (
     ArnautovWitness,
     ClassificationReport,
@@ -110,4 +114,3 @@ from .topology import (
     taimanov_topology,
 )
 
-__version__ = "0.1.0"

@@ -181,8 +181,11 @@ def _cmd_semitop(args: argparse.Namespace) -> int:
 def _cmd_lattice(args: argparse.Namespace) -> int:
     group = build_group(parse_group_spec(args.spec), order_cap=_order_cap(), seed=args.seed)
     text = emit_lattice_dot(group)
-    with open(args.dot, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise TopolabError(f"cannot write {args.dot}: {exc.strerror}") from exc
     print(f"wrote {args.dot} ({len(all_normal_subgroups(group))} nodes)")
     return 0
 

@@ -5,10 +5,13 @@ list: element 0 is the identity and new elements are discovered in shortlex
 order over generator words (generators in constructor order, FIFO levels).
 Two builds of the same spec therefore agree element-for-element.
 
-Groups of order <= TABLE_LIMIT additionally carry a dense multiplication
-table; larger groups multiply by composing permutations, memoized.  Both
-representations sit behind the same interface and instances are immutable
-after construction, so they can be shared freely between threads.
+Every product id comes from FiniteGroup.mul_many.  An element is fixed by
+its images of a base (a few points whose pointwise stabilizer is trivial),
+so a product composes only the base columns and maps them back to an id
+through sorted per-point keys.  Groups of order <= TABLE_LIMIT cache all
+products in a dense table, built on first use; the table is read only
+inside FiniteGroup.  Instances are immutable after construction, so they
+can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -136,10 +139,10 @@ class FiniteGroup:
         "perms",
         "inverses",
         "generator_ids",
-        "_index",
+        "_base",
+        "_level_keys",
+        "_sorted_ids",
         "_table",
-        "_bfs_data",
-        "_mul_memo",
         "_cache",
         "_cache_lock",
         "_factors",
@@ -149,30 +152,21 @@ class FiniteGroup:
         self,
         spec: Optional[GroupSpec],
         perms: np.ndarray,
-        index: dict[bytes, int],
         generator_ids: tuple[int, ...],
         table: Optional[np.ndarray] = None,
-        bfs_data: Optional[tuple] = None,
     ):
         self.spec = spec
         self.perms = perms
         self.perms.setflags(write=False)
         self.order = int(perms.shape[0])
         self.degree = int(perms.shape[1])
-        self._index = index
         self.generator_ids = generator_ids
         self._table = table
-        self._bfs_data = bfs_data
         if table is not None:
             self._table.setflags(write=False)
-        inv_perms = np.argsort(perms, axis=1)
-        self.inverses = np.fromiter(
-            (index[row.astype(perms.dtype).tobytes()] for row in inv_perms),
-            dtype=np.int32,
-            count=self.order,
-        )
+        self._base, self._level_keys, self._sorted_ids = _base_index(perms)
+        self.inverses = self._lookup(np.argsort(perms, axis=1))
         self.inverses.setflags(write=False)
-        self._mul_memo: dict[tuple[int, int], int] = {}
         self._cache: dict = {}
         # reentrant: cached builders routinely call other cached builders
         self._cache_lock = threading.RLock()
@@ -184,28 +178,30 @@ class FiniteGroup:
     def table(self) -> Optional[np.ndarray]:
         """Dense multiplication table; built on first demand for groups of
         order <= TABLE_LIMIT, None above that."""
-        if self._table is None and self.order <= TABLE_LIMIT and self._bfs_data is not None:
+        if self._table is None and self.order <= TABLE_LIMIT:
             with self._cache_lock:
                 if self._table is None:
-                    parent, lastgen, gen_arrays = self._bfs_data
-                    built = _build_table(self.perms, self._index, parent, lastgen, gen_arrays)
+                    ids = np.arange(self.order)
+                    built = cayley_table(
+                        self.order, [self._product_ids(ids, g) for g in self.generator_ids]
+                    )
                     built.setflags(write=False)
                     self._table = built
         return self._table
 
     # -- element arithmetic -------------------------------------------------
 
-    def mul(self, x: int, y: int) -> int:
-        """Product x*y (composition: y acts first)."""
+    def mul_many(self, xs, ys) -> np.ndarray:
+        """Products x*y (composition: y acts first) for broadcast id arrays,
+        as int32 ids; a read of the table when there is one."""
         table = self.table
         if table is not None:
-            return int(table[x, y])
-        key = (x, y)
-        got = self._mul_memo.get(key)
-        if got is None:
-            got = self._lookup(self.perms[x][self.perms[y]])
-            self._mul_memo[key] = got
-        return got
+            return table[xs, ys]
+        return self._product_ids(xs, ys)
+
+    def mul(self, x: int, y: int) -> int:
+        """Product x*y (composition: y acts first)."""
+        return int(self.mul_many(x, y))
 
     def inv(self, x: int) -> int:
         return int(self.inverses[x])
@@ -224,43 +220,48 @@ class FiniteGroup:
     def element_perm(self, x: int) -> tuple[int, ...]:
         return tuple(int(v) for v in self.perms[x])
 
-    def _lookup(self, perm_row: np.ndarray) -> int:
-        return self._index[np.ascontiguousarray(perm_row, dtype=self.perms.dtype).tobytes()]
+    # -- base-image lookup --------------------------------------------------
+
+    def _product_ids(self, xs, ys) -> np.ndarray:
+        """mul_many without the table: compose only the base columns."""
+        y_base = self.perms[np.asarray(ys)[..., None], self._base]
+        return self._ids(self.perms[np.asarray(xs)[..., None], y_base])
+
+    def _ids(self, images: np.ndarray) -> np.ndarray:
+        """Element ids from base images (last axis), narrowed one base point
+        at a time: level j holds (first sorted position of the prefix) *
+        degree + image, which is sorted, so one searchsorted finds the next
+        prefix.  Raises ValueError for images no element has."""
+        pos = np.zeros(images.shape[:-1], dtype=np.int64)
+        for j, keys in enumerate(self._level_keys):
+            pos = np.searchsorted(keys, pos * self.degree + images[..., j])
+        ids = self._sorted_ids[np.minimum(pos, self.order - 1)]
+        if not np.array_equal(self.perms[ids[..., None], self._base], images):
+            raise ValueError("permutation is not an element of the group")
+        return ids
+
+    def _lookup(self, perm_rows: np.ndarray) -> np.ndarray:
+        """Element ids of full permutation rows (last axis)."""
+        perm_rows = np.asarray(perm_rows)
+        ids = self._ids(perm_rows[..., self._base])
+        if not np.array_equal(self.perms[ids], perm_rows):
+            raise ValueError("permutation is not an element of the group")
+        return ids
 
     # -- vectorized helpers -------------------------------------------------
 
     def commuting_mask(self, g: int) -> np.ndarray:
         """Boolean mask over all x of [x, g] = e.
 
-        Works off the permutations, so it never forces a table build.
+        x g and g x are equal iff they agree on the base, so this compares
+        base images and never needs a table or a lookup.
         """
-        if self._table is not None:
-            return self._table[g] == self._table[:, g]
         pg = self.perms[g]
-        return (self.perms[:, pg] == pg[self.perms]).all(axis=1)
+        return (self.perms[:, pg[self._base]] == pg[self.perms[:, self._base]]).all(axis=1)
 
     def conj_map(self, g: int) -> np.ndarray:
         """Array m with m[x] = g x g^-1 for every x."""
-        if self._table is not None:
-            return self._table[self._table[g], self.inv(g)].astype(np.int32)
-        pg = self.perms[g]
-        pginv = self.perms[self.inv(g)]
-        rows = pg[self.perms[:, pginv]]
-        return np.fromiter(
-            (self._lookup(row) for row in rows), dtype=np.int32, count=self.order
-        )
-
-    def mul_row(self, x: int, ys: np.ndarray) -> np.ndarray:
-        """Products x*y for an array of ys."""
-        if self._table is not None:
-            return self._table[x, ys].astype(np.int32)
-        return np.fromiter((self.mul(x, int(y)) for y in ys), dtype=np.int32, count=len(ys))
-
-    def mul_col(self, xs: np.ndarray, y: int) -> np.ndarray:
-        """Products x*y for an array of xs."""
-        if self._table is not None:
-            return self._table[xs, y].astype(np.int32)
-        return np.fromiter((self.mul(int(x), y) for x in xs), dtype=np.int32, count=len(xs))
+        return self.mul_many(self.mul_many(g, np.arange(self.order)), self.inv(g))
 
     # -- shared derived-data cache -------------------------------------------
 
@@ -288,21 +289,75 @@ class FiniteGroup:
         g1, g2 = self._factors
         combined = np.concatenate(
             [g1.perms[x1].astype(np.int64), g2.perms[x2].astype(np.int64) + g1.degree]
-        ).astype(self.perms.dtype)
-        return self._lookup(combined)
+        )
+        return int(self._lookup(combined))
 
     def component_ids(self, x: int) -> tuple[int, int]:
         """Factor element ids of a direct product element."""
         if self._factors is None:
             raise ValueError("not a direct product")
         g1, g2 = self._factors
-        row = self.perms[x]
-        left = row[: g1.degree].astype(g1.perms.dtype)
-        right = (row[g1.degree :].astype(np.int64) - g1.degree).astype(g2.perms.dtype)
-        return g1._lookup(left), g2._lookup(right)
+        row = self.perms[x].astype(np.int64)
+        return int(g1._lookup(row[: g1.degree])), int(g2._lookup(row[g1.degree :] - g1.degree))
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
+
+
+def _base_index(perms: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """A base (points whose images tell all rows apart, chosen greedily in
+    point order) and the sorted per-level keys that FiniteGroup._ids
+    narrows through.  Keys are int64 products of a row position and a
+    point, both below the array sizes, so they cannot overflow."""
+    n, degree = perms.shape
+    rank = np.zeros(n, dtype=np.int64)  # rank of each row's base-image prefix
+    distinct = 1
+    base: list[int] = []
+    for point in range(degree):
+        if distinct == n:
+            break
+        values, refined = np.unique(rank * degree + perms[:, point], return_inverse=True)
+        if len(values) > distinct:
+            base.append(point)
+            rank, distinct = refined.reshape(n), len(values)
+    if distinct != n:
+        raise InvalidSpec("permutation rows are not distinct")
+    sorted_ids = np.argsort(rank).astype(np.int32)
+    images = perms[:, base][sorted_ids].astype(np.int64)
+    level_keys = []
+    start = np.zeros(n, dtype=np.int64)  # first sorted position of the prefix
+    for j in range(len(base)):
+        keys = start * degree + images[:, j]
+        level_keys.append(keys)
+        fresh = np.ones(n, dtype=bool)
+        fresh[1:] = keys[1:] != keys[:-1]
+        start = np.maximum.accumulate(np.where(fresh, np.arange(n), 0))
+    return np.asarray(base, dtype=np.intp), level_keys, sorted_ids
+
+
+def cayley_table(n: int, rmul: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense table of a group of order n from right multiplication by each
+    generator (rmul[i][x] = x * g_i).  Columns are filled along a
+    breadth-first tree over generator words: if y = p * g_i, column y is
+    rmul[i] applied to column p."""
+    table = np.empty((n, n), dtype=np.int32)
+    table[:, 0] = np.arange(n, dtype=np.int32)
+    done = np.zeros(n, dtype=bool)
+    done[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        grown = []
+        for r in rmul:
+            images = r[frontier]
+            fresh = ~done[images]
+            ys, first = np.unique(images[fresh], return_index=True)
+            done[ys] = True
+            table[:, ys] = r[table[:, frontier[fresh][first]]]
+            grown.append(ys)
+        frontier = np.concatenate(grown) if grown else frontier[:0]
+    if not done.all():
+        raise InvalidSpec("generators do not generate the group")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +392,11 @@ def _sl_order(n: int, p: int) -> int:
 
 
 def spec_order(spec: GroupSpec) -> Optional[int]:
-    """Closed-form order of a spec, or None when only closure can tell (perm)."""
+    """Closed-form order of a spec, or None when only closure can tell (perm).
+
+    SL/ASL field sizes are tested for primality by build_group, after the
+    order cap: trial division of a huge field size would not end.
+    """
     if isinstance(spec, Cyclic):
         _require(spec.n >= 1, "cyclic order must be >= 1")
         return spec.n
@@ -360,11 +419,9 @@ def spec_order(spec: GroupSpec) -> Optional[int]:
         return None if base is None else 2 * base
     if isinstance(spec, SpecialLinear):
         _require(spec.n >= 1, "SL dimension must be >= 1")
-        _require(_is_prime(spec.p), f"SL field size {spec.p} is not prime")
         return _sl_order(spec.n, spec.p)
     if isinstance(spec, AffineSpecialLinear):
         _require(spec.n >= 1, "ASL dimension must be >= 1")
-        _require(_is_prime(spec.p), f"ASL field size {spec.p} is not prime")
         _require(
             math.gcd(spec.n, spec.p - 1) == 1,
             f"ASL requires gcd(n, p-1) = 1, got gcd({spec.n}, {spec.p - 1})",
@@ -397,7 +454,7 @@ def _perm_dtype(degree: int):
 
 def _bfs_enumerate(
     degree: int, gens: Sequence[np.ndarray], order_cap: int
-) -> tuple[np.ndarray, dict[bytes, int], np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, tuple[int, ...]]:
     dtype = _perm_dtype(degree)
     gen_arrays: list[np.ndarray] = []
     seen_gens: set[bytes] = set()
@@ -413,12 +470,10 @@ def _bfs_enumerate(
 
     perms: list[np.ndarray] = [ident]
     index: dict[bytes, int] = {ident_key: 0}
-    parent = [0]
-    lastgen = [-1]
     head = 0
     while head < len(perms):
         cur = perms[head]
-        for gi, g in enumerate(gen_arrays):
+        for g in gen_arrays:
             nxt = cur[g]
             key = nxt.tobytes()
             if key not in index:
@@ -428,37 +483,8 @@ def _bfs_enumerate(
                     )
                 index[key] = len(perms)
                 perms.append(nxt)
-                parent.append(head)
-                lastgen.append(gi)
         head += 1
-    return (
-        np.vstack(perms),
-        index,
-        np.asarray(parent, dtype=np.int32),
-        np.asarray(lastgen, dtype=np.int32),
-        gen_arrays,
-    )
-
-
-def _build_table(
-    perms: np.ndarray,
-    index: dict[bytes, int],
-    parent: np.ndarray,
-    lastgen: np.ndarray,
-    gen_arrays: Sequence[np.ndarray],
-) -> np.ndarray:
-    n = perms.shape[0]
-    table = np.empty((n, n), dtype=np.int32)
-    table[:, 0] = np.arange(n, dtype=np.int32)
-    rmul = []
-    for g in gen_arrays:
-        rows = perms[:, g]
-        rmul.append(
-            np.fromiter((index[row.tobytes()] for row in rows), dtype=np.int32, count=n)
-        )
-    for y in range(1, n):
-        table[:, y] = rmul[lastgen[y]][table[:, parent[y]]]
-    return table
+    return np.vstack(perms), tuple(index[g.tobytes()] for g in gen_arrays)
 
 
 def _assemble(
@@ -469,11 +495,8 @@ def _assemble(
     seed: int,
     expected_order: Optional[int],
 ) -> FiniteGroup:
-    perms, index, parent, lastgen, gen_arrays = _bfs_enumerate(degree, gens, order_cap)
-    gen_ids = tuple(index[g.tobytes()] for g in gen_arrays)
-    group = FiniteGroup(
-        spec, perms, index, gen_ids, bfs_data=(parent, lastgen, gen_arrays)
-    )
+    perms, gen_ids = _bfs_enumerate(degree, gens, order_cap)
+    group = FiniteGroup(spec, perms, gen_ids)
     if expected_order is not None and group.order != expected_order:
         raise InvalidSpec(
             f"closure produced order {group.order}, expected {expected_order} for {spec!r}"
@@ -485,8 +508,8 @@ def _assemble(
 def _smoke_check(group: FiniteGroup, seed: int) -> None:
     """Identity/inverse/associativity sanity checks at construction.
 
-    Exhaustive associativity up to order 128 (on the table); seeded random
-    triples above that, without forcing a table build.
+    Exhaustive associativity up to order 128 (on all products); seeded
+    random triples above that, without forcing a table build.
     """
     n = group.order
     if not np.array_equal(group.perms[0], np.arange(group.degree, dtype=group.perms.dtype)):
@@ -497,7 +520,8 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
     if not (composed == np.arange(group.degree, dtype=group.perms.dtype)).all():
         raise InvalidSpec("inverse law fails on permutations")
     if n <= _ASSOC_EXHAUSTIVE_LIMIT:
-        t = group.table
+        ids = np.arange(n)
+        t = group.mul_many(ids[:, None], ids)
         if not (
             np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))
         ):
@@ -602,11 +626,7 @@ def _gen_dihedral_action(base: FiniteGroup) -> tuple[int, list[np.ndarray]]:
     n = base.order
     gens: list[np.ndarray] = []
     for g in base.generator_ids:
-        left = (
-            base.table[g]
-            if base.table is not None
-            else np.fromiter((base.mul(g, a) for a in range(n)), dtype=np.int64, count=n)
-        )
+        left = base.mul_many(g, np.arange(n))
         gens.append(np.concatenate([left, left + n]))
     inv = base.inverses.astype(np.int64)
     flip = np.concatenate([inv + n, inv])
@@ -688,8 +708,10 @@ def build_group(
     elif isinstance(spec, GeneralizedDihedral):
         return _assemble_gen_dihedral(spec, spec.base, order_cap, seed)
     elif isinstance(spec, SpecialLinear):
+        _require(_is_prime(spec.p), f"SL field size {spec.p} is not prime")
         degree, gens = _sl_action(spec.n, spec.p)
     elif isinstance(spec, AffineSpecialLinear):
+        _require(_is_prime(spec.p), f"ASL field size {spec.p} is not prime")
         degree, gens = _asl_action(spec.n, spec.p)
     elif isinstance(spec, PermSpec):
         degree, gens = spec.degree, [np.asarray(g) for g in spec.generators]
@@ -762,11 +784,7 @@ def group_from_table(
     n = table.shape[0]
     if not np.array_equal(table[0], np.arange(n)):
         raise InvalidSpec("table row 0 is not the identity")
-    perms = table.astype(_perm_dtype(n))
-    index = {perms[i].tobytes(): i for i in range(n)}
-    if len(index) != n:
-        raise InvalidSpec("table rows are not distinct")
-    group = FiniteGroup(spec, perms, index, generator_ids, table)
+    group = FiniteGroup(spec, table.astype(_perm_dtype(n)), generator_ids, table)
     if not (table[np.arange(n), group.inverses] == 0).all():
         raise InvalidSpec("table has an element without an inverse")
     return group

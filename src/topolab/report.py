@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import json
 
+from . import __version__ as TOOL_VERSION
 from .classify import ClassificationReport
 from .groups import FiniteGroup
 from .semitop import min_steps
 from .specparse import print_group_spec
 from .subgroups import all_normal_subgroups
 from .topology import make_topology
-
-TOOL_VERSION = "0.1.0"
 
 
 def report_payload(report: ClassificationReport, *, seed: int) -> dict:

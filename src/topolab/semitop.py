@@ -61,17 +61,18 @@ def _check_pair(
 def is_semitopological(
     tau: AlmostTrivialTopology, sigma: AlmostTrivialTopology
 ) -> SemitopVerdict:
-    """Decide [G, L] <= N; on failure return the first violating (g, l)."""
+    """Decide [G, L] <= N; on failure return the first violating (g, l),
+    in order of g and then of l."""
     group, small, large = _check_pair(tau, sigma)
     comm = commutator_subgroup(group, full_subgroup(group), large)
     if comm.issubset(small):
         return SemitopVerdict(True, None)
-    in_small = np.zeros(group.order, dtype=bool)
-    in_small[list(small.elements)] = True
+    in_small = _mask(group, small)
+    larr = np.asarray(large.elements)
     for g in group.elements():
-        for l in large.elements:
-            if not in_small[group.commutator(g, l)]:
-                return SemitopVerdict(False, (g, l))
+        outside = ~in_small[_commutators(group, g, larr)]
+        if outside.any():
+            return SemitopVerdict(False, (g, int(larr[np.argmax(outside)])))
     raise AssertionError("generated commutators escape N but no pair does")
 
 
@@ -80,22 +81,21 @@ def is_semitopological_oracle(
 ) -> bool:
     """Elementwise check: every [g, l] with l in L already lies in N."""
     group, small, large = _check_pair(tau, sigma)
-    in_small = np.zeros(group.order, dtype=bool)
-    in_small[list(small.elements)] = True
-    if group.table is not None:
-        table = group.table
-        inv = group.inverses
-        for l in large.elements:
-            # [g, l] for all g at once: ((g l) g^-1) l^-1
-            vals = table[table[table[:, l], inv], group.inv(l)]
-            if not in_small[vals].all():
-                return False
-        return True
-    for g in group.elements():
-        for l in large.elements:
-            if not in_small[group.commutator(g, l)]:
-                return False
-    return True
+    in_small = _mask(group, small)
+    every_g = np.arange(group.order)
+    return all(in_small[_commutators(group, every_g, l)].all() for l in large.elements)
+
+
+def _mask(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
+    mask = np.zeros(group.order, dtype=bool)
+    mask[list(sub.elements)] = True
+    return mask
+
+
+def _commutators(group: FiniteGroup, gs, ls) -> np.ndarray:
+    """[g, l] = (g l g^-1) l^-1, broadcast over id arrays gs and ls."""
+    gl = group.mul_many(gs, ls)
+    return group.mul_many(group.mul_many(gl, group.inverses[gs]), group.inverses[ls])
 
 
 def _iterated_commutators(group: FiniteGroup, start: Subgroup) -> list[Subgroup]:

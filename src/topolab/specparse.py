@@ -14,11 +14,17 @@ Products associate to the left.  A perm spec's degree is one more than the
 largest point mentioned; printing appends a singleton cycle to pin a degree
 that exceeds every moved point, and parsing drops generators that reduce to
 the identity, so parse(print(ast)) == ast for any parser-produced AST.
+
+"Dih(" nests at most MAX_NESTING deep: each level doubles the order, so
+deeper specs are far beyond any group that can be built, and rejecting
+them here keeps the recursion bounded.
 """
 
 from __future__ import annotations
 
 from .errors import SpecSyntaxError
+
+MAX_NESTING = 32
 from .groups import (
     AffineSpecialLinear,
     Alternating,
@@ -39,6 +45,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -113,7 +120,13 @@ def _parse_term(scanner: _Scanner) -> GroupSpec:
         return Heisenberg(m)
     if scanner.try_literal("Dih"):
         scanner.expect_literal("(")
+        if scanner.depth == MAX_NESTING:
+            raise SpecSyntaxError(
+                scanner.pos, (), f"'Dih(' nested more than {MAX_NESTING} deep"
+            )
+        scanner.depth += 1
         inner = _parse_spec(scanner)
+        scanner.depth -= 1
         scanner.expect_literal(")")
         return GeneralizedDihedral(inner)
     if scanner.try_literal("perm"):

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import NotNormal, OrderCapExceeded
-from .groups import FiniteGroup, center
+from .groups import FiniteGroup, cayley_table, center, group_from_table
 
 # ceiling on the normal-lattice size; elementary-abelian inputs can have
 # astronomically many normal subgroups and must fail fast instead of hanging
@@ -108,57 +108,33 @@ def _closure(group: FiniteGroup, seed_ids: Iterable[int]) -> tuple[int, ...]:
     conjugacy class or subgroup.
     """
     seeds = sorted({int(x) for x in seed_ids} - {0})
-    if not seeds:
-        return (0,)
-    if group.table is not None:
-        table = group.table
-        mask = np.zeros(group.order, dtype=bool)
-        mask[0] = True
-        gens: list[int] = []
-        for s in seeds:
-            if mask[s]:
-                continue
-            gens.append(s)
-            mask[s] = True
-            frontier = np.flatnonzero(mask)
-            while frontier.size:
-                new_mask = np.zeros_like(mask)
-                for g in gens:
-                    new_mask[table[frontier, g]] = True
-                new_mask &= ~mask
-                mask |= new_mask
-                frontier = np.flatnonzero(new_mask)
-        return tuple(int(i) for i in np.flatnonzero(mask))
-    found = {0}
-    gens = []
+    mask = np.zeros(group.order, dtype=bool)
+    mask[0] = True
+    gens = np.zeros(0, dtype=np.int64)
     for s in seeds:
-        if s in found:
+        if mask[s]:
             continue
-        gens.append(s)
-        found.add(s)
-        work = list(found)
-        while work:
-            cur = work.pop()
-            for g in gens:
-                nxt = group.mul(cur, g)
-                if nxt not in found:
-                    found.add(nxt)
-                    work.append(nxt)
-    return tuple(sorted(found))
+        gens = np.append(gens, s)
+        mask[s] = True
+        frontier = np.flatnonzero(mask)
+        while frontier.size:
+            new_mask = np.zeros_like(mask)
+            new_mask[group.mul_many(frontier[:, None], gens)] = True
+            new_mask &= ~mask
+            mask |= new_mask
+            frontier = np.flatnonzero(new_mask)
+    return tuple(np.flatnonzero(mask).tolist())
+
+
+def _conjugates(group: FiniteGroup, h: int, elems) -> np.ndarray:
+    """h x h^-1 for every x in elems."""
+    return group.mul_many(group.mul_many(h, elems), group.inv(h))
 
 
 def _closed_under_conjugation(group: FiniteGroup, elements: Sequence[int]) -> bool:
-    elem_set = frozenset(elements)
-    arr = np.asarray(elements, dtype=np.int64)
-    for g in group.generator_ids:
-        if group.table is not None:
-            conj = group.table[group.table[g, arr], group.inv(g)]
-            if not all(int(c) in elem_set for c in conj):
-                return False
-        else:
-            if any(group.conjugate(g, int(x)) not in elem_set for x in arr):
-                return False
-    return True
+    inside = np.zeros(group.order, dtype=bool)
+    inside[list(elements)] = True
+    return all(inside[_conjugates(group, g, elements)].all() for g in group.generator_ids)
 
 
 def _small_generating_set(group: FiniteGroup, elements: Sequence[int]) -> tuple[int, ...]:
@@ -325,24 +301,11 @@ def _commutator_values(
     group: FiniteGroup, hs: Sequence[int], ks: Sequence[int]
 ) -> set[int]:
     karr = np.asarray(ks, dtype=np.int64)
+    kinv = group.inverses[karr]
     out: set[int] = set()
-    if group.table is not None:
-        table = group.table
-        kinv = group.inverses[karr]
-        for h in hs:
-            vals = table[table[table[h, karr], group.inv(h)], kinv]
-            out.update(int(v) for v in np.unique(vals))
-        return out
-    pk = group.perms[karr]
-    pkinv = group.perms[group.inverses[karr]]
     for h in hs:
-        ph = group.perms[h]
-        phinv = group.perms[group.inv(h)]
-        a = ph[pk]                              # h k
-        b = a[:, phinv]                         # h k h^-1
-        c = np.take_along_axis(b, pkinv, axis=1)  # h k h^-1 k^-1
-        for row in np.unique(c, axis=0):
-            out.add(group._lookup(row))
+        # [h, k] = (h k h^-1) k^-1 for every k at once
+        out.update(np.unique(group.mul_many(_conjugates(group, h, karr), kinv)).tolist())
     return out
 
 
@@ -403,8 +366,6 @@ def quotient_group(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
         raise NotNormal("quotient kernel must be a normal subgroup")
 
     def build() -> QuotientMap:
-        from .groups import group_from_table
-
         if kernel.order == 1:
             return QuotientMap(group, group, kernel, np.arange(group.order))
         n = group.order
@@ -414,20 +375,16 @@ def quotient_group(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
         for x in range(n):
             if proj[x] >= 0:
                 continue
-            coset = group.mul_row(x, karr)
-            proj[coset] = len(reps)
+            proj[group.mul_many(x, karr)] = len(reps)
             reps.append(x)
-        q = len(reps)
-        reps_arr = np.asarray(reps, dtype=np.int64)
-        table = np.empty((q, q), dtype=np.int32)
-        for a in range(q):
-            table[a] = proj[group.mul_row(int(reps_arr[a]), reps_arr)]
-        gen_images: list[int] = []
+        gen_images: dict[int, int] = {}  # image in G/N -> a generator of G with it
         for g in group.generator_ids:
             img = int(proj[g])
             if img != 0 and img not in gen_images:
-                gen_images.append(img)
-        target = group_from_table(table, tuple(gen_images))
+                gen_images[img] = g
+        # right multiplication by each generator image, on coset numbers
+        rmul = [proj[group.mul_many(reps, g)] for g in gen_images.values()]
+        target = group_from_table(cayley_table(len(reps), rmul), tuple(gen_images))
         return QuotientMap(group, target, kernel, proj)
 
     return group._cached(("quotient", kernel.elements), build)
@@ -439,28 +396,16 @@ def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
     Returns the new group and the embedding array mapping its element ids to
     parent ids (new id i = i-th smallest parent id, so 0 stays the identity).
     The new group reuses the parent's permutation action, restricted to the
-    subgroup's elements; it inherits a dense table when the parent has one.
+    subgroup's elements.
     """
     parent = sub.parent
 
     def build() -> tuple[FiniteGroup, np.ndarray]:
-        from .groups import FiniteGroup as Group
-
         if sub.order == parent.order:
             return parent, np.arange(parent.order)
         embed = np.asarray(sub.elements, dtype=np.int64)
-        m = len(embed)
-        perms = np.ascontiguousarray(parent.perms[embed])
-        index = {perms[i].tobytes(): i for i in range(m)}
-        pos = np.full(parent.order, -1, dtype=np.int32)
-        pos[embed] = np.arange(m, dtype=np.int32)
-        table = None
-        if m <= 4096 and parent.table is not None:
-            table = np.ascontiguousarray(pos[parent.table[np.ix_(embed, embed)]])
-        gens = tuple(
-            int(pos[g]) for g in _small_generating_set(parent, sub.elements)
-        )
-        return Group(None, perms, index, gens, table=table), embed
+        gens = np.searchsorted(embed, _small_generating_set(parent, sub.elements))
+        return FiniteGroup(None, parent.perms[embed], tuple(gens.tolist())), embed
 
     return parent._cached(("subgroup_group", sub.elements), build)
 
@@ -496,8 +441,4 @@ def are_conjugate(
 
 
 def _conjugate_set(group: FiniteGroup, elems: np.ndarray, h: int) -> frozenset[int]:
-    if group.table is not None:
-        return frozenset(
-            int(v) for v in group.table[group.table[h, elems], group.inv(h)]
-        )
-    return frozenset(group.conjugate(h, int(x)) for x in elems)
+    return frozenset(_conjugates(group, h, elems).tolist())

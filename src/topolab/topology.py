@@ -115,12 +115,9 @@ def taimanov_topology(
 
 def _commuting_matrix(group: FiniteGroup) -> np.ndarray:
     def build() -> np.ndarray:
-        if group.table is not None:
-            mat = group.table == group.table.T
-        else:
-            mat = np.empty((group.order, group.order), dtype=bool)
-            for g in range(group.order):
-                mat[:, g] = group.commuting_mask(g)
+        mat = np.empty((group.order, group.order), dtype=bool)
+        for g in group.elements():
+            mat[g] = group.commuting_mask(g)  # commuting is symmetric
         mat.setflags(write=False)
         return mat
 

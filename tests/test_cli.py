@@ -107,3 +107,32 @@ def test_perm_command():
 def test_perm_degree_too_large_for_oracle():
     result = run_cli("perm", "--degree", "9", "--gens", "(0 1)", "--oracle")
     assert result.returncode == 1
+
+
+def test_unwritable_dot_path_is_a_one_line_error(tmp_path):
+    result = run_cli("lattice", "C4", "--dot", str(tmp_path / "missing" / "x.dot"))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: cannot write")
+    assert len(result.stderr.splitlines()) == 1
+
+
+def test_deeply_nested_spec_is_a_syntax_error():
+    result = run_cli("classify", "Dih(" * 2000 + "C3" + ")" * 2000)
+    assert result.returncode == 2
+    assert "nested more than 32 deep" in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    # the deepest spec the parser accepts fails on the order cap instead
+    result = run_cli("classify", "Dih(" * 32 + "C3" + ")" * 32)
+    assert result.returncode == 3
+
+
+def test_huge_field_size_hits_the_order_cap_before_primality():
+    # trial division of this prime would run for minutes
+    result = subprocess.run(
+        [sys.executable, "-m", "topolab", "classify", "SL(2,1000000000000000003)"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert result.returncode == 3
+    assert len(result.stderr.splitlines()) == 1

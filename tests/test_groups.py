@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -256,3 +257,51 @@ def test_concurrent_reads_share_caches():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(probe, range(16)))
     assert len(set(results)) == 1
+
+
+# sha256 prefixes of perms (uint16 bytes) and inverses (int32 bytes), recorded
+# before products moved onto base images; element numbering must not move
+NUMBERING_DIGESTS = {
+    "S7": ("61bf899fd3d01241", "fc6a2219d2db5d92"),
+    "SL(2,17)": ("4aef8105e8406f58", "044a4ce32251ccfd"),
+    "A5 x A5": ("2ce3be709a6a4193", "e20b3cce04d8a266"),
+    "Q8 x D8": ("f3a97601c29e36f7", "3a94d391bc97fee0"),
+}
+
+
+def _digest(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("text", sorted(NUMBERING_DIGESTS))
+def test_mul_many_matches_composed_permutations(text):
+    g = group(text)
+    assert g.perms.dtype == np.uint16
+    assert (_digest(g.perms), _digest(g.inverses.astype(np.int32))) == NUMBERING_DIGESTS[text]
+    rng = np.random.default_rng(7)
+    xs = rng.integers(0, g.order, 500)
+    ys = rng.integers(0, g.order, 500)
+    got = g.mul_many(xs, ys)
+    assert got.dtype == np.int32
+    composed = np.take_along_axis(g.perms[xs], g.perms[ys].astype(np.intp), axis=1)
+    assert np.array_equal(g.perms[got], composed)
+    # the base-image lookup agrees with the table where there is one
+    assert np.array_equal(g._product_ids(xs, ys), got)
+    # broadcasting against a scalar and as an outer product
+    assert np.array_equal(g.mul_many(int(xs[0]), ys), g.mul_many(np.full(500, xs[0]), ys))
+    outer = g.mul_many(xs[:4, None], ys[None, :4])
+    assert np.array_equal(np.diag(outer), got[:4])
+    assert g.mul(int(xs[1]), int(ys[1])) == int(got[1])
+
+
+def test_permutation_outside_the_group_is_rejected():
+    a7 = group("A7")
+    # (0 1) agrees with (0 1)(5 6) on A7's base, so only the full row tells
+    odd = np.arange(7)
+    odd[[0, 1]] = [1, 0]
+    with pytest.raises(ValueError):
+        a7._lookup(odd)
+    assert a7._lookup(a7.perms[17]) == 17
+    # a reversal of Q8 x D8's 16 points has base images no element has
+    with pytest.raises(ValueError):
+        group("Q8 x D8")._lookup(np.arange(16)[::-1])

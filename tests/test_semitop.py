@@ -63,6 +63,29 @@ def test_violating_pair_is_first_in_id_order():
             assert s3.commutator(g2, l2) == 0
 
 
+def _first_violating_pair(g, small, large):
+    """Reference scan: g in id order, then l in L."""
+    for g2 in g.elements():
+        for l2 in large.elements:
+            if g.commutator(g2, l2) not in small:
+                return (g2, l2)
+    return None
+
+
+@pytest.mark.parametrize("spec_text", ["S4", "Dih(C9)", "S7"])
+def test_violating_pair_matches_scalar_scan(spec_text):
+    g = group(spec_text)
+    pairs = _nested_pairs(g)
+    if g.order > 4096:
+        # above the dense-table limit; from the discrete topology the scan
+        # stops early, while a holding verdict would scan all |G|^2 pairs
+        pairs = [(tau, sigma) for tau, sigma in pairs if tau.is_discrete and not sigma.is_discrete]
+    for tau, sigma in pairs:
+        verdict = is_semitopological(tau, sigma)
+        assert verdict.violating_pair == _first_violating_pair(g, tau.kernel, sigma.kernel)
+        assert verdict.is_semitopological == (verdict.violating_pair is None)
+
+
 def test_oracle_matches_on_s4_normal_pairs():
     s4 = group("S4")
     for tau, sigma in _nested_pairs(s4):
