@@ -62,11 +62,16 @@ NON_NILPOTENT_SPECS: tuple[str, ...] = ("S3", "S4", "A4", "A5", "Dih(C9)", "ASL(
 
 
 def catalog_entries(max_order: Optional[int] = None) -> list[tuple[str, GroupSpec]]:
-    """(text, AST) pairs of catalog members, filtered by closed-form order."""
+    """(text, AST) pairs of catalog members, filtered by closed-form order.
+
+    A perm spec has no closed-form order, so the filter keeps it; building
+    it is still guarded by build_group's order cap.
+    """
     out = []
     for text in CATALOG_SPECS:
         ast = parse_group_spec(text)
-        if max_order is None or spec_order(ast) <= max_order:
+        order = None if max_order is None else spec_order(ast, max_order)
+        if order is None or order <= max_order:
             out.append((text, ast))
     return out
 

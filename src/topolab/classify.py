@@ -13,14 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import InternalInconsistency
 from .groups import FiniteGroup, GroupSpec, center
 from .subgroups import (
     Subgroup,
     all_normal_subgroups,
-    commutator_subgroup,
     derived_subgroup,
-    full_subgroup,
+    normal_lattice,
     quotient_group,
 )
 from .topology import AlmostTrivialTopology, make_topology
@@ -83,17 +84,6 @@ def is_totally_taimanov(group: FiniteGroup) -> tuple[bool, Optional[Subgroup]]:
     return True, None
 
 
-def _commutators_with_g(group: FiniteGroup) -> tuple[Subgroup, ...]:
-    def build() -> tuple[Subgroup, ...]:
-        full = full_subgroup(group)
-        return tuple(
-            commutator_subgroup(group, full, sub)
-            for sub in all_normal_subgroups(group)
-        )
-
-    return group._cached("commutators_with_g", build)
-
-
 def is_a_complete(tau: AlmostTrivialTopology) -> bool:
     """Whether no strictly coarser topology receives a semitopological
     identity map from zeta_N.
@@ -112,15 +102,13 @@ def _a_complete_both_routes(
     quo = quotient_group(group, tau.kernel)
     by_center = len(center(quo.target)) == 1
 
-    normals = all_normal_subgroups(group)
-    comms = _commutators_with_g(group)
-    violator: Optional[int] = None
-    for idx, candidate in enumerate(normals):
-        if candidate == tau.kernel or not tau.kernel.issubset(candidate):
-            continue
-        if comms[idx].issubset(tau.kernel):
-            violator = idx
-            break
+    lattice = normal_lattice(group)
+    k = lattice.index(tau.kernel)
+    # N' above N whose [G, N'] lies in N
+    above = lattice.contains[k] & lattice.contains[lattice.comm_index, k]
+    above[k] = False
+    hits = np.flatnonzero(above)
+    violator: Optional[int] = int(hits[0]) if hits.size else None
     by_criterion = violator is None
     if by_center != by_criterion:
         raise InternalInconsistency(
@@ -136,14 +124,15 @@ def is_arnautov(group: FiniteGroup) -> tuple[bool, Optional[ArnautovWitness]]:
     the semitopological non-open identity map (zeta_{[G,N]}, zeta_N).
     Must agree with total Taimanovness, and is checked to.
     """
-    normals = all_normal_subgroups(group)
-    comms = _commutators_with_g(group)
+    lattice = normal_lattice(group)
+    comm = lattice.comm_index
+    moved = np.flatnonzero(comm != np.arange(len(comm)))
     witness: Optional[ArnautovWitness] = None
-    for sub, comm in zip(normals, comms):
-        if comm != sub:
-            pair = (make_topology(group, comm), make_topology(group, sub))
-            witness = ArnautovWitness(sub, comm, pair)
-            break
+    if moved.size:
+        sub = lattice.subgroups[moved[0]]
+        commutator = lattice.subgroups[comm[moved[0]]]
+        pair = (make_topology(group, commutator), make_topology(group, sub))
+        witness = ArnautovWitness(sub, commutator, pair)
     verdict = witness is None
     if verdict != is_totally_taimanov(group)[0]:
         raise InternalInconsistency(
@@ -154,10 +143,9 @@ def is_arnautov(group: FiniteGroup) -> tuple[bool, Optional[ArnautovWitness]]:
 
 def classify(group: FiniteGroup) -> ClassificationReport:
     """Full classification with per-normal-subgroup A-completeness table."""
-    normals = all_normal_subgroups(group)
-    comms = _commutators_with_g(group)
+    lattice = normal_lattice(group)
     rows = []
-    for idx, sub in enumerate(normals):
+    for idx, sub in enumerate(lattice.subgroups):
         tau = make_topology(group, sub)
         complete, violator = _a_complete_both_routes(tau)
         rows.append(
@@ -166,7 +154,7 @@ def classify(group: FiniteGroup) -> ClassificationReport:
                 subgroup=sub,
                 order=sub.order,
                 a_complete=complete,
-                commutator_with_g_order=comms[idx].order,
+                commutator_with_g_order=lattice.subgroups[lattice.comm_index[idx]].order,
                 a_complete_violator=violator,
             )
         )

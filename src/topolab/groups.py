@@ -16,10 +16,11 @@ can be shared freely between threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -384,18 +385,32 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _sl_order(n: int, p: int) -> int:
-    order = p ** (n * (n - 1) // 2)
+def _product(factors: Iterable[int], cap: Optional[int]) -> int:
+    """Product of factors >= 1, stopping at the first partial product above
+    cap (when cap is not None), so a huge spec never forms a huge number."""
+    out = 1
+    for f in factors:
+        out *= f
+        if cap is not None and out > cap:
+            break
+    return out
+
+
+def _sl_factors(n: int, p: int) -> Iterator[int]:
+    """Factors of |SL(n, p)| = p^(n(n-1)/2) * prod_{k=2..n} (p^k - 1), small first."""
+    yield from itertools.repeat(p, n * (n - 1) // 2)
     for k in range(2, n + 1):
-        order *= p**k - 1
-    return order
+        yield p**k - 1
 
 
-def spec_order(spec: GroupSpec) -> Optional[int]:
+def spec_order(spec: GroupSpec, cap: Optional[int] = None) -> Optional[int]:
     """Closed-form order of a spec, or None when only closure can tell (perm).
 
-    SL/ASL field sizes are tested for primality by build_group, after the
-    order cap: trial division of a huge field size would not end.
+    With a cap, an order above it comes back as some number above it (a
+    partial product), found without forming any number much larger than
+    the cap: S100000000 is over the cap after a few factors.  SL/ASL field
+    sizes are tested for primality by build_group, after the order cap:
+    trial division of a huge field size would not end.
     """
     if isinstance(spec, Cyclic):
         _require(spec.n >= 1, "cyclic order must be >= 1")
@@ -407,26 +422,29 @@ def spec_order(spec: GroupSpec) -> Optional[int]:
         return 8
     if isinstance(spec, Symmetric):
         _require(spec.n >= 1, "symmetric degree must be >= 1")
-        return math.factorial(spec.n)
+        return _product(range(2, spec.n + 1), cap)
     if isinstance(spec, Alternating):
         _require(spec.n >= 1, "alternating degree must be >= 1")
-        return max(1, math.factorial(spec.n) // 2)
+        return _product(range(3, spec.n + 1), cap)  # n!/2
     if isinstance(spec, Heisenberg):
         _require(spec.m >= 1, "Heisenberg modulus must be >= 1")
         return spec.m**3
     if isinstance(spec, GeneralizedDihedral):
-        base = spec_order(spec.base)
+        base = spec_order(spec.base, cap)
         return None if base is None else 2 * base
     if isinstance(spec, SpecialLinear):
         _require(spec.n >= 1, "SL dimension must be >= 1")
-        return _sl_order(spec.n, spec.p)
+        _require(spec.p >= 2, f"SL field size {spec.p} is not prime")
+        return _product(_sl_factors(spec.n, spec.p), cap)
     if isinstance(spec, AffineSpecialLinear):
         _require(spec.n >= 1, "ASL dimension must be >= 1")
         _require(
             math.gcd(spec.n, spec.p - 1) == 1,
             f"ASL requires gcd(n, p-1) = 1, got gcd({spec.n}, {spec.p - 1})",
         )
-        return _sl_order(spec.n, spec.p) * spec.p**spec.n
+        _require(spec.p >= 2, f"ASL field size {spec.p} is not prime")
+        translations = itertools.repeat(spec.p, spec.n)
+        return _product(itertools.chain(translations, _sl_factors(spec.n, spec.p)), cap)
     if isinstance(spec, PermSpec):
         _require(spec.degree >= 1, "perm degree must be >= 1")
         for gen in spec.generators:
@@ -436,8 +454,8 @@ def spec_order(spec: GroupSpec) -> Optional[int]:
             )
         return None
     if isinstance(spec, Product):
-        left = spec_order(spec.left)
-        right = spec_order(spec.right)
+        left = spec_order(spec.left, cap)
+        right = spec_order(spec.right, cap)
         if left is None or right is None:
             return None
         return left * right
@@ -686,13 +704,11 @@ def build_group(
 
     Raises InvalidSpec for malformed specs and OrderCapExceeded when the
     result (known in closed form for every constructor except perm specs)
-    would exceed order_cap.
+    would exceed order_cap, or when an SL/ASL field size does.
     """
-    expected = spec_order(spec)
+    expected = spec_order(spec, order_cap)
     if expected is not None and expected > order_cap:
-        raise OrderCapExceeded(
-            f"spec {spec!r} has order {expected}, above the cap ({order_cap})"
-        )
+        raise OrderCapExceeded(f"spec {spec!r} has order above the cap ({order_cap})")
     if isinstance(spec, Cyclic):
         degree, gens = _cyclic_action(spec.n)
     elif isinstance(spec, Dihedral):
@@ -708,10 +724,10 @@ def build_group(
     elif isinstance(spec, GeneralizedDihedral):
         return _assemble_gen_dihedral(spec, spec.base, order_cap, seed)
     elif isinstance(spec, SpecialLinear):
-        _require(_is_prime(spec.p), f"SL field size {spec.p} is not prime")
+        _check_field_size("SL", spec.p, order_cap)
         degree, gens = _sl_action(spec.n, spec.p)
     elif isinstance(spec, AffineSpecialLinear):
-        _require(_is_prime(spec.p), f"ASL field size {spec.p} is not prime")
+        _check_field_size("ASL", spec.p, order_cap)
         degree, gens = _asl_action(spec.n, spec.p)
     elif isinstance(spec, PermSpec):
         degree, gens = spec.degree, [np.asarray(g) for g in spec.generators]
@@ -722,6 +738,16 @@ def build_group(
     else:
         raise InvalidSpec(f"unknown spec node {spec!r}")
     return _assemble(spec, degree, gens, order_cap, seed, expected)
+
+
+def _check_field_size(name: str, p: int, order_cap: int) -> None:
+    """The field size counts against the order cap: SL(1, p) is trivial and
+    passes any cap, but its action has p points and trial division of a
+    huge p would not end.  Every other SL/ASL spec with p above the cap is
+    over it already."""
+    if p > order_cap:
+        raise OrderCapExceeded(f"{name} field size {p} is above the cap ({order_cap})")
+    _require(_is_prime(p), f"{name} field size {p} is not prime")
 
 
 def _assemble_gen_dihedral(

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from . import __version__ as TOOL_VERSION
 from .classify import ClassificationReport
 from .groups import FiniteGroup
-from .semitop import min_steps
 from .specparse import print_group_spec
-from .subgroups import all_normal_subgroups
-from .topology import make_topology
+from .subgroups import normal_lattice
 
 
 def report_payload(report: ClassificationReport, *, seed: int) -> dict:
@@ -58,32 +58,36 @@ def emit_lattice_dot(group: FiniteGroup) -> str:
     One node per normal subgroup ("N#k (order m)"), solid edges for the
     covering relation, and a dashed edge N -> L labelled "semi:n" for every
     strictly nested pair whose identity map (zeta_N, zeta_L) is n-step
-    semitopological for some finite n.
+    semitopological for some finite n.  Both come from the lattice's
+    containment matrix: L covers N when nothing strictly above N lies
+    strictly below L, and n is the first term of the commutator chain
+    [G, L], [G, [G, L]], ... (walked on comm_index) that lies in N, as in
+    semitop.min_steps.
     """
-    normals = all_normal_subgroups(group)
-    count = len(normals)
-    contained = [
-        [i != j and normals[i].issubset(normals[j]) for j in range(count)]
-        for i in range(count)
-    ]
+    lattice = normal_lattice(group)
+    count = len(lattice.subgroups)
+    above = lattice.contains.copy()
+    np.fill_diagonal(above, False)  # above[i, j]: N_i strictly inside N_j
+    covers = np.empty_like(above)
+    for i in range(count):
+        up = above[i]
+        covers[i] = up & ~above[up].any(axis=0)
+    comm = lattice.comm_index
+    steps = np.zeros((count, count), dtype=np.int8)
+    for j in range(count):
+        chain = [comm[j]]
+        while comm[chain[-1]] != chain[-1]:
+            chain.append(comm[chain[-1]])
+        inside = lattice.contains[chain]  # inside[t, i]: term t lies in N_i
+        steps[:, j] = np.where(inside.any(axis=0), inside.argmax(axis=0) + 1, 0)
+    steps[~above] = 0
     lines = ["digraph lattice {", "  rankdir=BT;"]
-    for k, sub in enumerate(normals):
+    for k, sub in enumerate(lattice.subgroups):
         lines.append(f'  n{k} [label="N#{k} (order {sub.order})"];')
-    for i in range(count):
-        for j in range(count):
-            if not contained[i][j]:
-                continue
-            if any(contained[i][k] and contained[k][j] for k in range(count)):
-                continue
-            lines.append(f"  n{i} -> n{j};")
-    for i in range(count):
-        for j in range(count):
-            if not contained[i][j]:
-                continue
-            steps = min_steps(
-                make_topology(group, normals[i]), make_topology(group, normals[j])
-            ).steps
-            if steps is not None:
-                lines.append(f'  n{i} -> n{j} [style=dashed, label="semi:{steps}"];')
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(covers))):
+        lines.append(f"  n{i} -> n{j};")
+    dashed = np.nonzero(steps)
+    for i, j, n in zip(*(idx.tolist() for idx in dashed), steps[dashed].tolist()):
+        lines.append(f'  n{i} -> n{j} [style=dashed, label="semi:{n}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

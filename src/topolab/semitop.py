@@ -23,7 +23,13 @@ import numpy as np
 
 from .errors import GroupMismatch, NotComparable
 from .groups import FiniteGroup
-from .subgroups import Subgroup, commutator_subgroup, full_subgroup, generated_subgroup
+from .subgroups import (
+    Subgroup,
+    _commutators,
+    commutator_subgroup,
+    full_subgroup,
+    generated_subgroup,
+)
 from .topology import AlmostTrivialTopology
 
 
@@ -90,12 +96,6 @@ def _mask(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     mask = np.zeros(group.order, dtype=bool)
     mask[list(sub.elements)] = True
     return mask
-
-
-def _commutators(group: FiniteGroup, gs, ls) -> np.ndarray:
-    """[g, l] = (g l g^-1) l^-1, broadcast over id arrays gs and ls."""
-    gl = group.mul_many(gs, ls)
-    return group.mul_many(group.mul_many(gl, group.inverses[gs]), group.inverses[ls])
 
 
 def _iterated_commutators(group: FiniteGroup, start: Subgroup) -> list[Subgroup]:

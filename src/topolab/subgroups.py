@@ -100,30 +100,61 @@ class QuotientMap:
 # closure machinery
 
 
-def _closure(group: FiniteGroup, seed_ids: Iterable[int]) -> tuple[int, ...]:
-    """Smallest subgroup containing seed_ids (closure under products).
+def _closure(group: FiniteGroup, seed_ids: Iterable[int]) -> np.ndarray:
+    """Membership mask of the smallest subgroup containing seed_ids.
 
     Seeds already inside the running span are skipped, so the working
     generator list stays logarithmic even when the seed is a whole
-    conjugacy class or subgroup.
+    conjugacy class or subgroup.  Each round multiplies only the elements
+    found in the round before.  While the squares s^2, s^4, ... of the
+    newest seed are new, they join the generators, so an element of order
+    m has all its powers after about log2(m) rounds instead of m; after
+    that they are dropped, since only the seeds are needed for closure.
+    A round makes at most (new elements) x (generators) products.
     """
-    seeds = sorted({int(x) for x in seed_ids} - {0})
     mask = np.zeros(group.order, dtype=bool)
     mask[0] = True
-    gens = np.zeros(0, dtype=np.int64)
-    for s in seeds:
+    gens: list[int] = []
+    for s in sorted({int(x) for x in seed_ids} - {0}):
         if mask[s]:
             continue
-        gens = np.append(gens, s)
-        mask[s] = True
-        frontier = np.flatnonzero(mask)
-        while frontier.size:
-            new_mask = np.zeros_like(mask)
-            new_mask[group.mul_many(frontier[:, None], gens)] = True
-            new_mask &= ~mask
-            mask |= new_mask
-            frontier = np.flatnonzero(new_mask)
-    return tuple(np.flatnonzero(mask).tolist())
+        gens.append(s)
+        # the old span is a subgroup: only its products with s can be new
+        fresh = _mark_new(mask, group.mul_many(np.flatnonzero(mask), s))
+        squares = [s]
+        while fresh.size:
+            if squares:
+                square = group.mul(squares[-1], squares[-1])
+                squares = [] if mask[square] else squares + [square]
+            fresh = _mark_new(mask, group.mul_many(fresh[:, None], gens + squares[1:]))
+    return mask
+
+
+def _mark_new(mask: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Set mask at ids; return the ids that were not set before."""
+    ids = np.unique(ids)
+    ids = ids[~mask[ids]]
+    mask[ids] = True
+    return ids
+
+
+def _coset_labels(group: FiniteGroup, kernel: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Coset number of every element modulo a normal subgroup (given by its
+    element ids), cosets numbered by their smallest member; also returns
+    those smallest members."""
+    labels = np.full(group.order, -1, dtype=np.int32)
+    reps: list[int] = []
+    for x in range(group.order):
+        if labels[x] < 0:
+            labels[group.mul_many(x, kernel)] = len(reps)
+            reps.append(x)
+    return labels, reps
+
+
+def _commutators(group: FiniteGroup, gs, ls) -> np.ndarray:
+    """[g, l] = (g l g^-1) l^-1, broadcast over id arrays gs and ls."""
+    gl = group.mul_many(gs, ls)
+    return group.mul_many(group.mul_many(gl, group.inverses[gs]), group.inverses[ls])
 
 
 def _conjugates(group: FiniteGroup, h: int, elems) -> np.ndarray:
@@ -139,12 +170,12 @@ def _closed_under_conjugation(group: FiniteGroup, elements: Sequence[int]) -> bo
 
 def _small_generating_set(group: FiniteGroup, elements: Sequence[int]) -> tuple[int, ...]:
     gens: list[int] = []
-    span: frozenset[int] = frozenset((0,))
+    span = _closure(group, gens)
     for x in elements:
-        if x not in span:
+        if not span[x]:
             gens.append(int(x))
-            span = frozenset(_closure(group, gens))
-            if len(span) == len(elements):
+            span = _closure(group, gens)
+            if span.sum() == len(elements):
                 break
     return tuple(gens)
 
@@ -152,7 +183,7 @@ def _small_generating_set(group: FiniteGroup, elements: Sequence[int]) -> tuple[
 def subgroup(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     """Wrap a verified subgroup; raises ValueError if not closed."""
     sub = Subgroup(group, elements)
-    if tuple(_closure(group, sub.elements)) != sub.elements:
+    if not np.array_equal(np.flatnonzero(_closure(group, sub.elements)), sub.elements):
         raise ValueError("element set is not closed under the group operations")
     return sub
 
@@ -175,7 +206,7 @@ def center_subgroup(group: FiniteGroup) -> Subgroup:
 
 def generated_subgroup(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the given elements."""
-    return Subgroup(group, _closure(group, elements))
+    return Subgroup(group, np.flatnonzero(_closure(group, elements)).tolist())
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -209,7 +240,7 @@ def normal_closure(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     seed: set[int] = set()
     for x in elements:
         seed.update(class_of[int(x)])
-    return Subgroup(group, _closure(group, seed), _normal=True)
+    return Subgroup(group, np.flatnonzero(_closure(group, seed)).tolist(), _normal=True)
 
 
 def _class_lookup(group: FiniteGroup) -> dict[int, tuple[int, ...]]:
@@ -223,51 +254,131 @@ def _class_lookup(group: FiniteGroup) -> dict[int, tuple[int, ...]]:
     return group._cached("class_lookup", build)
 
 
-def all_normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
-    """Every normal subgroup, sorted by (order, element set).
+class NormalLattice:
+    """Every normal subgroup of a group, with the arrays its consumers share.
 
-    Found by joining known normal subgroups with one conjugacy class at a
-    time, starting from the trivial subgroup.  Complete because any normal
-    subgroup strictly above N contains a full class outside N, and joining
-    that class moves strictly closer to it.  Raises OrderCapExceeded when
-    the lattice grows past NORMAL_LATTICE_BOUND.
+    subgroups[k] is the k-th normal subgroup in (order, element set) order
+    and masks[k] its membership row over the group's elements.
+    contains[i, j] says subgroups[i] <= subgroups[j] (so the diagonal is
+    set), and comm_index[k], built on first use, is the position of
+    [G, subgroups[k]].  Nothing here is writable.
     """
 
-    def build() -> tuple[Subgroup, ...]:
-        classes = conjugacy_classes(group)
-        triv = trivial_subgroup(group)
-        found: dict[tuple[int, ...], Subgroup] = {triv.elements: triv}
-        frontier = [triv]
-        while frontier:
-            fresh: list[Subgroup] = []
-            for sub in frontier:
-                for cls in classes:
-                    # every found subgroup is a union of classes, so membership
-                    # of the class minimum decides containment
-                    if cls[0] == 0 or cls[0] in sub._set:
-                        continue
-                    joined = _closure(group, sub.elements + cls)
-                    if joined not in found:
-                        if len(found) >= NORMAL_LATTICE_BOUND:
-                            raise OrderCapExceeded(
-                                "normal subgroup lattice exceeds "
-                                f"{NORMAL_LATTICE_BOUND} entries"
-                            )
-                        new_sub = Subgroup(group, joined, _normal=True)
-                        found[joined] = new_sub
-                        fresh.append(new_sub)
-            frontier = fresh
-        return tuple(sorted(found.values(), key=lambda s: (s.order, s.elements)))
+    __slots__ = ("group", "subgroups", "masks", "contains", "_position")
 
-    return group._cached("all_normal_subgroups", build)
+    def __init__(self, group: FiniteGroup, masks: np.ndarray):
+        self.group = group
+        subs = [Subgroup(group, np.flatnonzero(m).tolist(), _normal=True) for m in masks]
+        order = sorted(range(len(subs)), key=lambda k: (subs[k].order, subs[k].elements))
+        self.subgroups: tuple[Subgroup, ...] = tuple(subs[k] for k in order)
+        self.masks = masks[order]
+        self.masks.setflags(write=False)
+        self.contains = _containment(group, self.masks)
+        self.contains.setflags(write=False)
+        self._position = {sub.elements: k for k, sub in enumerate(self.subgroups)}
+
+    def index(self, sub: Subgroup) -> int:
+        """Position of a normal subgroup of the same group."""
+        return self._position[sub.elements]
+
+    @property
+    def comm_index(self) -> np.ndarray:
+        def build() -> np.ndarray:
+            full = full_subgroup(self.group)
+            out = np.array(
+                [self.index(commutator_subgroup(self.group, full, sub)) for sub in self.subgroups],
+                dtype=np.intp,
+            )
+            out.setflags(write=False)
+            return out
+
+        return self.group._cached("lattice_comm_index", build)
+
+
+# float32 entries per block of the containment product
+_CONTAINMENT_BLOCK = 1 << 22
+
+
+def _containment(group: FiniteGroup, masks: np.ndarray) -> np.ndarray:
+    """contains[i, j] = (row i of masks lies inside row j), for rows that are
+    unions of conjugacy classes.  Compared on one member per class, as a
+    float32 product of row blocks (exact: counts stay far below 2^24)."""
+    reps = [cls[0] for cls in conjugacy_classes(group)]
+    rows = masks[:, reps].astype(np.float32)
+    sizes = rows.sum(axis=1)
+    count = len(rows)
+    contains = np.empty((count, count), dtype=bool)
+    step = max(1, _CONTAINMENT_BLOCK // count)
+    for lo in range(0, count, step):
+        hi = lo + step
+        contains[lo:hi] = rows[lo:hi] @ rows.T == sizes[lo:hi, None]
+    return contains
+
+
+def normal_lattice(group: FiniteGroup) -> NormalLattice:
+    """The normal subgroup lattice, built once per group.
+
+    Every normal subgroup is a product of principal ones, the normal
+    closures of single conjugacy classes.  A breadth-first search from the
+    trivial subgroup joins each found N with each principal P; the join is
+    the product set NP, the union of the N-cosets that meet P, so no join
+    closes anything.  When P contains N the join is P itself, and when P
+    lies in N it is N, so cosets of N are labelled only if some P is
+    incomparable with N.  Raises OrderCapExceeded when the lattice grows
+    past NORMAL_LATTICE_BOUND.
+    """
+
+    def build() -> NormalLattice:
+        rows = [np.arange(group.order) == 0]
+        found = {np.packbits(rows[0]).tobytes()}
+
+        def add(mask: np.ndarray) -> None:
+            key = np.packbits(mask).tobytes()
+            if key in found:
+                return
+            if len(rows) >= NORMAL_LATTICE_BOUND:
+                raise OrderCapExceeded(
+                    f"normal subgroup lattice exceeds {NORMAL_LATTICE_BOUND} entries"
+                )
+            found.add(key)
+            rows.append(mask)
+
+        for cls in conjugacy_classes(group)[1:]:  # the first class is {e}
+            add(_closure(group, cls))
+        principals = np.array(rows[1:], dtype=bool).reshape(-1, group.order)
+        as_float = principals.astype(np.float32)
+        sizes = principals.sum(axis=1)
+        k = 1
+        while k < len(rows):
+            mask = rows[k]
+            k += 1
+            meet = as_float @ mask  # |P n N| for every principal P
+            apart = (meet < sizes) & (meet < mask.sum())
+            if not apart.any():
+                continue
+            labels, reps = _coset_labels(group, np.flatnonzero(mask))
+            which, members = np.nonzero(principals[apart])
+            hit = np.zeros((int(apart.sum()), len(reps)), dtype=bool)
+            hit[which, labels[members]] = True
+            for joined in hit[:, labels]:
+                add(joined)
+        return NormalLattice(group, np.array(rows))
+
+    return group._cached("normal_lattice", build)
+
+
+def all_normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
+    """Every normal subgroup, sorted by (order, element set); see
+    normal_lattice for how they are found."""
+    return normal_lattice(group).subgroups
 
 
 def commutator_subgroup(group: FiniteGroup, left: Subgroup, right: Subgroup) -> Subgroup:
     """Subgroup generated by every [h, k] with h in left, k in right.
 
     When both arguments are normal, [left, right] is the normal closure of
-    the commutators of generator pairs (peel words off with
-    [xy, z] = x[y,z]x^-1 [x,z] and its mirror image), which avoids the
+    the commutators of the generators of left with every element of right
+    (peel words off with [xy, k] = x[y,k]x^-1 [x,k]), which avoids the
     quadratic sweep; otherwise all pairs are enumerated.
     """
     if left.parent is not group or right.parent is not group:
@@ -275,21 +386,18 @@ def commutator_subgroup(group: FiniteGroup, left: Subgroup, right: Subgroup) -> 
     if left.order == 1 or right.order == 1:
         return trivial_subgroup(group)
 
-    def subgroup_gens(sub: Subgroup) -> tuple[int, ...]:
-        if sub.order == group.order:
-            return group.generator_ids
-        return _small_generating_set(group, sub.elements)
-
     def build() -> Subgroup:
         if left.is_normal and right.is_normal:
-            values = {
-                group.commutator(a, b)
-                for a in subgroup_gens(left)
-                for b in subgroup_gens(right)
-            }
-            return normal_closure(group, values)
+            if left.order == group.order:
+                gens = group.generator_ids
+            else:
+                gens = _small_generating_set(group, left.elements)
+            values = _commutators(
+                group, np.asarray(gens)[:, None], np.asarray(right.elements)[None, :]
+            )
+            return normal_closure(group, np.unique(values).tolist())
         values = _commutator_values(group, left.elements, right.elements)
-        return Subgroup(group, _closure(group, values))
+        return Subgroup(group, np.flatnonzero(_closure(group, values)).tolist())
 
     if left.order == group.order:
         # [G, N] is asked for over and over by the topology layers
@@ -301,11 +409,9 @@ def _commutator_values(
     group: FiniteGroup, hs: Sequence[int], ks: Sequence[int]
 ) -> set[int]:
     karr = np.asarray(ks, dtype=np.int64)
-    kinv = group.inverses[karr]
     out: set[int] = set()
     for h in hs:
-        # [h, k] = (h k h^-1) k^-1 for every k at once
-        out.update(np.unique(group.mul_many(_conjugates(group, h, karr), kinv)).tolist())
+        out.update(np.unique(_commutators(group, h, karr)).tolist())
     return out
 
 
@@ -368,15 +474,7 @@ def quotient_group(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
     def build() -> QuotientMap:
         if kernel.order == 1:
             return QuotientMap(group, group, kernel, np.arange(group.order))
-        n = group.order
-        karr = np.asarray(kernel.elements, dtype=np.int64)
-        proj = np.full(n, -1, dtype=np.int32)
-        reps: list[int] = []
-        for x in range(n):
-            if proj[x] >= 0:
-                continue
-            proj[group.mul_many(x, karr)] = len(reps)
-            reps.append(x)
+        proj, reps = _coset_labels(group, np.asarray(kernel.elements))
         gen_images: dict[int, int] = {}  # image in G/N -> a generator of G with it
         for g in group.generator_ids:
             img = int(proj[g])

@@ -6,6 +6,7 @@ so they stay independent of the subgroup/topology machinery they check.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from topolab import build_group, parse_group_spec
@@ -70,3 +71,59 @@ def find_element(g, perm):
         if g.element_perm(x) == tuple(perm):
             return x
     raise AssertionError(f"no element acts as {perm}")
+
+
+def _frontier_closure(g, seed_ids):
+    """Subgroup generated by seed_ids as a sorted tuple: breadth-first over
+    the seeds as generators, one generator step per round."""
+    mask = np.zeros(g.order, dtype=bool)
+    mask[0] = True
+    gens = np.array(sorted({int(x) for x in seed_ids} - {0}), dtype=np.int64)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size and gens.size:
+        images = np.unique(g.mul_many(frontier[:, None], gens))
+        frontier = images[~mask[images]]
+        mask[frontier] = True
+    return tuple(np.flatnonzero(mask).tolist())
+
+
+def _oracle_classes(g):
+    cmaps = [g.conj_map(s) for s in g.generator_ids]
+    seen, classes = set(), []
+    for x in g.elements():
+        if x in seen:
+            continue
+        orbit, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for m in cmaps:
+                z = int(m[y])
+                if z not in orbit:
+                    orbit.add(z)
+                    todo.append(z)
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return classes
+
+
+def oracle_normal_subgroups(g):
+    """Every normal subgroup as a sorted (order, elements) list, by the
+    class-join search: join each found normal subgroup with one conjugacy
+    class at a time and close, starting from the trivial subgroup.  Uses
+    only FiniteGroup products, not the subgroups module it checks."""
+    classes = _oracle_classes(g)
+    found = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        fresh = []
+        for sub in frontier:
+            inside = set(sub)
+            for cls in classes:
+                if cls[0] in inside:
+                    continue
+                joined = _frontier_closure(g, sub + cls)
+                if joined not in found:
+                    found.add(joined)
+                    fresh.append(joined)
+        frontier = fresh
+    return sorted((len(sub), sub) for sub in found)

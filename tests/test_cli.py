@@ -136,3 +136,40 @@ def test_huge_field_size_hits_the_order_cap_before_primality():
     )
     assert result.returncode == 3
     assert len(result.stderr.splitlines()) == 1
+
+
+def _run_bounded(*args, timeout=10):
+    return subprocess.run(
+        [sys.executable, "-m", "topolab", *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def test_huge_symmetric_and_alternating_degrees_hit_the_order_cap():
+    # the order is bounded against the cap before n! would be computed
+    for spec in ("S100000000", "A100000000", "C2 x S100000000"):
+        result = _run_bounded("classify", spec)
+        assert result.returncode == 3, spec
+        assert result.stderr.startswith("error: spec "), spec
+        assert len(result.stderr.splitlines()) == 1, spec
+
+
+def test_trivial_special_linear_over_a_huge_field_hits_the_order_cap():
+    # SL(1, p) has order 1, but its field size counts against the cap
+    result = _run_bounded("classify", "SL(1,1000000000000000003)")
+    assert result.returncode == 3
+    assert result.stderr == (
+        "error: SL field size 1000000000000000003 is above the cap (20000)\n"
+    )
+    assert run_cli("classify", "SL(1,7)").returncode == 0
+
+
+def test_lattice_above_the_bound_exits_3(tmp_path):
+    out = tmp_path / "lattice.dot"
+    result = _run_bounded("lattice", "C2 x C2 x C2 x C2 x C2 x C2 x C2", "--dot", str(out), timeout=60)
+    assert result.returncode == 3
+    assert "normal subgroup lattice exceeds" in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert not out.exists()

@@ -305,3 +305,23 @@ def test_permutation_outside_the_group_is_rejected():
     # a reversal of Q8 x D8's 16 points has base images no element has
     with pytest.raises(ValueError):
         group("Q8 x D8")._lookup(np.arange(16)[::-1])
+
+
+@pytest.mark.parametrize(
+    "text", ["S5", "A6", "SL(2,3)", "ASL(3,2)", "Heis(3) x C4", "Dih(C9)", "SL(1,5)", "A2"]
+)
+def test_capped_spec_order_is_exact_up_to_the_cap(text):
+    from topolab import parse_group_spec
+
+    ast = parse_group_spec(text)
+    exact = spec_order(ast)
+    assert spec_order(ast, exact) == exact
+    assert spec_order(ast, exact + 1) == exact
+    if exact > 1:
+        assert spec_order(ast, exact - 1) > exact - 1
+
+
+def test_capped_spec_order_of_huge_specs_is_quick():
+    assert spec_order(Symmetric(10**12), 20000) > 20000
+    assert spec_order(SpecialLinear(10**6, 2), 20000) > 20000
+    assert spec_order(SpecialLinear(1, 10**30 + 57), 20000) == 1

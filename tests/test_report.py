@@ -134,3 +134,50 @@ def test_dot_counts_match_lattice(catalog24):
                     if steps is not None:
                         expected_dashed += 1
         assert len(dashed) == expected_dashed, name
+
+
+def test_dot_edges_match_brute_covering_and_min_steps(catalog):
+    from topolab import all_normal_subgroups, make_topology, min_steps
+
+    for name, g in catalog:
+        normals = all_normal_subgroups(g)
+        if len(normals) > 100:
+            continue
+        nodes, solid, dashed = _dot_parts(emit_lattice_dot(g))
+        assert nodes == [(k, n.order) for k, n in enumerate(normals)], name
+        below = [
+            (i, j)
+            for i, small in enumerate(normals)
+            for j, large in enumerate(normals)
+            if i != j and small.issubset(large)
+        ]
+        covers = [
+            (i, j)
+            for i, j in below
+            if not any(
+                k not in (i, j) and normals[i].issubset(mid) and mid.issubset(normals[j])
+                for k, mid in enumerate(normals)
+            )
+        ]
+        assert solid == covers, name
+        expected = []
+        for i, j in below:
+            steps = min_steps(make_topology(g, normals[i]), make_topology(g, normals[j])).steps
+            if steps is not None:
+                expected.append((i, j, steps))
+        assert dashed == expected, name
+
+
+def test_comm_index_matches_commutator_subgroup_and_brute_force(catalog24):
+    from conftest import brute_commutator_subgroup
+    from topolab import commutator_subgroup, full_subgroup
+    from topolab.subgroups import normal_lattice
+
+    for name, g in catalog24:
+        lattice = normal_lattice(g)
+        full = full_subgroup(g)
+        for k, sub in enumerate(lattice.subgroups):
+            via_index = lattice.subgroups[lattice.comm_index[k]]
+            assert via_index == commutator_subgroup(g, full, sub), (name, k)
+            brute = brute_commutator_subgroup(g, g.elements(), sub.elements)
+            assert list(via_index.elements) == brute, (name, k)

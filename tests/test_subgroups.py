@@ -11,6 +11,7 @@ from conftest import (
     brute_is_subgroup,
     find_element,
     group,
+    oracle_normal_subgroups,
 )
 from topolab import (
     NotNormal,
@@ -30,7 +31,7 @@ from topolab import (
     subgroup_as_group,
     upper_central_series,
 )
-from topolab.subgroups import Subgroup, trivial_subgroup
+from topolab.subgroups import Subgroup, normal_lattice, trivial_subgroup
 
 
 def test_generated_subgroup_examples():
@@ -275,6 +276,31 @@ def test_large_group_normal_lattice_and_subgroup_materialization():
     rng = __import__("numpy").random.default_rng(5)
     for x, y in rng.integers(0, 2520, (30, 2)):
         assert embed[a7.mul(int(x), int(y))] == s7.mul(int(embed[x]), int(embed[y]))
+
+
+def test_lattice_matches_class_join_oracle(catalog64):
+    extra = [(text, group(text)) for text in ("C2 x C2 x C2 x C2 x C2", "C2 x C2 x C2 x C4")]
+    for name, g in catalog64 + extra:
+        lattice = normal_lattice(g)
+        got = [(n.order, n.elements) for n in lattice.subgroups]
+        assert got == oracle_normal_subgroups(g), name
+        assert all(
+            np.flatnonzero(row).tolist() == list(n.elements)
+            for row, n in zip(lattice.masks, lattice.subgroups)
+        ), name
+        # contains[i, j] is N_i <= N_j, checked on the element sets
+        nested = [[a.issubset(b) for b in lattice.subgroups] for a in lattice.subgroups]
+        assert lattice.contains.tolist() == nested, name
+
+
+def test_lattice_just_above_the_bound_fails():
+    from topolab import OrderCapExceeded
+    from topolab.subgroups import NORMAL_LATTICE_BOUND
+
+    # C2^7 has 29212 normal subgroups, C2^6 has 2825
+    assert 2825 <= NORMAL_LATTICE_BOUND < 29212
+    with pytest.raises(OrderCapExceeded):
+        all_normal_subgroups(group("C2 x C2 x C2 x C2 x C2 x C2 x C2"))
 
 
 def test_elementary_abelian_lattice_blowup_fails_fast():
