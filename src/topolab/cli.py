@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 spec rejected (syntax or validation), 3 order or
-materialization cap exceeded, 1 other domain errors.  The order cap
-defaults to 20000 and can be overridden with TOPOLAB_ORDER_CAP.
+Exit codes: 0 success, 2 spec rejected (syntax or validation), 3 order cap
+exceeded, 1 other domain errors.  The order cap of a spec defaults to 20000
+and can be overridden with TOPOLAB_ORDER_CAP; a perm action's order and
+degree are capped at 100000 (permaction.MATERIALIZATION_CAP).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Optional, Sequence
 from .catalog import catalog_entries
 from .classify import ClassificationReport, classify
 from .errors import (
-    CapExceeded,
     DegreeTooLarge,
     InvalidSpec,
     NotComparable,
@@ -25,6 +25,7 @@ from .errors import (
 )
 from .groups import DEFAULT_ORDER_CAP, build_group
 from .permaction import (
+    MATERIALIZATION_CAP,
     PermAction,
     build_centralizing_witness,
     full_symmetric_centralizer,
@@ -214,6 +215,12 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_perm(args: argparse.Namespace) -> int:
+    # the degree counts against the cap before parsing pads every
+    # generator to it, as an SL/ASL field size does in build_group
+    if args.degree > MATERIALIZATION_CAP:
+        raise OrderCapExceeded(
+            f"perm degree {args.degree} is above the cap ({MATERIALIZATION_CAP})"
+        )
     gens = parse_perm_generators(args.gens, args.degree)
     action = PermAction(args.degree, gens)
     data = orbit_data(action)
@@ -264,7 +271,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (SpecSyntaxError, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OrderCapExceeded, CapExceeded) as exc:
+    except OrderCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NotComparable, DegreeTooLarge, TopolabError) as exc:

@@ -15,6 +15,10 @@ class OrderCapExceeded(TopolabError):
     """A construction would produce a group larger than the configured cap."""
 
 
+# the permutation-action cap is the same idea with a larger cap
+CapExceeded = OrderCapExceeded
+
+
 class NotNormal(TopolabError):
     """An operation requiring a normal subgroup received a non-normal one."""
 
@@ -25,10 +29,6 @@ class GroupMismatch(TopolabError):
 
 class NotComparable(TopolabError):
     """Topologies are not nested the way the operation requires."""
-
-
-class CapExceeded(TopolabError):
-    """A permutation-action subgroup is too large to materialize."""
 
 
 class DegreeTooLarge(TopolabError):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -166,7 +167,7 @@ class FiniteGroup:
         if table is not None:
             self._table.setflags(write=False)
         self._base, self._level_keys, self._sorted_ids = _base_index(perms)
-        self.inverses = self._lookup(np.argsort(perms, axis=1))
+        self.inverses = self._lookup(np.argsort(perms, axis=1).astype(perms.dtype))
         self.inverses.setflags(write=False)
         self._cache: dict = {}
         # reentrant: cached builders routinely call other cached builders
@@ -324,7 +325,7 @@ def _base_index(perms: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.nda
     if distinct != n:
         raise InvalidSpec("permutation rows are not distinct")
     sorted_ids = np.argsort(rank).astype(np.int32)
-    images = perms[:, base][sorted_ids].astype(np.int64)
+    images = perms[:, base][sorted_ids]
     level_keys = []
     start = np.zeros(n, dtype=np.int64)  # first sorted position of the prefix
     for j in range(len(base)):
@@ -473,36 +474,38 @@ def _perm_dtype(degree: int):
 def _bfs_enumerate(
     degree: int, gens: Sequence[np.ndarray], order_cap: int
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    dtype = _perm_dtype(degree)
-    gen_arrays: list[np.ndarray] = []
-    seen_gens: set[bytes] = set()
-    ident = np.arange(degree, dtype=dtype)
-    ident_key = ident.tobytes()
-    for g in gens:
-        arr = np.asarray(g, dtype=dtype)
-        key = arr.tobytes()
-        if key == ident_key or key in seen_gens:
-            continue
-        seen_gens.add(key)
-        gen_arrays.append(arr)
+    """Elements in shortlex order, one breadth-first level at a time.
 
-    perms: list[np.ndarray] = [ident]
-    index: dict[bytes, int] = {ident_key: 0}
-    head = 0
-    while head < len(perms):
-        cur = perms[head]
-        for g in gen_arrays:
-            nxt = cur[g]
-            key = nxt.tobytes()
+    Candidate row i*k + j of a level is frontier[i] * step[j] (step[j] acts
+    first), so scanning the candidates in row order finds new elements in
+    the order a FIFO queue over elements and generators would.
+    """
+    dtype = _perm_dtype(degree)
+    ident = np.arange(degree, dtype=dtype)
+    width = ident.nbytes
+    index = {ident.tobytes(): None}  # a dict is more compact than a set
+    levels = [ident[None, :]]
+    step = np.asarray(gens, dtype=dtype).reshape(-1, degree)
+    while len(levels[-1]) and len(step):
+        candidates = levels[-1][:, step].reshape(-1, degree)
+        raw = candidates.tobytes()
+        fresh = []
+        for row in range(len(candidates)):
+            key = raw[row * width : (row + 1) * width]
             if key not in index:
-                if len(perms) >= order_cap:
+                if len(index) >= order_cap:
                     raise OrderCapExceeded(
                         f"group closure exceeds the order cap ({order_cap})"
                     )
-                index[key] = len(perms)
-                perms.append(nxt)
-        head += 1
-    return np.vstack(perms), tuple(index[g.tobytes()] for g in gen_arrays)
+                index[key] = None
+                fresh.append(row)
+        levels.append(candidates[fresh])
+        if len(levels) == 2:
+            # the first level is the generators without repeats or the
+            # identity; later levels need only these, and generator j is
+            # element j + 1
+            step = levels[1]
+    return np.concatenate(levels), tuple(range(1, len(step) + 1))
 
 
 def _assemble(
@@ -532,7 +535,8 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
     n = group.order
     if not np.array_equal(group.perms[0], np.arange(group.degree, dtype=group.perms.dtype)):
         raise InvalidSpec("element 0 is not the identity")
-    if len(np.unique(group.inverses)) != n:
+    # a sort, not np.unique, which imports numpy.ma (about 1.5 MB resident)
+    if not np.array_equal(np.sort(group.inverses), np.arange(n)):
         raise InvalidSpec("inverse map is not a bijection")
     composed = np.take_along_axis(group.perms, group.perms[group.inverses], axis=1)
     if not (composed == np.arange(group.degree, dtype=group.perms.dtype)).all():
@@ -544,16 +548,17 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
             np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))
         ):
             raise InvalidSpec("identity law fails on the table")
-        # t[t][x,y,z] = (x y) z  and  t[:, t][x,y,z] = x (y z)
-        if not np.array_equal(t[t], t[:, t]):
-            raise InvalidSpec("associativity fails")
+        # t[t[x]][y,z] = (x y) z  and  t[x][t][y,z] = x (y z), one x at a
+        # time: two n x n arrays where all x at once would need two n^3
+        for x in range(n):
+            if not np.array_equal(t[t[x]], t[x][t]):
+                raise InvalidSpec("associativity fails")
         return
-    rng = np.random.default_rng(seed)
+    # the standard library's generator: importing numpy.random costs about
+    # 6 MB of resident memory in every process that builds a group
+    draws = np.frombuffer(random.Random(seed).randbytes(12 * _ASSOC_SAMPLES), dtype=np.uint32)
     perms = group.perms
-    for _ in range(_ASSOC_SAMPLES // 1000):
-        xs = rng.integers(0, n, 1000)
-        ys = rng.integers(0, n, 1000)
-        zs = rng.integers(0, n, 1000)
+    for xs, ys, zs in (draws % n).reshape(-1, 3, 1000):
         left = np.take_along_axis(
             np.take_along_axis(perms[xs], perms[ys], axis=1), perms[zs], axis=1
         )

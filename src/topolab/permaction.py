@@ -19,8 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, DegreeTooLarge, InternalInconsistency
+from .errors import DegreeTooLarge, InternalInconsistency
+from .groups import FiniteGroup, PermSpec, build_group
 
+# above groups.DEFAULT_ORDER_CAP: S8 (order 40320) is a supported action
 MATERIALIZATION_CAP = 100_000
 ORACLE_MAX_DEGREE = 8
 
@@ -40,7 +42,8 @@ def _validate_perm(perm: Sequence[int], degree: int) -> Perm:
 
 
 class PermAction:
-    """A subgroup of S(degree) given by generators, closed on demand."""
+    """A subgroup of S(degree) given by generators, closed on demand into a
+    FiniteGroup (order cap MATERIALIZATION_CAP)."""
 
     def __init__(self, degree: int, generators: Sequence[Sequence[int]]):
         if degree < 1:
@@ -49,46 +52,35 @@ class PermAction:
         self.generators: tuple[Perm, ...] = tuple(
             _validate_perm(g, degree) for g in generators
         )
-        self._elements: Optional[tuple[Perm, ...]] = None
-        self._stabs: Optional[dict[int, frozenset[int]]] = None
+        self._group: Optional[FiniteGroup] = None
+
+    @property
+    def group(self) -> FiniteGroup:
+        if self._group is None:
+            self._group = build_group(
+                PermSpec(self.degree, self.generators), order_cap=MATERIALIZATION_CAP
+            )
+        return self._group
 
     @property
     def elements(self) -> tuple[Perm, ...]:
         """All elements of the generated subgroup, in discovery order."""
-        if self._elements is None:
-            ident = tuple(range(self.degree))
-            elems = [ident]
-            index = {ident: 0}
-            head = 0
-            while head < len(elems):
-                cur = elems[head]
-                for g in self.generators:
-                    nxt = _compose(cur, g)
-                    if nxt not in index:
-                        if len(elems) >= MATERIALIZATION_CAP:
-                            raise CapExceeded(
-                                f"generated subgroup exceeds {MATERIALIZATION_CAP} elements"
-                            )
-                        index[nxt] = len(elems)
-                        elems.append(nxt)
-                head += 1
-            self._elements = tuple(elems)
-        return self._elements
+        return tuple(map(tuple, self.group.perms.tolist()))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.group.order
+
+    def fixed_points(self) -> np.ndarray:
+        """Boolean matrix: [h, pt] is True when element h fixes pt, so column
+        pt is the stabilizer of pt as a mask over elements."""
+        perms = self.group.perms
+        return perms == np.arange(self.degree, dtype=perms.dtype)
 
     def point_stabilizers(self) -> dict[int, frozenset[int]]:
         """For every point, the set of element indices fixing it."""
-        if self._stabs is None:
-            fixing: list[set[int]] = [set() for _ in range(self.degree)]
-            for idx, h in enumerate(self.elements):
-                for pt in range(self.degree):
-                    if h[pt] == pt:
-                        fixing[pt].add(idx)
-            self._stabs = {pt: frozenset(s) for pt, s in enumerate(fixing)}
-        return self._stabs
+        fixed = self.fixed_points()
+        return {pt: frozenset(np.flatnonzero(fixed[:, pt]).tolist()) for pt in range(self.degree)}
 
     def __repr__(self) -> str:
         return f"PermAction(degree={self.degree}, generators={len(self.generators)})"
@@ -126,35 +118,23 @@ class LemmaFailure:
 
 
 def _orbit_partition(action: PermAction) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * action.degree
-    orbits = []
-    for start in range(action.degree):
-        if seen[start]:
-            continue
-        orbit = {start}
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            pt = frontier.pop()
-            for g in action.generators:
-                img = g[pt]
-                if not seen[img]:
-                    seen[img] = True
-                    orbit.add(img)
-                    frontier.append(img)
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(orbits)
+    """Orbits in order of their smallest points.  The orbit of x is the set
+    of images h(x), so its smallest point is the minimum of column x."""
+    smallest = action.group.perms.min(axis=0)
+    points = np.argsort(smallest, kind="stable")
+    cuts = np.flatnonzero(np.diff(smallest[points])) + 1
+    return tuple(tuple(orbit.tolist()) for orbit in np.split(points, cuts))
 
 
 def orbit_data(action: PermAction) -> OrbitData:
     """Orbits, representatives, and representative stabilizers."""
-    elements = action.elements
-    stabs = action.point_stabilizers()
+    perms = action.group.perms
+    fixed = action.fixed_points()
     orbits = _orbit_partition(action)
     reps = tuple(orbit[0] for orbit in orbits)
     stabilizers = {}
     for orbit, rep in zip(orbits, reps):
-        stab = tuple(elements[i] for i in sorted(stabs[rep]))
+        stab = tuple(map(tuple, perms[fixed[:, rep]].tolist()))
         if len(orbit) * len(stab) != action.order:
             raise InternalInconsistency("orbit-stabilizer arithmetic fails")
         stabilizers[rep] = stab
@@ -179,10 +159,11 @@ def full_symmetric_centralizer(action: PermAction) -> tuple[Perm, ...]:
 
 
 def _first_mapping(action: PermAction, src: int, dst: int) -> Perm:
-    for h in action.elements:
-        if h[src] == dst:
-            return h
-    raise InternalInconsistency(f"no element maps {src} to {dst}")
+    perms = action.group.perms
+    hits = np.flatnonzero(perms[:, src] == dst)
+    if not len(hits):
+        raise InternalInconsistency(f"no element maps {src} to {dst}")
+    return tuple(perms[hits[0]].tolist())
 
 
 def lemma_trivial_centralizer(
@@ -194,7 +175,8 @@ def lemma_trivial_centralizer(
     reported in preference to self-normalizing failures (condition a);
     within a condition the smallest representatives win.
     """
-    stabs = action.point_stabilizers()
+    fixed = action.fixed_points()
+    stabs = [fixed[:, pt].tobytes() for pt in range(action.degree)]
     orbits = _orbit_partition(action)
     reps = [orbit[0] for orbit in orbits]
 

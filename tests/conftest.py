@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from topolab import build_group, parse_group_spec
+from topolab import OrderCapExceeded, build_group, parse_group_spec
 from topolab.catalog import catalog_groups
 
 
@@ -127,3 +127,58 @@ def oracle_normal_subgroups(g):
                     fresh.append(joined)
         frontier = fresh
     return sorted((len(sub), sub) for sub in found)
+
+
+def reference_bfs_enumerate(degree, gens, order_cap):
+    """Breadth-first closure one element at a time, as groups._bfs_enumerate
+    did before it went level-wise: a FIFO queue of elements, each multiplied
+    by every generator in order (identity and repeated generators dropped).
+    Returns the element rows and the generator ids."""
+    dtype = np.uint16 if degree <= 0xFFFF else np.uint32
+    gen_arrays = []
+    seen_gens = set()
+    ident = np.arange(degree, dtype=dtype)
+    ident_key = ident.tobytes()
+    for g in gens:
+        arr = np.asarray(g, dtype=dtype)
+        key = arr.tobytes()
+        if key == ident_key or key in seen_gens:
+            continue
+        seen_gens.add(key)
+        gen_arrays.append(arr)
+
+    perms = [ident]
+    index = {ident_key: 0}
+    head = 0
+    while head < len(perms):
+        cur = perms[head]
+        for g in gen_arrays:
+            nxt = cur[g]
+            key = nxt.tobytes()
+            if key not in index:
+                if len(perms) >= order_cap:
+                    raise OrderCapExceeded(f"group closure exceeds the order cap ({order_cap})")
+                index[key] = len(perms)
+                perms.append(nxt)
+        head += 1
+    return np.vstack(perms), tuple(index[g.tobytes()] for g in gen_arrays)
+
+
+def reference_tuple_closure(degree, generators):
+    """The subgroup of S(degree) generated by image tuples, closed with
+    Python tuples as PermAction did before it was built on FiniteGroup:
+    elements in discovery order, element h times generator g being h
+    after g."""
+    ident = tuple(range(degree))
+    elems = [ident]
+    index = {ident}
+    head = 0
+    while head < len(elems):
+        cur = elems[head]
+        for g in generators:
+            nxt = tuple(cur[x] for x in g)
+            if nxt not in index:
+                index.add(nxt)
+                elems.append(nxt)
+        head += 1
+    return tuple(elems)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+from topolab import DEFAULT_ORDER_CAP
+
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
@@ -173,3 +175,22 @@ def test_lattice_above_the_bound_exits_3(tmp_path):
     assert "normal subgroup lattice exceeds" in result.stderr
     assert len(result.stderr.splitlines()) == 1
     assert not out.exists()
+
+
+def test_huge_perm_degree_hits_the_cap_before_parsing():
+    # parsing would pad every generator to the full degree
+    result = _run_bounded("perm", "--degree", "100000000", "--gens", "(0 1)")
+    assert result.returncode == 3
+    assert result.stderr == "error: perm degree 100000000 is above the cap (100000)\n"
+
+
+def test_perm_cap_is_above_the_spec_cap():
+    # S8 (order 40320) is over DEFAULT_ORDER_CAP but within the perm cap
+    assert 40320 > DEFAULT_ORDER_CAP
+    result = _run_bounded("perm", "--degree", "8", "--gens", "(0 1 2 3 4 5 6 7),(0 1)")
+    assert result.returncode == 0
+    assert "group order: 40320\n" in result.stdout
+    # S9 (order 362880) is over the perm cap
+    result = _run_bounded("perm", "--degree", "9", "--gens", "(0 1 2 3 4 5 6 7 8),(0 1)")
+    assert result.returncode == 3
+    assert result.stderr == "error: group closure exceeds the order cap (100000)\n"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_center, find_element, group
+from conftest import brute_center, find_element, group, reference_bfs_enumerate
 from topolab import (
     AffineSpecialLinear,
     Cyclic,
@@ -25,6 +25,8 @@ from topolab import (
     multiply,
     spec_order,
 )
+from topolab import groups
+from topolab.catalog import catalog_entries
 
 
 def test_cyclic_order():
@@ -292,6 +294,54 @@ def test_mul_many_matches_composed_permutations(text):
     outer = g.mul_many(xs[:4, None], ys[None, :4])
     assert np.array_equal(np.diag(outer), got[:4])
     assert g.mul(int(xs[1]), int(ys[1])) == int(got[1])
+
+
+NUMBERING_SPECS = (
+    "S7",
+    "SL(2,17)",
+    "A5 x A5",
+    "Heis(7) x C2",
+    "C512",
+    "perm[(0 1 2 3 4 5),(0 1)]",
+    "perm[(0 1 2),(0 1 2),(3 4)] x C3",
+    "perm[(0 1 2 3 4 5 6 7),(1 7)(2 6)(3 5)] x perm[(0 1),(0 1)]",
+)
+
+
+def test_level_wise_closure_numbers_elements_like_the_element_queue(monkeypatch):
+    """Every closure build_group runs (factors, dihedral bases, products)
+    gives the rows and generator ids of the element-at-a-time BFS."""
+    closures = []
+    level_wise = groups._bfs_enumerate
+
+    def recording(degree, gens, order_cap):
+        got = level_wise(degree, gens, order_cap)
+        closures.append((degree, [np.array(g) for g in gens], order_cap, got))
+        return got
+
+    monkeypatch.setattr(groups, "_bfs_enumerate", recording)
+    for _, spec in catalog_entries(None):
+        build_group(spec)
+    for text in NUMBERING_SPECS:
+        group(text)
+    assert len(closures) > len(NUMBERING_SPECS)
+    for degree, gens, order_cap, (perms, gen_ids) in closures:
+        ref_perms, ref_ids = reference_bfs_enumerate(degree, gens, order_cap)
+        assert perms.dtype == ref_perms.dtype
+        assert np.array_equal(perms, ref_perms)
+        assert gen_ids == ref_ids
+
+
+def test_level_wise_closure_stops_at_the_cap_like_the_element_queue():
+    swap, cycle = np.array([1, 0, 2, 3, 4]), np.array([1, 2, 3, 4, 0])
+    gens = [np.arange(5), swap, swap, cycle]  # S5, identity and a repeat dropped
+    for closure in (groups._bfs_enumerate, reference_bfs_enumerate):
+        with pytest.raises(OrderCapExceeded, match=r"order cap \(119\)"):
+            closure(5, gens, 119)
+    perms, gen_ids = groups._bfs_enumerate(5, gens, 120)
+    ref_perms, ref_ids = reference_bfs_enumerate(5, gens, 120)
+    assert len(perms) == 120 and np.array_equal(perms, ref_perms)
+    assert gen_ids == ref_ids == (1, 2)
 
 
 def test_permutation_outside_the_group_is_rejected():

@@ -2,9 +2,12 @@ import math
 
 import pytest
 
+from conftest import reference_tuple_closure
 from topolab import (
     CapExceeded,
     DegreeTooLarge,
+    InternalInconsistency,
+    OrderCapExceeded,
     PermAction,
     build_centralizing_witness,
     full_symmetric_centralizer,
@@ -12,7 +15,7 @@ from topolab import (
     orbit_data,
     random_actions,
 )
-from topolab.permaction import _compose
+from topolab.permaction import _compose, _first_mapping
 
 
 def test_orbit_data_three_cycle_on_five_points():
@@ -135,6 +138,32 @@ def test_materialization_cap():
     swap = tuple([1, 0] + list(range(2, n)))
     with pytest.raises(CapExceeded):
         PermAction(n, [shift, swap]).elements
+
+
+def test_cap_error_is_the_order_cap_error():
+    assert CapExceeded is OrderCapExceeded
+
+
+def test_elements_match_the_tuple_closure():
+    actions = [act for d in (6, 7, 8) for act in random_actions(d, 20, seed=d)]
+    actions.append(PermAction(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)]))
+    assert actions[-1].order == math.factorial(8)
+    for act in actions:
+        assert act.elements == reference_tuple_closure(act.degree, act.generators)
+
+
+def test_first_mapping_is_the_first_element_in_numbering_order():
+    # the conjugator a lemma failure reports is the first such element
+    for act in random_actions(5, 10, seed=31, max_generators=1):
+        elements = act.elements
+        for src in range(5):
+            for dst in range(5):
+                first = next((h for h in elements if h[src] == dst), None)
+                if first is None:
+                    with pytest.raises(InternalInconsistency):
+                        _first_mapping(act, src, dst)
+                else:
+                    assert _first_mapping(act, src, dst) == first
 
 
 def test_bad_generator_rejected():

@@ -2,16 +2,30 @@
 normal closures and commutator subgroups.  Skipped when sympy is absent."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
-from topolab import PermSpec, build_group, commutator_subgroup, conjugacy_classes, full_subgroup
+from topolab import (
+    DEFAULT_ORDER_CAP,
+    PermAction,
+    PermSpec,
+    build_centralizing_witness,
+    build_group,
+    center,
+    commutator_subgroup,
+    conjugacy_classes,
+    derived_subgroup,
+    full_subgroup,
+    lemma_trivial_centralizer,
+)
+from topolab.permaction import ORACLE_MAX_DEGREE
 from topolab.subgroups import normal_closure, normal_lattice
 
 Permutation = combinatorics.Permutation
 PermutationGroup = combinatorics.PermutationGroup
+SymmetricGroup = combinatorics.named_groups.SymmetricGroup
 
 
 @st.composite
@@ -47,3 +61,52 @@ def test_principal_normal_subgroups_and_commutators_match_sympy(spec):
         expected = g_sym.commutator(g_sym, sub_sym).order()
         assert commutator_subgroup(g, full, sub).order == expected
         assert lattice.subgroups[lattice.comm_index[k]].order == expected
+
+
+@st.composite
+def block_perm_groups(draw):
+    """Degree 8-10, at the exhaustive oracle's bound and above it.  Points
+    are cut into blocks of at most 5; each generator permutes every block
+    within itself, and one may also swap two blocks of equal size.
+    Diagonal generators make stabilizers at different representatives
+    equal, so both lemma conditions fail in some examples."""
+    degree = draw(st.integers(ORACLE_MAX_DEGREE, ORACLE_MAX_DEGREE + 2))
+    sizes = []
+    while sum(sizes) < degree:
+        sizes.append(draw(st.integers(1, min(5, degree - sum(sizes)))))
+    starts = [sum(sizes[:k]) for k in range(len(sizes))]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        image = []
+        for start, size in zip(starts, sizes):
+            image += [start + x for x in draw(st.permutations(range(size)))]
+        gens.append(tuple(image))
+    pairs = [(a, b) for a in range(len(sizes)) for b in range(a + 1, len(sizes)) if sizes[a] == sizes[b]]
+    if pairs and draw(st.booleans()):
+        a, b = draw(st.sampled_from(pairs))
+        swap = list(range(degree))
+        for x in range(sizes[a]):
+            swap[starts[a] + x], swap[starts[b] + x] = starts[b] + x, starts[a] + x
+        gens.append(tuple(swap))
+    return degree, gens
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_perm_groups())
+def test_lemma_center_and_derived_subgroup_match_sympy_on_degrees_8_to_10(spec):
+    degree, gens = spec
+    g_sym = PermutationGroup([Permutation(list(p)) for p in gens])
+    assume(g_sym.order() <= DEFAULT_ORDER_CAP)
+    centralizer = SymmetricGroup(degree).centralizer(g_sym)
+
+    action = PermAction(degree, gens)
+    assert action.order == g_sym.order()
+    ok, failure = lemma_trivial_centralizer(action)
+    assert ok == (centralizer.order() == 1)
+    if failure is not None:
+        witness = build_centralizing_witness(action, failure)
+        assert centralizer.contains(Permutation(list(witness)))
+
+    g = build_group(PermSpec(degree, tuple(gens)))
+    assert len(center(g)) == g_sym.center().order()
+    assert derived_subgroup(g).order == g_sym.derived_subgroup().order()
