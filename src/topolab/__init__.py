@@ -94,6 +94,7 @@ from .subgroups import (
     nilpotency_class,
     normal_closure,
     normalizer,
+    quotient_center,
     quotient_group,
     subgroup,
     subgroup_as_group,

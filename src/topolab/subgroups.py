@@ -3,7 +3,14 @@
 A Subgroup is identified by its sorted element-id set within a fixed parent
 group; nothing here identifies subgroups across different parents.  Derived
 data that is expensive to recompute (conjugacy classes, the normal lattice,
-quotients) is cached on the parent group behind its internal lock.
+quotients, quotient centers) is cached on the parent group behind its
+internal lock.
+
+The center of G/N is read off G itself: quotient_center returns its
+preimage, the x whose commutator with every generator of G lies in N, from
+one membership mask per generator.  upper_central_series and the
+classification's center route use it; quotient_group, which builds G/N as
+a group of its own with a dense table, is left to quotient topologies.
 """
 
 from __future__ import annotations
@@ -435,16 +442,13 @@ def lower_central_series(group: FiniteGroup) -> CentralSeries:
 
 
 def upper_central_series(group: FiniteGroup) -> CentralSeries:
+    """Z_{i+1} is the preimage of Z(G/Z_i), read off quotient_center."""
     terms = [trivial_subgroup(group)]
     while terms[-1].order < group.order:
-        quo = quotient_group(group, terms[-1])
-        zq = set(center(quo.target))
-        pre = [x for x in group.elements() if int(quo.projection[x]) in zq]
-        nxt = Subgroup(group, pre, _normal=True)
-        if nxt == terms[-1]:
-            terms.append(nxt)
-            break
+        nxt = quotient_center(group, terms[-1])
         terms.append(nxt)
+        if nxt == terms[-2]:
+            break
     return CentralSeries("upper", tuple(terms), stabilized=True)
 
 
@@ -486,6 +490,40 @@ def quotient_group(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
         return QuotientMap(group, target, kernel, proj)
 
     return group._cached(("quotient", kernel.elements), build)
+
+
+def quotient_center(group: FiniteGroup, kernel: Subgroup) -> Subgroup:
+    """Preimage of Z(G/N) for a normal kernel N, without building G/N.
+
+    xN is central in G/N iff [x, s] lies in N for every generator s of G,
+    so the preimage is the AND over generators of N's membership mask read
+    at [x, s].  Z(G/N) is trivial iff the result has the order of N.
+    Cached per kernel.
+    """
+    if not kernel.is_normal:
+        raise NotNormal("quotient kernel must be a normal subgroup")
+
+    def build() -> Subgroup:
+        inside = np.zeros(group.order, dtype=bool)
+        inside[list(kernel.elements)] = True
+        central = inside[_generator_commutators(group)].all(axis=0)
+        return Subgroup(group, np.flatnonzero(central).tolist(), _normal=True)
+
+    return group._cached(("quotient_center", kernel.elements), build)
+
+
+def _generator_commutators(group: FiniteGroup) -> np.ndarray:
+    """Row i holds [x, s_i] = (x s_i)(s_i x)^-1 for every x, where s_i is
+    the i-th generator of the group."""
+
+    def build() -> np.ndarray:
+        xs = np.arange(group.order)[None, :]
+        gens = np.asarray(group.generator_ids, dtype=np.int64).reshape(-1, 1)
+        rows = group.mul_many(group.mul_many(xs, gens), group.inverses[group.mul_many(gens, xs)])
+        rows.setflags(write=False)
+        return rows
+
+    return group._cached("generator_commutators", build)
 
 
 def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, np.ndarray]:

@@ -19,6 +19,7 @@ from .groups import FiniteGroup, direct_product
 from .subgroups import (
     Subgroup,
     center_subgroup,
+    conjugacy_classes,
     generated_subgroup,
     quotient_group,
     subgroup_as_group,
@@ -91,37 +92,37 @@ def taimanov_topology(
     grown greedily: while c_G(F) still exceeds Z(G), adjoin the element
     whose centralizer cuts the current intersection the most (ties to the
     smallest element id).  Minimality of F is not claimed.
+
+    The first round reads |C(g)| = |G| / |class of g| off the conjugacy
+    classes; each later round counts, for every g, the members of the
+    current intersection commuting with g, one commuting mask per member.
+    Each round replaces the intersection by a proper subgroup of it, so it
+    at least halves every round.
     """
 
     def build() -> tuple[AlmostTrivialTopology, TaimanovWitness]:
         zc = center_subgroup(group)
-        commuting = _commuting_matrix(group)
         current = np.ones(group.order, dtype=bool)
         witness: list[int] = []
         target = np.zeros(group.order, dtype=bool)
         target[list(zc.elements)] = True
         while current.sum() > zc.order:
-            counts = commuting[current].sum(axis=0)
+            counts = np.zeros(group.order, dtype=np.int64)
+            if witness:
+                for x in np.flatnonzero(current):
+                    counts += group.commuting_mask(int(x))  # commuting is symmetric
+            else:
+                for cls in conjugacy_classes(group):
+                    counts[list(cls)] = group.order // len(cls)
             g = int(np.argmin(counts))
             witness.append(g)
-            current &= commuting[:, g]
+            current &= group.commuting_mask(g)
         if not np.array_equal(current, target):
             raise InternalInconsistency("witness centralizer disagrees with the center")
         csub = Subgroup(group, tuple(int(i) for i in np.flatnonzero(current)))
         return make_topology(group, zc), TaimanovWitness(tuple(witness), csub)
 
     return group._cached("taimanov_topology", build)
-
-
-def _commuting_matrix(group: FiniteGroup) -> np.ndarray:
-    def build() -> np.ndarray:
-        mat = np.empty((group.order, group.order), dtype=bool)
-        for g in group.elements():
-            mat[g] = group.commuting_mask(g)  # commuting is symmetric
-        mat.setflags(write=False)
-        return mat
-
-    return group._cached("commuting_matrix", build)
 
 
 def induced(tau: AlmostTrivialTopology, sub: Subgroup) -> AlmostTrivialTopology:

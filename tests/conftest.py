@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from topolab import OrderCapExceeded, build_group, parse_group_spec
+from topolab import OrderCapExceeded, build_group, center, parse_group_spec, quotient_group
 from topolab.catalog import catalog_groups
 
 
@@ -182,3 +182,28 @@ def reference_tuple_closure(degree, generators):
                 elems.append(nxt)
         head += 1
     return tuple(elems)
+
+
+def reference_quotient_center(g, kernel):
+    """Preimage of Z(G/N) as sorted ids, read off the quotient group that
+    quotient_group builds (its own table and center), as classify and
+    upper_central_series found it before quotient_center."""
+    quo = quotient_group(g, kernel)
+    return tuple(np.flatnonzero(np.isin(quo.projection, center(quo.target))).tolist())
+
+
+def reference_taimanov_witness(g):
+    """The Taimanov witness greedy as taimanov_topology ran it over a dense
+    |G| x |G| commuting matrix: each round counts, for every g, the members
+    of the current intersection commuting with g, and adjoins the smallest
+    id with the least count.  Returns the witness and its centralizer."""
+    commuting = np.empty((g.order, g.order), dtype=bool)
+    for x in g.elements():
+        commuting[x] = g.commuting_mask(x)
+    current = np.ones(g.order, dtype=bool)
+    witness = []
+    while current.sum() > len(center(g)):
+        x = int(np.argmin(commuting[current].sum(axis=0)))
+        witness.append(x)
+        current &= commuting[:, x]
+    return tuple(witness), tuple(np.flatnonzero(current).tolist())

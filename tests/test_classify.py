@@ -1,7 +1,11 @@
+import importlib
+import tracemalloc
+
 import pytest
 
 from conftest import group
 from topolab import (
+    InternalInconsistency,
     all_normal_subgroups,
     center,
     classify,
@@ -17,6 +21,7 @@ from topolab import (
     leq,
     make_topology,
     quotient_group,
+    subgroups,
 )
 from topolab.subgroups import full_subgroup
 
@@ -182,3 +187,39 @@ def test_totally_taimanov_witness_is_smallest(catalog24):
             if (n.order, n.elements) < (witness.order, witness.elements):
                 quo = quotient_group(g, n)
                 assert len(center(quo.target)) == 1, name
+
+
+def test_center_route_is_cross_checked(monkeypatch):
+    """A quotient_center that lies in either direction makes classify and
+    is_arnautov raise instead of reporting."""
+    classify_module = importlib.import_module("topolab.classify")
+    lies = (
+        ("D8", lambda g, kernel: kernel),  # every G/N centerless; Z(D8) is not
+        ("A5", lambda g, kernel: full_subgroup(g)),  # every G/N with a center
+    )
+    for spec, wrong in lies:
+        monkeypatch.setattr(classify_module, "quotient_center", wrong)
+        for check in (classify, is_arnautov):
+            with pytest.raises(InternalInconsistency):
+                check(group(spec))
+
+
+def test_classify_builds_no_quotient_group(monkeypatch):
+    group_from_table = subgroups.group_from_table
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return group_from_table(*args, **kwargs)
+
+    monkeypatch.setattr(subgroups, "group_from_table", counting)
+    g = group("SL(2,17)")
+    tracemalloc.start()
+    try:
+        rep = classify(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.is_taimanov and len(rep.rows) == 3
+    assert built == []
+    assert peak < 8 << 20

@@ -12,6 +12,7 @@ from conftest import (
     find_element,
     group,
     oracle_normal_subgroups,
+    reference_quotient_center,
 )
 from topolab import (
     NotNormal,
@@ -26,6 +27,7 @@ from topolab import (
     nilpotency_class,
     normal_closure,
     normalizer,
+    quotient_center,
     quotient_group,
     subgroup,
     subgroup_as_group,
@@ -208,6 +210,40 @@ def test_quotient_projection_is_homomorphism(catalog):
             qt = quo.target.table
             rhs = qt[proj[xs], proj[ys]]
             assert np.array_equal(lhs, rhs), name
+
+
+# groups beyond the catalog with large orders, wide lattices or both
+QUOTIENT_CENTER_SPECS = ("S7", "SL(2,17)", "Heis(7) x C2", "A5 x A5", "Q8 x D8")
+
+
+def _catalog_and_extras(catalog):
+    return list(catalog) + [(text, group(text)) for text in QUOTIENT_CENTER_SPECS]
+
+
+def test_quotient_center_matches_the_built_quotient(catalog):
+    for name, g in _catalog_and_extras(catalog):
+        for n in all_normal_subgroups(g):
+            got = quotient_center(g, n)
+            assert got.elements == reference_quotient_center(g, n), (name, n.order)
+            assert got.is_normal and n.issubset(got), name
+
+
+def test_upper_central_series_matches_the_built_quotients(catalog):
+    for name, g in _catalog_and_extras(catalog):
+        expected = [(0,)]
+        while len(expected[-1]) < g.order:
+            kernel = Subgroup(g, expected[-1], _normal=True)
+            expected.append(reference_quotient_center(g, kernel))
+            if expected[-1] == expected[-2]:
+                break
+        assert [t.elements for t in upper_central_series(g).terms] == expected, name
+
+
+def test_quotient_center_requires_normal():
+    s4 = group("S4")
+    sub = generated_subgroup(s4, [find_element(s4, (1, 0, 2, 3))])
+    with pytest.raises(NotNormal):
+        quotient_center(s4, sub)
 
 
 def test_center_image_lands_in_quotient_center(catalog64):

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import pytest
 
-from conftest import find_element, group
+from conftest import find_element, group, reference_taimanov_witness
 from topolab import (
     GroupMismatch,
     NotNormal,
@@ -97,6 +99,26 @@ def test_taimanov_kernel_is_center_with_sound_witness(catalog64):
         assert tau.kernel.elements == center(g), name
         assert centralizer(g, witness.elements) == center(g), name
         assert witness.centralizer.elements == center(g), name
+
+
+def test_taimanov_witness_matches_the_commuting_matrix_greedy(catalog):
+    extras = [(text, group(text)) for text in ("S7", "SL(2,17)", "A5 x A5", "Q8 x D8")]
+    for name, g in list(catalog) + extras:
+        _, witness = taimanov_topology(g)
+        elements, cent = reference_taimanov_witness(g)
+        assert witness.elements == elements, name
+        assert witness.centralizer.elements == cent, name
+
+
+def test_taimanov_witness_builds_no_commuting_matrix():
+    g = group("SL(2,17)")  # |G|^2 = 4896^2 bytes, about 24 MB as a bool matrix
+    tracemalloc.start()
+    try:
+        taimanov_topology(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_taimanov_functorial_into_quotients(catalog64):
