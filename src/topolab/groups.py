@@ -8,7 +8,8 @@ Two builds of the same spec therefore agree element-for-element.
 Every product id comes from FiniteGroup.mul_many.  An element is fixed by
 its images of a base (a few points whose pointwise stabilizer is trivial),
 so a product composes only the base columns and maps them back to an id
-through sorted per-point keys.  Groups of order <= TABLE_LIMIT cache all
+with one read per base point of an int32 transition table, from prefix
+state and image to the next state.  Groups of order <= TABLE_LIMIT cache all
 products in a dense table, built on first use; the table is read only
 inside FiniteGroup.  Instances are immutable after construction, so they
 can be shared freely between threads.
@@ -142,8 +143,7 @@ class FiniteGroup:
         "inverses",
         "generator_ids",
         "_base",
-        "_level_keys",
-        "_sorted_ids",
+        "_levels",
         "_table",
         "_cache",
         "_cache_lock",
@@ -166,8 +166,12 @@ class FiniteGroup:
         self._table = table
         if table is not None:
             self._table.setflags(write=False)
-        self._base, self._level_keys, self._sorted_ids = _base_index(perms)
-        self.inverses = self._lookup(np.argsort(perms, axis=1).astype(perms.dtype))
+        self._base, self._levels = _base_index(perms)
+        # x^-1(b) is the point that row x sends to b: read for the base only
+        inverse_images = np.empty((self.order, len(self._base)), dtype=np.intp)
+        for j, b in enumerate(self._base):
+            inverse_images[:, j] = (perms == b).argmax(axis=1)
+        self.inverses = self._ids(inverse_images)
         self.inverses.setflags(write=False)
         self._cache: dict = {}
         # reentrant: cached builders routinely call other cached builders
@@ -230,17 +234,18 @@ class FiniteGroup:
         return self._ids(self.perms[np.asarray(xs)[..., None], y_base])
 
     def _ids(self, images: np.ndarray) -> np.ndarray:
-        """Element ids from base images (last axis), narrowed one base point
-        at a time: level j holds (first sorted position of the prefix) *
-        degree + image, which is sorted, so one searchsorted finds the next
-        prefix.  Raises ValueError for images no element has."""
-        pos = np.zeros(images.shape[:-1], dtype=np.int64)
-        for j, keys in enumerate(self._level_keys):
-            pos = np.searchsorted(keys, pos * self.degree + images[..., j])
-        ids = self._sorted_ids[np.minimum(pos, self.order - 1)]
-        if not np.array_equal(self.perms[ids[..., None], self._base], images):
+        """Element ids from base images (last axis): state = level[state,
+        image] for each base point, from state 0, where the last level holds
+        ids and -1 for a prefix no element has.  Raises ValueError for images
+        no element has."""
+        state = np.zeros(images.shape[:-1], dtype=np.int32)
+        for j, level in enumerate(self._levels):
+            state = level[state, images[..., j]]
+        if (state < 0).any() or not np.array_equal(
+            self.perms[state[..., None], self._base], images
+        ):
             raise ValueError("permutation is not an element of the group")
-        return ids
+        return state
 
     def _lookup(self, perm_rows: np.ndarray) -> np.ndarray:
         """Element ids of full permutation rows (last axis)."""
@@ -306,35 +311,41 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _base_index(perms: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+def _base_index(perms: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """A base (points whose images tell all rows apart, chosen greedily in
-    point order) and the sorted per-level keys that FiniteGroup._ids
-    narrows through.  Keys are int64 products of a row position and a
-    point, both below the array sizes, so they cannot overflow."""
+    point order) and one int32 transition table per base point.  Level j
+    maps (state of the images of the earlier base points, image of point
+    j) to the next state, or to the next level's dead state, its extra
+    last row, when no row has them; on the last level states are row ids
+    and the dead state is -1.  In a group each level has a proper multiple
+    of the states before it, so all levels hold under |G| + |base| rows."""
     n, degree = perms.shape
-    rank = np.zeros(n, dtype=np.int64)  # rank of each row's base-image prefix
+    rank = np.zeros(n, dtype=np.int64)  # prefix state of each row
+    order = np.arange(n)  # rows sorted by state
+    same = np.ones(n - 1, dtype=bool)  # order[i], order[i + 1] share a state
     distinct = 1
     base: list[int] = []
+    levels: list[np.ndarray] = []
     for point in range(degree):
         if distinct == n:
             break
+        # the point refines the states iff its column changes inside one
+        column = perms[order, point]
+        if not (same & (column[1:] != column[:-1])).any():
+            continue
         values, refined = np.unique(rank * degree + perms[:, point], return_inverse=True)
-        if len(values) > distinct:
-            base.append(point)
-            rank, distinct = refined.reshape(n), len(values)
+        last = len(values) == n
+        level = np.full((distinct + 1, degree), -1 if last else len(values), dtype=np.int32)
+        level[rank, perms[:, point]] = np.arange(n) if last else refined.reshape(n)
+        level.setflags(write=False)
+        base.append(point)
+        levels.append(level)
+        rank, distinct = refined.reshape(n), len(values)
+        order = np.argsort(rank)
+        same = rank[order[1:]] == rank[order[:-1]]
     if distinct != n:
         raise InvalidSpec("permutation rows are not distinct")
-    sorted_ids = np.argsort(rank).astype(np.int32)
-    images = perms[:, base][sorted_ids]
-    level_keys = []
-    start = np.zeros(n, dtype=np.int64)  # first sorted position of the prefix
-    for j in range(len(base)):
-        keys = start * degree + images[:, j]
-        level_keys.append(keys)
-        fresh = np.ones(n, dtype=bool)
-        fresh[1:] = keys[1:] != keys[:-1]
-        start = np.maximum.accumulate(np.where(fresh, np.arange(n), 0))
-    return np.asarray(base, dtype=np.intp), level_keys, sorted_ids
+    return np.asarray(base, dtype=np.intp), levels
 
 
 def cayley_table(n: int, rmul: Sequence[np.ndarray]) -> np.ndarray:
@@ -529,8 +540,10 @@ def _assemble(
 def _smoke_check(group: FiniteGroup, seed: int) -> None:
     """Identity/inverse/associativity sanity checks at construction.
 
-    Exhaustive associativity up to order 128 (on all products); seeded
-    random triples above that, without forcing a table build.
+    Exhaustive associativity up to order 128 (on all products).  Above
+    that, seeded random triples compare (x y) z with x (y z) as ids from
+    the base-image lookup every product uses, without forcing a table
+    build.
     """
     n = group.order
     if not np.array_equal(group.perms[0], np.arange(group.degree, dtype=group.perms.dtype)):
@@ -557,16 +570,11 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
     # the standard library's generator: importing numpy.random costs about
     # 6 MB of resident memory in every process that builds a group
     draws = np.frombuffer(random.Random(seed).randbytes(12 * _ASSOC_SAMPLES), dtype=np.uint32)
-    perms = group.perms
-    for xs, ys, zs in (draws % n).reshape(-1, 3, 1000):
-        left = np.take_along_axis(
-            np.take_along_axis(perms[xs], perms[ys], axis=1), perms[zs], axis=1
-        )
-        right = np.take_along_axis(
-            perms[xs], np.take_along_axis(perms[ys], perms[zs], axis=1), axis=1
-        )
-        if not np.array_equal(left, right):
-            raise InvalidSpec("associativity fails on sampled triples")
+    # triple i of block k is draws 3000k + i, + 1000 + i and + 2000 + i
+    xs, ys, zs = np.swapaxes((draws % n).reshape(-1, 3, 1000), 0, 1)
+    mul = group._product_ids
+    if not np.array_equal(mul(mul(xs, ys), zs), mul(xs, mul(ys, zs))):
+        raise InvalidSpec("associativity fails on sampled triples")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ explicit non-identity permutation commuting with H.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -142,20 +141,24 @@ def orbit_data(action: PermAction) -> OrbitData:
 
 
 def full_symmetric_centralizer(action: PermAction) -> tuple[Perm, ...]:
-    """Exhaustive centralizer of H inside the full S(X), degree <= 8."""
+    """Exhaustive centralizer of H inside the full S(X), degree <= 8, in
+    lexicographic order."""
     if action.degree > ORACLE_MAX_DEGREE:
         raise DegreeTooLarge(
             f"exhaustive centralizer limited to degree {ORACLE_MAX_DEGREE}"
         )
-    everyone = np.array(
-        list(itertools.permutations(range(action.degree))), dtype=np.int8
-    )
-    mask = np.ones(len(everyone), dtype=bool)
+    # S_k in lexicographic order: each first point f, then the rows of
+    # S_{k-1} shifted past f
+    rows = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, action.degree + 1):
+        first = np.repeat(np.arange(k, dtype=np.int8), len(rows))[:, None]
+        rest = np.tile(rows, (k, 1))
+        rows = np.hstack([first, rest + (rest >= first)])
     for g in action.generators:
-        garr = np.asarray(g, dtype=np.int8)
-        # tau∘g == g∘tau, rowwise
-        mask &= (everyone[:, garr] == garr[everyone]).all(axis=1)
-    return tuple(tuple(int(v) for v in row) for row in everyone[mask])
+        garr = np.asarray(g, dtype=np.intp)
+        # tau∘g == g∘tau, rowwise; one generator at a time shrinks the rows
+        rows = rows[(rows[:, garr] == garr[rows]).all(axis=1)]
+    return tuple(map(tuple, rows.tolist()))
 
 
 def _first_mapping(action: PermAction, src: int, dst: int) -> Perm:

@@ -6,6 +6,8 @@ so they stay independent of the subgroup/topology machinery they check.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,59 @@ def reference_taimanov_witness(g):
         witness.append(x)
         current &= commuting[:, x]
     return tuple(witness), tuple(np.flatnonzero(current).tolist())
+
+
+def reference_base_index(perms):
+    """The base and sorted per-level keys of the searchsorted chain that
+    FiniteGroup._ids used before transition tables: the base is chosen
+    greedily in point order with one np.unique per point; level j holds
+    (first sorted position of the prefix) * degree + image, sorted.
+    Returns (base, level_keys, sorted_ids)."""
+    n, degree = perms.shape
+    rank = np.zeros(n, dtype=np.int64)
+    distinct = 1
+    base = []
+    for point in range(degree):
+        if distinct == n:
+            break
+        values, refined = np.unique(rank * degree + perms[:, point], return_inverse=True)
+        if len(values) > distinct:
+            base.append(point)
+            rank, distinct = refined.reshape(n), len(values)
+    assert distinct == n, "permutation rows are not distinct"
+    sorted_ids = np.argsort(rank).astype(np.int32)
+    images = perms[:, base][sorted_ids]
+    level_keys = []
+    start = np.zeros(n, dtype=np.int64)
+    for j in range(len(base)):
+        keys = start * degree + images[:, j]
+        level_keys.append(keys)
+        fresh = np.ones(n, dtype=bool)
+        fresh[1:] = keys[1:] != keys[:-1]
+        start = np.maximum.accumulate(np.where(fresh, np.arange(n), 0))
+    return np.asarray(base, dtype=np.intp), level_keys, sorted_ids
+
+
+def reference_ids(perms, index, images):
+    """Element ids of base images (last axis) through the searchsorted chain
+    over reference_base_index(perms); ValueError for images no element has."""
+    base, level_keys, sorted_ids = index
+    pos = np.zeros(images.shape[:-1], dtype=np.int64)
+    for j, keys in enumerate(level_keys):
+        pos = np.searchsorted(keys, pos * perms.shape[1] + images[..., j])
+    ids = sorted_ids[np.minimum(pos, len(perms) - 1)]
+    if not np.array_equal(perms[ids[..., None], base], images):
+        raise ValueError("permutation is not an element of the group")
+    return ids
+
+
+def reference_full_symmetric_centralizer(action):
+    """The exhaustive centralizer of a PermAction inside S(degree) as
+    permaction computed it from itertools.permutations: every permutation in
+    lexicographic order, kept when it commutes with every generator."""
+    everyone = np.array(list(itertools.permutations(range(action.degree))), dtype=np.int8)
+    mask = np.ones(len(everyone), dtype=bool)
+    for g in action.generators:
+        garr = np.asarray(g, dtype=np.int8)
+        mask &= (everyone[:, garr] == garr[everyone]).all(axis=1)
+    return tuple(tuple(int(v) for v in row) for row in everyone[mask])

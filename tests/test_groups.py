@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_center, find_element, group, reference_bfs_enumerate
+from conftest import (
+    brute_center,
+    find_element,
+    group,
+    reference_base_index,
+    reference_bfs_enumerate,
+    reference_ids,
+)
 from topolab import (
     AffineSpecialLinear,
     Cyclic,
@@ -14,6 +21,7 @@ from topolab import (
     GeneralizedDihedral,
     InvalidSpec,
     OrderCapExceeded,
+    PermAction,
     PermSpec,
     SpecialLinear,
     Symmetric,
@@ -355,6 +363,100 @@ def test_permutation_outside_the_group_is_rejected():
     # a reversal of Q8 x D8's 16 points has base images no element has
     with pytest.raises(ValueError):
         group("Q8 x D8")._lookup(np.arange(16)[::-1])
+
+
+LOOKUP_SPECS = ("S7", "SL(2,17)", "Heis(7) x C2", "A5 x A5", "Q8 x D8")
+
+
+@pytest.fixture(scope="module")
+def lookup_groups(catalog):
+    return [g for _, g in catalog] + [group(text) for text in LOOKUP_SPECS]
+
+
+def test_base_search_picks_the_base_of_the_sorting_search(lookup_groups):
+    for g in lookup_groups:
+        assert np.array_equal(g._base, reference_base_index(g.perms)[0])
+
+
+def test_transition_tables_agree_with_the_searchsorted_chain(lookup_groups):
+    rng = np.random.default_rng(3)
+    s8 = PermAction(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)]).group
+    for g in lookup_groups + [s8]:
+        index = reference_base_index(g.perms)
+        every = g.perms[:, g._base]
+        assert np.array_equal(g._ids(every), np.arange(g.order))
+        assert np.array_equal(reference_ids(g.perms, index, every), np.arange(g.order))
+        xs, ys = rng.integers(0, g.order, (2, 300))
+        composed = g.perms[xs[:, None], g.perms[ys[:, None], g._base]]
+        assert np.array_equal(g._ids(composed), reference_ids(g.perms, index, composed))
+        # inverses from base points alone match a lookup of inverted rows
+        inverted = np.argsort(g.perms, axis=1)[:, g._base]
+        assert np.array_equal(g.inverses, reference_ids(g.perms, index, inverted))
+        assert all(level.dtype == np.int32 for level in g._levels)
+        assert sum(len(level) for level in g._levels) < g.order + len(g._base)
+
+
+def _dies_at(g, images):
+    """The level whose read first lands on its dead state (the last row of
+    the next level, or -1 after the last level), or None."""
+    state = 0
+    for j, level in enumerate(g._levels):
+        state = int(level[state, images[j]])
+        nxt = len(g._levels[j + 1]) - 1 if j + 1 < len(g._levels) else -1
+        if state == nxt:
+            return j
+    return None
+
+
+def test_base_images_no_element_has_are_rejected_at_each_level():
+    g = group("A5 x A5")  # base 0, 1, 2 of the left factor, then 5, 6, 7
+    assert len(g._base) == 6
+    x = g.perms[1234, g._base].astype(np.int64)
+    outside, early, middle, last = x.copy(), x.copy(), x.copy(), x.copy()
+    outside[0] = 5  # point 0 is never sent into the right factor
+    early[1] = x[0]  # two base points with one image
+    middle[4] = x[3]
+    last[5] = x[3]
+    for images, level in ((outside, 0), (early, 1), (middle, 4), (last, 5)):
+        assert _dies_at(g, images) == level
+        with pytest.raises(ValueError):
+            g._ids(images)
+        with pytest.raises(ValueError):
+            g._ids(np.stack([x, images]))
+    assert g._ids(x) == 1234
+
+
+def test_corrupted_table_entry_fails_the_base_image_check():
+    g = group("S7")
+    x = 4321
+    images = g.perms[x, g._base]
+    state = 0
+    for j, level in enumerate(g._levels[:-1]):
+        state = int(level[state, images[j]])
+    corrupted = g._levels[-1].copy()
+    assert corrupted[state, images[-1]] == x
+    corrupted[state, images[-1]] = x + 1  # another element's id
+    g._levels[-1] = corrupted
+    with pytest.raises(ValueError):
+        g._ids(images)
+    with pytest.raises(ValueError):
+        g.mul_many(x, 0)
+
+
+@pytest.mark.parametrize("text", ["C256", "S7"])
+def test_sampled_associativity_check_catches_a_wrong_product(text, monkeypatch):
+    g = group(text)
+    assert g.order > groups._ASSOC_EXHAUSTIVE_LIMIT
+    honest = groups.FiniteGroup._product_ids
+
+    def swapped(self, xs, ys):
+        # products 1 and 2 trade ids; every id stays a valid element
+        got = honest(self, xs, ys)
+        return np.where(got == 1, 2, np.where(got == 2, 1, got))
+
+    monkeypatch.setattr(groups.FiniteGroup, "_product_ids", swapped)
+    with pytest.raises(InvalidSpec, match="associativity"):
+        groups._smoke_check(g, 0)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import reference_tuple_closure
+from conftest import reference_full_symmetric_centralizer, reference_tuple_closure
 from topolab import (
     CapExceeded,
     DegreeTooLarge,
@@ -150,6 +150,14 @@ def test_elements_match_the_tuple_closure():
     assert actions[-1].order == math.factorial(8)
     for act in actions:
         assert act.elements == reference_tuple_closure(act.degree, act.generators)
+
+
+def test_full_symmetric_centralizer_matches_the_itertools_scan():
+    actions = [act for d in (6, 7, 8) for act in random_actions(d, 20, seed=d)]
+    actions.append(PermAction(8, []))  # every one of the 40320 permutations survives
+    for act in actions:
+        assert full_symmetric_centralizer(act) == reference_full_symmetric_centralizer(act)
+    assert len(full_symmetric_centralizer(actions[-1])) == math.factorial(8)
 
 
 def test_first_mapping_is_the_first_element_in_numbering_order():

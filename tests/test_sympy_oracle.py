@@ -19,6 +19,7 @@ from topolab import (
     derived_subgroup,
     full_subgroup,
     lemma_trivial_centralizer,
+    nilpotency_class,
 )
 from topolab.permaction import ORACLE_MAX_DEGREE
 from topolab.subgroups import normal_closure, normal_lattice
@@ -110,3 +111,14 @@ def test_lemma_center_and_derived_subgroup_match_sympy_on_degrees_8_to_10(spec):
     g = build_group(PermSpec(degree, tuple(gens)))
     assert len(center(g)) == g_sym.center().order()
     assert derived_subgroup(g).order == g_sym.derived_subgroup().order()
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_perm_groups())
+def test_nilpotency_class_matches_sympy_lower_central_series(spec):
+    degree, gens = spec
+    g_sym = PermutationGroup([Permutation(list(p)) for p in gens])
+    assume(g_sym.order() <= DEFAULT_ORDER_CAP)
+    series = g_sym.lower_central_series()  # ends where it stalls
+    expected = max(1, len(series) - 1) if series[-1].order() == 1 else None
+    assert nilpotency_class(build_group(PermSpec(degree, tuple(gens)))) == expected
