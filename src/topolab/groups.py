@@ -32,6 +32,8 @@ DEFAULT_ORDER_CAP = 20_000
 TABLE_LIMIT = 4096
 _ASSOC_EXHAUSTIVE_LIMIT = 128
 _ASSOC_SAMPLES = 10_000
+# permutation entries per block of the inverse-law check
+_INVERSE_BLOCK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +553,13 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
     # a sort, not np.unique, which imports numpy.ma (about 1.5 MB resident)
     if not np.array_equal(np.sort(group.inverses), np.arange(n)):
         raise InvalidSpec("inverse map is not a bijection")
-    composed = np.take_along_axis(group.perms, group.perms[group.inverses], axis=1)
-    if not (composed == np.arange(group.degree, dtype=group.perms.dtype)).all():
-        raise InvalidSpec("inverse law fails on permutations")
+    # x x^-1 on full rows, a block at a time: no whole copy of perms
+    step = max(1, _INVERSE_BLOCK // group.degree)
+    for lo in range(0, n, step):
+        inverse_rows = group.perms[group.inverses[lo : lo + step]]
+        composed = np.take_along_axis(group.perms[lo : lo + step], inverse_rows, axis=1)
+        if not (composed == group.perms[0]).all():
+            raise InvalidSpec("inverse law fails on permutations")
     if n <= _ASSOC_EXHAUSTIVE_LIMIT:
         ids = np.arange(n)
         t = group.mul_many(ids[:, None], ids)
@@ -855,14 +861,7 @@ def _is_abelian(group: FiniteGroup) -> bool:
 def center(group: FiniteGroup) -> tuple[int, ...]:
     """Elements commuting with everything; equals the centralizer of any
     generating set."""
-
-    def build() -> tuple[int, ...]:
-        mask = np.ones(group.order, dtype=bool)
-        for g in group.generator_ids:
-            mask &= group.commuting_mask(g)
-        return tuple(int(i) for i in np.flatnonzero(mask))
-
-    return group._cached("center", build)
+    return group._cached("center", lambda: centralizer(group, group.generator_ids))
 
 
 def centralizer(group: FiniteGroup, elems: Iterable[int]) -> tuple[int, ...]:

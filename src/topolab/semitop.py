@@ -73,10 +73,9 @@ def is_semitopological(
     comm = commutator_subgroup(group, full_subgroup(group), large)
     if comm.issubset(small):
         return SemitopVerdict(True, None)
-    in_small = _mask(group, small)
-    larr = np.asarray(large.elements)
+    larr = np.flatnonzero(large.mask)
     for g in group.elements():
-        outside = ~in_small[_commutators(group, g, larr)]
+        outside = ~small.mask[_commutators(group, g, larr)]
         if outside.any():
             return SemitopVerdict(False, (g, int(larr[np.argmax(outside)])))
     raise AssertionError("generated commutators escape N but no pair does")
@@ -87,15 +86,8 @@ def is_semitopological_oracle(
 ) -> bool:
     """Elementwise check: every [g, l] with l in L already lies in N."""
     group, small, large = _check_pair(tau, sigma)
-    in_small = _mask(group, small)
     every_g = np.arange(group.order)
-    return all(in_small[_commutators(group, every_g, l)].all() for l in large.elements)
-
-
-def _mask(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
-    mask = np.zeros(group.order, dtype=bool)
-    mask[list(sub.elements)] = True
-    return mask
+    return all(small.mask[_commutators(group, every_g, l)].all() for l in large.elements)
 
 
 def _iterated_commutators(group: FiniteGroup, start: Subgroup) -> list[Subgroup]:
@@ -116,14 +108,8 @@ def is_n_step(
     if n < 1:
         raise ValueError("step count must be a positive integer")
     group, small, large = _check_pair(tau, sigma)
-    full = full_subgroup(group)
-    current = large
-    for _ in range(n):
-        nxt = commutator_subgroup(group, full, current)
-        if nxt == current:
-            break
-        current = nxt
-    return current.issubset(small)
+    iterates = _iterated_commutators(group, large)
+    return iterates[min(n, len(iterates)) - 1].issubset(small)
 
 
 def min_steps(
@@ -147,7 +133,5 @@ def min_steps(
         return StepCount(None, None)
     chain: list[Subgroup] = [large]
     for term in iterates[: steps - 1]:
-        chain.append(
-            generated_subgroup(group, term.elements + small.elements)
-        )
+        chain.append(generated_subgroup(group, np.flatnonzero(term.mask | small.mask)))
     return StepCount(steps, tuple(chain))

@@ -1,10 +1,11 @@
 """Subgroup generation, normal lattices, central series, quotients.
 
-A Subgroup is identified by its sorted element-id set within a fixed parent
-group; nothing here identifies subgroups across different parents.  Derived
-data that is expensive to recompute (conjugacy classes, the normal lattice,
-quotients, quotient centers) is cached on the parent group behind its
-internal lock.
+A Subgroup is a read-only membership mask over the element ids of a fixed
+parent group, identified by the packed bytes of that mask; nothing here
+identifies subgroups across different parents.  Derived data that is
+expensive to recompute (conjugacy classes, the normal lattice, quotients,
+quotient centers) is cached on the parent group behind its internal lock,
+keyed by those bytes where it depends on a subgroup.
 
 The center of G/N is read off G itself: quotient_center returns its
 preimage, the x whose commutator with every generator of G lies in N, from
@@ -16,7 +17,7 @@ a group of its own with a dense table, is left to quotient topologies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -29,50 +30,74 @@ NORMAL_LATTICE_BOUND = 4096
 
 
 class Subgroup:
-    """A subset of a parent group closed under product and inverse."""
+    """A subset of a parent group closed under product and inverse, held as
+    mask, a read-only bool array over the parent's element ids, plus its
+    order and packed, the np.packbits bytes of mask that == and hash use.
 
-    __slots__ = ("parent", "elements", "_set", "_normal")
+    Built from element ids (ValueError for one outside 0..order-1) or from
+    such a mask, which is shared, not copied, when it is read-only.
+    """
+
+    __slots__ = ("parent", "mask", "order", "packed", "_normal")
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[int], _normal: Optional[bool] = None):
         self.parent = parent
-        self.elements: tuple[int, ...] = tuple(sorted({int(x) for x in elements}))
-        if not self.elements or self.elements[0] != 0:
+        if isinstance(elements, np.ndarray) and elements.dtype == bool:
+            if elements.shape != (parent.order,):
+                raise ValueError("a subgroup mask needs one entry per group element")
+            mask = elements.copy() if elements.flags.writeable else elements
+        else:
+            mask = np.zeros(parent.order, dtype=bool)
+            mask[_checked_ids(parent, elements)] = True
+        if not mask[0]:
             raise ValueError("a subgroup must contain the identity")
-        self._set = frozenset(self.elements)
+        mask.setflags(write=False)
+        self.mask = mask
+        self.order = int(np.count_nonzero(mask))
+        self.packed = np.packbits(mask).tobytes()
         self._normal = _normal
 
     @property
-    def order(self) -> int:
-        return len(self.elements)
+    def elements(self) -> tuple[int, ...]:
+        """Member ids in increasing order."""
+        return tuple(np.flatnonzero(self.mask).tolist())
 
     @property
     def element_set(self) -> frozenset[int]:
-        return self._set
+        return frozenset(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        return x in self._set
+        return 0 <= x < self.parent.order and bool(self.mask[x])
 
     def issubset(self, other: "Subgroup") -> bool:
-        return self._set <= other._set
+        return not (self.mask & ~other.mask).any()
 
     @property
     def is_normal(self) -> bool:
         if self._normal is None:
-            self._normal = _closed_under_conjugation(self.parent, self.elements)
+            self._normal = _closed_under_conjugation(self.parent, self.mask)
         return self._normal
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subgroup)
             and self.parent is other.parent
-            and self.elements == other.elements
+            and self.packed == other.packed
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.elements))
+        return hash((id(self.parent), self.packed))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.order})"
+
+
+def _checked_ids(group: FiniteGroup, elements: Iterable[int]) -> np.ndarray:
+    """Element ids as an int64 array; ValueError for one outside 0..order-1."""
+    ids = np.asarray(elements if isinstance(elements, np.ndarray) else list(elements), dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= group.order):
+        raise ValueError(f"element ids must lie in 0..{group.order - 1}")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -169,28 +194,28 @@ def _conjugates(group: FiniteGroup, h: int, elems) -> np.ndarray:
     return group.mul_many(group.mul_many(h, elems), group.inv(h))
 
 
-def _closed_under_conjugation(group: FiniteGroup, elements: Sequence[int]) -> bool:
-    inside = np.zeros(group.order, dtype=bool)
-    inside[list(elements)] = True
-    return all(inside[_conjugates(group, g, elements)].all() for g in group.generator_ids)
+def _closed_under_conjugation(group: FiniteGroup, mask: np.ndarray) -> bool:
+    elements = np.flatnonzero(mask)
+    return all(mask[_conjugates(group, g, elements)].all() for g in group.generator_ids)
 
 
-def _small_generating_set(group: FiniteGroup, elements: Sequence[int]) -> tuple[int, ...]:
+def _small_generating_set(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:
     gens: list[int] = []
     span = _closure(group, gens)
-    for x in elements:
+    for x in np.flatnonzero(sub.mask).tolist():
         if not span[x]:
-            gens.append(int(x))
+            gens.append(x)
             span = _closure(group, gens)
-            if span.sum() == len(elements):
+            if span.sum() == sub.order:
                 break
     return tuple(gens)
 
 
 def subgroup(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    """Wrap a verified subgroup; raises ValueError if not closed."""
+    """Wrap a verified subgroup; raises ValueError if not closed or if an
+    id lies outside 0..order-1."""
     sub = Subgroup(group, elements)
-    if not np.array_equal(np.flatnonzero(_closure(group, sub.elements)), sub.elements):
+    if not np.array_equal(_closure(group, np.flatnonzero(sub.mask)), sub.mask):
         raise ValueError("element set is not closed under the group operations")
     return sub
 
@@ -201,7 +226,7 @@ def trivial_subgroup(group: FiniteGroup) -> Subgroup:
 
 def full_subgroup(group: FiniteGroup) -> Subgroup:
     return group._cached(
-        "full_subgroup", lambda: Subgroup(group, range(group.order), _normal=True)
+        "full_subgroup", lambda: Subgroup(group, np.ones(group.order, dtype=bool), _normal=True)
     )
 
 
@@ -212,8 +237,9 @@ def center_subgroup(group: FiniteGroup) -> Subgroup:
 
 
 def generated_subgroup(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing the given elements."""
-    return Subgroup(group, np.flatnonzero(_closure(group, elements)).tolist())
+    """Smallest subgroup containing the given elements; raises ValueError
+    for an id outside 0..order-1."""
+    return Subgroup(group, _closure(group, _checked_ids(group, elements)))
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -242,51 +268,59 @@ def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def normal_closure(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    """Smallest normal subgroup containing the given elements."""
-    class_of = _class_lookup(group)
-    seed: set[int] = set()
-    for x in elements:
-        seed.update(class_of[int(x)])
-    return Subgroup(group, np.flatnonzero(_closure(group, seed)).tolist(), _normal=True)
+    """Smallest normal subgroup containing the given elements; raises
+    ValueError for an id outside 0..order-1."""
+    class_of = _class_index(group)
+    hit = np.zeros(len(conjugacy_classes(group)), dtype=bool)
+    hit[class_of[_checked_ids(group, elements)]] = True
+    return Subgroup(group, _closure(group, np.flatnonzero(hit[class_of])), _normal=True)
 
 
-def _class_lookup(group: FiniteGroup) -> dict[int, tuple[int, ...]]:
-    def build() -> dict[int, tuple[int, ...]]:
-        lookup: dict[int, tuple[int, ...]] = {}
-        for cls in conjugacy_classes(group):
-            for x in cls:
-                lookup[x] = cls
-        return lookup
+def _class_index(group: FiniteGroup) -> np.ndarray:
+    """Position in conjugacy_classes of every element's class."""
 
-    return group._cached("class_lookup", build)
+    def build() -> np.ndarray:
+        index = np.empty(group.order, dtype=np.intp)
+        for k, cls in enumerate(conjugacy_classes(group)):
+            index[list(cls)] = k
+        index.setflags(write=False)
+        return index
+
+    return group._cached("class_index", build)
 
 
 class NormalLattice:
     """Every normal subgroup of a group, with the arrays its consumers share.
 
     subgroups[k] is the k-th normal subgroup in (order, element set) order
-    and masks[k] its membership row over the group's elements.
-    contains[i, j] says subgroups[i] <= subgroups[j] (so the diagonal is
-    set), and comm_index[k], built on first use, is the position of
-    [G, subgroups[k]].  Nothing here is writable.
+    and masks[k] its membership row over the group's elements, of which
+    subgroups[k].mask is a view.  contains[i, j] says subgroups[i] <=
+    subgroups[j] (so the diagonal is set), and comm_index[k], built on first
+    use, is the position of [G, subgroups[k]].  Nothing here is writable.
     """
 
     __slots__ = ("group", "subgroups", "masks", "contains", "_position")
 
     def __init__(self, group: FiniteGroup, masks: np.ndarray):
         self.group = group
-        subs = [Subgroup(group, np.flatnonzero(m).tolist(), _normal=True) for m in masks]
-        order = sorted(range(len(subs)), key=lambda k: (subs[k].order, subs[k].elements))
-        self.subgroups: tuple[Subgroup, ...] = tuple(subs[k] for k in order)
+        # among equal orders the smaller element tuple is the mask set at
+        # the first position where two masks differ, so its complement's
+        # packed bytes are the smaller ones
+        sizes = masks.sum(axis=1)
+        keys = [row.tobytes() for row in np.packbits(~masks, axis=1)]
+        order = sorted(range(len(masks)), key=lambda k: (sizes[k], keys[k]))
         self.masks = masks[order]
         self.masks.setflags(write=False)
+        self.subgroups: tuple[Subgroup, ...] = tuple(
+            Subgroup(group, row, _normal=True) for row in self.masks
+        )
         self.contains = _containment(group, self.masks)
         self.contains.setflags(write=False)
-        self._position = {sub.elements: k for k, sub in enumerate(self.subgroups)}
+        self._position = {sub.packed: k for k, sub in enumerate(self.subgroups)}
 
     def index(self, sub: Subgroup) -> int:
         """Position of a normal subgroup of the same group."""
-        return self._position[sub.elements]
+        return self._position[sub.packed]
 
     @property
     def comm_index(self) -> np.ndarray:
@@ -394,32 +428,23 @@ def commutator_subgroup(group: FiniteGroup, left: Subgroup, right: Subgroup) -> 
         return trivial_subgroup(group)
 
     def build() -> Subgroup:
+        ks = np.flatnonzero(right.mask)
         if left.is_normal and right.is_normal:
             if left.order == group.order:
                 gens = group.generator_ids
             else:
-                gens = _small_generating_set(group, left.elements)
-            values = _commutators(
-                group, np.asarray(gens)[:, None], np.asarray(right.elements)[None, :]
-            )
-            return normal_closure(group, np.unique(values).tolist())
-        values = _commutator_values(group, left.elements, right.elements)
-        return Subgroup(group, np.flatnonzero(_closure(group, values)).tolist())
+                gens = _small_generating_set(group, left)
+            values = _commutators(group, np.asarray(gens)[:, None], ks[None, :])
+            return normal_closure(group, np.unique(values))
+        seeds: set[int] = set()
+        for h in np.flatnonzero(left.mask):
+            seeds.update(np.unique(_commutators(group, h, ks)).tolist())
+        return Subgroup(group, _closure(group, seeds))
 
     if left.order == group.order:
         # [G, N] is asked for over and over by the topology layers
-        return group._cached(("comm_full", right.elements), build)
+        return group._cached(("comm_full", right.packed), build)
     return build()
-
-
-def _commutator_values(
-    group: FiniteGroup, hs: Sequence[int], ks: Sequence[int]
-) -> set[int]:
-    karr = np.asarray(ks, dtype=np.int64)
-    out: set[int] = set()
-    for h in hs:
-        out.update(np.unique(_commutators(group, h, karr)).tolist())
-    return out
 
 
 def derived_subgroup(group: FiniteGroup) -> Subgroup:
@@ -478,7 +503,7 @@ def quotient_group(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
     def build() -> QuotientMap:
         if kernel.order == 1:
             return QuotientMap(group, group, kernel, np.arange(group.order))
-        proj, reps = _coset_labels(group, np.asarray(kernel.elements))
+        proj, reps = _coset_labels(group, np.flatnonzero(kernel.mask))
         gen_images: dict[int, int] = {}  # image in G/N -> a generator of G with it
         for g in group.generator_ids:
             img = int(proj[g])
@@ -489,7 +514,7 @@ def quotient_group(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
         target = group_from_table(cayley_table(len(reps), rmul), tuple(gen_images))
         return QuotientMap(group, target, kernel, proj)
 
-    return group._cached(("quotient", kernel.elements), build)
+    return group._cached(("quotient", kernel.packed), build)
 
 
 def quotient_center(group: FiniteGroup, kernel: Subgroup) -> Subgroup:
@@ -504,12 +529,10 @@ def quotient_center(group: FiniteGroup, kernel: Subgroup) -> Subgroup:
         raise NotNormal("quotient kernel must be a normal subgroup")
 
     def build() -> Subgroup:
-        inside = np.zeros(group.order, dtype=bool)
-        inside[list(kernel.elements)] = True
-        central = inside[_generator_commutators(group)].all(axis=0)
-        return Subgroup(group, np.flatnonzero(central).tolist(), _normal=True)
+        central = kernel.mask[_generator_commutators(group)].all(axis=0)
+        return Subgroup(group, central, _normal=True)
 
-    return group._cached(("quotient_center", kernel.elements), build)
+    return group._cached(("quotient_center", kernel.packed), build)
 
 
 def _generator_commutators(group: FiniteGroup) -> np.ndarray:
@@ -539,24 +562,24 @@ def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
     def build() -> tuple[FiniteGroup, np.ndarray]:
         if sub.order == parent.order:
             return parent, np.arange(parent.order)
-        embed = np.asarray(sub.elements, dtype=np.int64)
-        gens = np.searchsorted(embed, _small_generating_set(parent, sub.elements))
+        embed = np.flatnonzero(sub.mask)
+        gens = np.searchsorted(embed, _small_generating_set(parent, sub))
         return FiniteGroup(None, parent.perms[embed], tuple(gens.tolist())), embed
 
-    return parent._cached(("subgroup_group", sub.elements), build)
+    return parent._cached(("subgroup_group", sub.packed), build)
 
 
 def normalizer(ambient: Subgroup, sub: Subgroup) -> Subgroup:
     """Elements of ambient conjugating sub onto itself."""
     group = ambient.parent
-    if not sub._set <= ambient._set:
+    if not sub.issubset(ambient):
         raise ValueError("sub must be contained in ambient")
-    sarr = np.asarray(sub.elements, dtype=np.int64)
-    keep: list[int] = []
-    for h in ambient.elements:
-        conj = _conjugate_set(group, sarr, h)
-        if conj == sub._set:
-            keep.append(h)
+    # conjugation is injective, so h sub h^-1 lies in sub iff it equals sub
+    sarr = np.flatnonzero(sub.mask)
+    keep = [
+        h for h in np.flatnonzero(ambient.mask).tolist()
+        if sub.mask[_conjugates(group, h, sarr)].all()
+    ]
     return Subgroup(group, keep)
 
 
@@ -565,16 +588,12 @@ def are_conjugate(
 ) -> tuple[bool, Optional[int]]:
     """Whether some h in ambient maps first onto second; returns the witness."""
     group = ambient.parent
-    if not (first._set <= ambient._set and second._set <= ambient._set):
+    if not (first.issubset(ambient) and second.issubset(ambient)):
         raise ValueError("subgroups must be contained in ambient")
     if first.order != second.order:
         return False, None
-    sarr = np.asarray(first.elements, dtype=np.int64)
-    for h in ambient.elements:
-        if _conjugate_set(group, sarr, h) == second._set:
+    sarr = np.flatnonzero(first.mask)
+    for h in np.flatnonzero(ambient.mask).tolist():
+        if second.mask[_conjugates(group, h, sarr)].all():
             return True, h
     return False, None
-
-
-def _conjugate_set(group: FiniteGroup, elems: np.ndarray, h: int) -> frozenset[int]:
-    return frozenset(_conjugates(group, h, elems).tolist())

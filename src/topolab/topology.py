@@ -104,8 +104,6 @@ def taimanov_topology(
         zc = center_subgroup(group)
         current = np.ones(group.order, dtype=bool)
         witness: list[int] = []
-        target = np.zeros(group.order, dtype=bool)
-        target[list(zc.elements)] = True
         while current.sum() > zc.order:
             counts = np.zeros(group.order, dtype=np.int64)
             if witness:
@@ -117,10 +115,9 @@ def taimanov_topology(
             g = int(np.argmin(counts))
             witness.append(g)
             current &= group.commuting_mask(g)
-        if not np.array_equal(current, target):
+        if not np.array_equal(current, zc.mask):
             raise InternalInconsistency("witness centralizer disagrees with the center")
-        csub = Subgroup(group, tuple(int(i) for i in np.flatnonzero(current)))
-        return make_topology(group, zc), TaimanovWitness(tuple(witness), csub)
+        return make_topology(group, zc), TaimanovWitness(tuple(witness), zc)
 
     return group._cached("taimanov_topology", build)
 
@@ -130,9 +127,7 @@ def induced(tau: AlmostTrivialTopology, sub: Subgroup) -> AlmostTrivialTopology:
     if sub.parent is not tau.group:
         raise GroupMismatch("subgroup belongs to a different group")
     host, embed = subgroup_as_group(sub)
-    positions = {int(p): i for i, p in enumerate(embed)}
-    kernel_ids = [positions[x] for x in tau.kernel.elements if x in positions]
-    return make_topology(host, Subgroup(host, kernel_ids))
+    return make_topology(host, Subgroup(host, tau.kernel.mask[embed]))
 
 
 def quotient_topology(
@@ -144,10 +139,8 @@ def quotient_topology(
     if not modulus.is_normal:
         raise NotNormal("quotient modulus must be normal")
     quo = quotient_group(tau.group, modulus)
-    join = generated_subgroup(
-        tau.group, modulus.elements + tau.kernel.elements
-    )
-    image = sorted({int(quo.projection[x]) for x in join.elements})
+    join = generated_subgroup(tau.group, np.flatnonzero(modulus.mask | tau.kernel.mask))
+    image = quo.projection[join.mask]
     return make_topology(quo.target, Subgroup(quo.target, image, _normal=True))
 
 

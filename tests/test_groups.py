@@ -477,3 +477,17 @@ def test_capped_spec_order_of_huge_specs_is_quick():
     assert spec_order(Symmetric(10**12), 20000) > 20000
     assert spec_order(SpecialLinear(10**6, 2), 20000) > 20000
     assert spec_order(SpecialLinear(1, 10**30 + 57), 20000) == 1
+
+
+def test_inverse_law_check_reads_full_rows():
+    from topolab.groups import FiniteGroup
+
+    s3 = group("S3")
+    # S3 on 6 points; points 3 4 5 lie off the base, so inverses stay those of S3
+    perms = np.concatenate([s3.perms, np.tile(np.arange(3, 6, dtype=s3.perms.dtype), (6, 1))], axis=1)
+    cycle = next(x for x in s3.elements() if all(s3.perms[x, p] != p for p in range(3)))
+    perms[cycle, 3:] = [4, 5, 3]  # only this 3-cycle also cycles points 3 4 5
+    bent = FiniteGroup(None, perms, s3.generator_ids)
+    assert bent.inverses.tolist() == s3.inverses.tolist()
+    with pytest.raises(InvalidSpec, match="inverse law"):
+        groups._smoke_check(bent, 0)

@@ -373,3 +373,54 @@ def test_generated_subgroup_is_closed(seed):
     sub = generated_subgroup(s4, seed)
     assert brute_is_subgroup(s4, sub.elements)
     assert set(seed) <= set(sub.elements)
+
+
+@pytest.mark.parametrize("make", [Subgroup, subgroup, generated_subgroup, normal_closure])
+@pytest.mark.parametrize("ids", [[0, 99], [-1]])
+def test_out_of_range_element_ids_are_rejected(make, ids):
+    # -1 must not wrap around to the last element
+    with pytest.raises(ValueError, match="element ids must lie in 0..5"):
+        make(group("S3"), ids)
+
+
+def test_subgroup_from_ids_equals_subgroup_from_mask(catalog64):
+    for name, g in catalog64:
+        for n in all_normal_subgroups(g):
+            by_ids = Subgroup(g, n.elements)
+            by_mask = Subgroup(g, n.mask.copy())
+            assert by_ids == by_mask and hash(by_ids) == hash(by_mask), name
+            assert by_ids.elements == by_mask.elements == n.elements, name
+            assert not by_ids.mask.flags.writeable and not by_mask.mask.flags.writeable, name
+
+
+def test_commutator_cache_is_shared_by_ids_and_mask_subgroups():
+    g = group("S4")
+    full = full_subgroup(g)
+    klein = all_normal_subgroups(g)[1]
+    assert klein.order == 4
+    first = commutator_subgroup(g, full, Subgroup(g, klein.elements, _normal=True))
+    again = commutator_subgroup(g, full, Subgroup(g, klein.mask.copy(), _normal=True))
+    assert again is first
+
+
+def test_lattice_subgroups_are_read_only_views_of_the_masks(catalog64):
+    for name, g in catalog64:
+        lattice = normal_lattice(g)
+        for k, sub in enumerate(lattice.subgroups):
+            assert np.shares_memory(sub.mask, lattice.masks[k]), (name, k)
+            assert not sub.mask.flags.writeable, (name, k)
+
+
+@pytest.mark.parametrize("text", ["Q8 x D8", "S4"])
+def test_cache_keys_hold_no_element_tuples(text):
+    from topolab.classify import classify
+
+    g = group(text)
+    classify(g)
+    lattice = normal_lattice(g)
+    quotient_group(g, lattice.subgroups[1])
+    subgroup_as_group(lattice.subgroups[1])
+    for key in g._cache:
+        assert isinstance(key, str) or (
+            len(key) == 2 and isinstance(key[0], str) and isinstance(key[1], (bytes, int))
+        ), key
