@@ -131,10 +131,11 @@ GroupSpec = Union[
 class FiniteGroup:
     """A finite group with elements 0..order-1 and identity 0.
 
-    Instances are produced by :func:`build_group`, :func:`direct_product`, or
-    internally from a multiplication table (quotients, subgroup
-    materializations).  All state is frozen at construction; caches added
-    later are invisible to callers and safe under concurrent reads.
+    Instances are produced by :func:`build_group`, :func:`direct_product`,
+    from the parent's rows (subgroup materializations), or from a
+    multiplication table (quotients).  All state is frozen at construction;
+    caches added later are invisible to callers and safe under concurrent
+    reads.
     """
 
     __slots__ = (

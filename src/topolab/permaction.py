@@ -7,7 +7,8 @@ self-normalizing in H, and (b) stabilizers at distinct representatives are
 never conjugate in H.  Because conjugates of point stabilizers are again
 point stabilizers (S_x^h = S_{h^-1(x)}), both conditions reduce to set
 comparisons among the stabilizers along orbits, and each failure yields an
-explicit non-identity permutation commuting with H.
+explicit non-identity permutation commuting with H, built along
+transversals read off one column of the element rows.
 """
 
 from __future__ import annotations
@@ -213,19 +214,12 @@ def lemma_trivial_centralizer(
     return True, None
 
 
-def _transversal(action: PermAction, root: int) -> dict[int, Perm]:
-    """For each point of the root's orbit, one element mapping root to it."""
-    ident = tuple(range(action.degree))
-    reached = {root: ident}
-    frontier = [root]
-    while frontier:
-        pt = frontier.pop()
-        for g in action.generators:
-            img = g[pt]
-            if img not in reached:
-                reached[img] = _compose(g, reached[pt])
-                frontier.append(img)
-    return reached
+def _transversal(action: PermAction, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points of the root's orbit and, row for row, the first element
+    in numbering order that maps root to each."""
+    perms = action.group.perms
+    points, first = np.unique(perms[:, root], return_index=True)
+    return points, perms[first]
 
 
 def build_centralizing_witness(action: PermAction, failure: LemmaFailure) -> Perm:
@@ -237,25 +231,20 @@ def build_centralizing_witness(action: PermAction, failure: LemmaFailure) -> Per
     condition (b) it swaps the two orbits via h(x) <-> h(y), which is well
     defined because x and y have equal stabilizers.
     """
-    tau = list(range(action.degree))
+    tau = np.arange(action.degree)
     x = failure.representative
-    trans_x = _transversal(action, x)
+    points_x, trans_x = _transversal(action, x)
     if failure.condition == "a":
-        h0 = failure.conjugator
-        target = h0[x]
-        for pt, u in trans_x.items():
-            tau[pt] = u[target]
+        tau[points_x] = trans_x[:, failure.conjugator[x]]
     elif failure.condition == "b":
         y = failure.paired_point
-        for pt, u in trans_x.items():
-            tau[pt] = u[y]
-        trans_y = _transversal(action, y)
-        for pt, v in trans_y.items():
-            tau[pt] = v[x]
+        tau[points_x] = trans_x[:, y]
+        points_y, trans_y = _transversal(action, y)
+        tau[points_y] = trans_y[:, x]
     else:
         raise ValueError(f"unknown failure condition {failure.condition!r}")
 
-    witness = tuple(tau)
+    witness = tuple(tau.tolist())
     if sorted(witness) != list(range(action.degree)):
         raise InternalInconsistency("constructed witness is not a permutation")
     if witness == tuple(range(action.degree)):

@@ -26,6 +26,7 @@ from .groups import FiniteGroup
 from .subgroups import (
     Subgroup,
     _commutators,
+    _iterated_commutators,
     commutator_subgroup,
     full_subgroup,
     generated_subgroup,
@@ -88,17 +89,6 @@ def is_semitopological_oracle(
     group, small, large = _check_pair(tau, sigma)
     every_g = np.arange(group.order)
     return all(small.mask[_commutators(group, every_g, l)].all() for l in large.elements)
-
-
-def _iterated_commutators(group: FiniteGroup, start: Subgroup) -> list[Subgroup]:
-    """[G, start], [G,[G,start]], ... down to the first repetition."""
-    full = full_subgroup(group)
-    chain = [commutator_subgroup(group, full, start)]
-    while True:
-        nxt = commutator_subgroup(group, full, chain[-1])
-        if nxt == chain[-1]:
-            return chain
-        chain.append(nxt)
 
 
 def is_n_step(

@@ -11,9 +11,11 @@ Grammar (whitespace between tokens is ignored):
     cycle  := "(" int {int} ")"
 
 Products associate to the left.  A perm spec's degree is one more than the
-largest point mentioned; printing appends a singleton cycle to pin a degree
-that exceeds every moved point, and parsing drops generators that reduce to
-the identity, so parse(print(ast)) == ast for any parser-produced AST.
+largest point mentioned; above permaction.MATERIALIZATION_CAP it raises
+OrderCapExceeded before any permutation is built.  Printing appends a
+singleton cycle to pin a degree that exceeds every moved point, and parsing
+drops generators that reduce to the identity, so parse(print(ast)) == ast
+for any parser-produced AST.
 
 "Dih(" nests at most MAX_NESTING deep: each level doubles the order, so
 deeper specs are far beyond any group that can be built, and rejecting
@@ -22,7 +24,7 @@ them here keeps the recursion bounded.
 
 from __future__ import annotations
 
-from .errors import SpecSyntaxError
+from .errors import OrderCapExceeded, SpecSyntaxError
 
 MAX_NESTING = 32
 from .groups import (
@@ -39,6 +41,7 @@ from .groups import (
     SpecialLinear,
     Symmetric,
 )
+from .permaction import MATERIALIZATION_CAP
 
 
 class _Scanner:
@@ -159,6 +162,15 @@ def _parse_cycle(scanner: _Scanner) -> list[int]:
 
 
 def _parse_perm(scanner: _Scanner) -> PermSpec:
+    gens_cycles = _parse_bracketed_cycles(scanner)
+    degree = 1 + max(pt for gen in gens_cycles for cyc in gen for pt in cyc)
+    if degree > MATERIALIZATION_CAP:
+        raise OrderCapExceeded(f"perm degree {degree} is above the cap ({MATERIALIZATION_CAP})")
+    return PermSpec(degree, _generators(gens_cycles, degree))
+
+
+def _parse_bracketed_cycles(scanner: _Scanner) -> list[list[list[int]]]:
+    """The cycles of each generator in "[gen, gen, ...]"."""
     scanner.expect_literal("[")
     gens_cycles: list[list[list[int]]] = [[_parse_cycle(scanner)]]
     while True:
@@ -169,39 +181,38 @@ def _parse_perm(scanner: _Scanner) -> PermSpec:
         else:
             break
     scanner.expect_literal("]")
-    degree = 1 + max(pt for gen in gens_cycles for cyc in gen for pt in cyc)
-    generators = []
+    return gens_cycles
+
+
+def _generators(gens_cycles: list[list[list[int]]], degree: int) -> tuple[tuple[int, ...], ...]:
+    """Each generator as an image tuple on 0..degree-1, the product of its
+    cycles with the rightmost acting first; identities are dropped.  A
+    cycle touches only its own points."""
     identity = tuple(range(degree))
+    generators = []
     for cycles in gens_cycles:
-        perm = _cycles_to_perm(cycles, degree)
-        if perm != identity:
-            generators.append(perm)
-    return PermSpec(degree, tuple(generators))
-
-
-def _cycles_to_perm(cycles: list[list[int]], degree: int) -> tuple[int, ...]:
-    """Product of the cycles; the rightmost cycle acts first."""
-    perm = list(range(degree))
-    for cyc in cycles:
-        cperm = list(range(degree))
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            cperm[a] = b
-        perm = [perm[cperm[i]] for i in range(degree)]
-    return tuple(perm)
+        perm = list(identity)
+        for cyc in cycles:
+            images = [perm[b] for b in cyc[1:] + cyc[:1]]
+            for a, image in zip(cyc, images):
+                perm[a] = image
+        if tuple(perm) != identity:
+            generators.append(tuple(perm))
+    return tuple(generators)
 
 
 def parse_perm_generators(text: str, degree: int) -> tuple[tuple[int, ...], ...]:
     """Parse a bare generator list "(0 1 2),(0 1)" against a fixed degree."""
     scanner = _Scanner(f"[{text}]")
-    spec = _parse_perm(scanner)
+    gens_cycles = _parse_bracketed_cycles(scanner)
     if not scanner.at_end():
         raise SpecSyntaxError(scanner.pos - 1, ("','", "end of input"))
-    if spec.degree > degree:
+    largest = max(pt for gen in gens_cycles for cyc in gen for pt in cyc)
+    if largest >= degree:
         raise SpecSyntaxError(
-            0, (f"points below the degree {degree}",), f"cycles mention point {spec.degree - 1}"
+            0, (f"points below the degree {degree}",), f"cycles mention point {largest}"
         )
-    pad = tuple(range(spec.degree, degree))
-    return tuple(tuple(g) + pad for g in spec.generators)
+    return _generators(gens_cycles, degree)
 
 
 # ---------------------------------------------------------------------------

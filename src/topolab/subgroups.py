@@ -7,6 +7,9 @@ expensive to recompute (conjugacy classes, the normal lattice, quotients,
 quotient centers) is cached on the parent group behind its internal lock,
 keyed by those bytes where it depends on a subgroup.
 
+Conjugacy classes are one label array, the smallest member of each
+element's class; every other view of the classes is read off it.
+
 The center of G/N is read off G itself: quotient_center returns its
 preimage, the x whose commutator with every generator of G lies in N, from
 one membership mask per generator.  upper_central_series and the
@@ -132,11 +135,13 @@ class QuotientMap:
 # closure machinery
 
 
-def _closure(group: FiniteGroup, seed_ids: Iterable[int]) -> np.ndarray:
-    """Membership mask of the smallest subgroup containing seed_ids.
+def _closure(group: FiniteGroup, seed_ids: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+    """Membership mask of the smallest subgroup containing seed_ids, and
+    the seeds it kept as generators.
 
-    Seeds already inside the running span are skipped, so the working
-    generator list stays logarithmic even when the seed is a whole
+    Seeds are taken in increasing order, and one already inside the running
+    span is skipped, so the kept list is each seed outside the span of the
+    smaller ones.  It stays logarithmic even when the seed is a whole
     conjugacy class or subgroup.  Each round multiplies only the elements
     found in the round before.  While the squares s^2, s^4, ... of the
     newest seed are new, they join the generators, so an element of order
@@ -159,7 +164,7 @@ def _closure(group: FiniteGroup, seed_ids: Iterable[int]) -> np.ndarray:
                 square = group.mul(squares[-1], squares[-1])
                 squares = [] if mask[square] else squares + [square]
             fresh = _mark_new(mask, group.mul_many(fresh[:, None], gens + squares[1:]))
-    return mask
+    return mask, gens
 
 
 def _mark_new(mask: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -199,23 +204,11 @@ def _closed_under_conjugation(group: FiniteGroup, mask: np.ndarray) -> bool:
     return all(mask[_conjugates(group, g, elements)].all() for g in group.generator_ids)
 
 
-def _small_generating_set(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:
-    gens: list[int] = []
-    span = _closure(group, gens)
-    for x in np.flatnonzero(sub.mask).tolist():
-        if not span[x]:
-            gens.append(x)
-            span = _closure(group, gens)
-            if span.sum() == sub.order:
-                break
-    return tuple(gens)
-
-
 def subgroup(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     """Wrap a verified subgroup; raises ValueError if not closed or if an
     id lies outside 0..order-1."""
     sub = Subgroup(group, elements)
-    if not np.array_equal(_closure(group, np.flatnonzero(sub.mask)), sub.mask):
+    if not np.array_equal(_closure(group, np.flatnonzero(sub.mask))[0], sub.mask):
         raise ValueError("element set is not closed under the group operations")
     return sub
 
@@ -239,54 +232,53 @@ def center_subgroup(group: FiniteGroup) -> Subgroup:
 def generated_subgroup(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the given elements; raises ValueError
     for an id outside 0..order-1."""
-    return Subgroup(group, _closure(group, _checked_ids(group, elements)))
+    return Subgroup(group, _closure(group, _checked_ids(group, elements))[0])
+
+
+def _class_labels(group: FiniteGroup) -> np.ndarray:
+    """Read-only array: the smallest member of every element's class.
+
+    A round sets the labels of x and g x g^-1 to the smaller of the two for
+    each generator g, then lets every label jump to its label's label, so a
+    minimum crosses a conjugation cycle in a few rounds even when ids rise
+    along it.  Labels only fall and always name a class member; a round
+    that changes nothing leaves them constant on every class.
+    """
+
+    def build() -> np.ndarray:
+        cmaps = [group.conj_map(g) for g in group.generator_ids]
+        labels = np.arange(group.order)
+        while True:
+            before = labels
+            for m in cmaps:
+                labels = np.minimum(labels, labels[m])
+                # m is a permutation, so no id is written twice
+                labels[m] = np.minimum(labels[m], labels)
+            labels = labels[labels]
+            if np.array_equal(labels, before):
+                break
+        labels.setflags(write=False)
+        return labels
+
+    return group._cached("class_labels", build)
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Conjugacy classes as sorted tuples, ordered by smallest member."""
-
-    def build() -> tuple[tuple[int, ...], ...]:
-        cmaps = [group.conj_map(g) for g in group.generator_ids]
-        seen = np.zeros(group.order, dtype=bool)
-        classes: list[tuple[int, ...]] = []
-        for x in range(group.order):
-            if seen[x]:
-                continue
-            orbit = {x}
-            seen[x] = True
-            frontier = np.asarray([x])
-            while frontier.size:
-                images = np.unique(np.concatenate([m[frontier] for m in cmaps])) if cmaps else frontier[:0]
-                fresh = images[~seen[images]]
-                seen[fresh] = True
-                orbit.update(int(v) for v in fresh)
-                frontier = fresh
-            classes.append(tuple(sorted(orbit)))
-        return tuple(classes)
-
-    return group._cached("conjugacy_classes", build)
+    """Conjugacy classes as sorted tuples, ordered by smallest member;
+    read off the class labels, which are what is cached."""
+    labels = _class_labels(group)
+    ids = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[ids])) + 1
+    return tuple(tuple(cls.tolist()) for cls in np.split(ids, cuts))
 
 
 def normal_closure(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     """Smallest normal subgroup containing the given elements; raises
     ValueError for an id outside 0..order-1."""
-    class_of = _class_index(group)
-    hit = np.zeros(len(conjugacy_classes(group)), dtype=bool)
-    hit[class_of[_checked_ids(group, elements)]] = True
-    return Subgroup(group, _closure(group, np.flatnonzero(hit[class_of])), _normal=True)
-
-
-def _class_index(group: FiniteGroup) -> np.ndarray:
-    """Position in conjugacy_classes of every element's class."""
-
-    def build() -> np.ndarray:
-        index = np.empty(group.order, dtype=np.intp)
-        for k, cls in enumerate(conjugacy_classes(group)):
-            index[list(cls)] = k
-        index.setflags(write=False)
-        return index
-
-    return group._cached("class_index", build)
+    labels = _class_labels(group)
+    hit = np.zeros(group.order, dtype=bool)
+    hit[labels[_checked_ids(group, elements)]] = True
+    return Subgroup(group, _closure(group, np.flatnonzero(hit[labels]))[0], _normal=True)
 
 
 class NormalLattice:
@@ -344,8 +336,7 @@ def _containment(group: FiniteGroup, masks: np.ndarray) -> np.ndarray:
     """contains[i, j] = (row i of masks lies inside row j), for rows that are
     unions of conjugacy classes.  Compared on one member per class, as a
     float32 product of row blocks (exact: counts stay far below 2^24)."""
-    reps = [cls[0] for cls in conjugacy_classes(group)]
-    rows = masks[:, reps].astype(np.float32)
+    rows = masks[:, np.unique(_class_labels(group))].astype(np.float32)
     sizes = rows.sum(axis=1)
     count = len(rows)
     contains = np.empty((count, count), dtype=bool)
@@ -385,7 +376,7 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
             rows.append(mask)
 
         for cls in conjugacy_classes(group)[1:]:  # the first class is {e}
-            add(_closure(group, cls))
+            add(_closure(group, cls)[0])
         principals = np.array(rows[1:], dtype=bool).reshape(-1, group.order)
         as_float = principals.astype(np.float32)
         sizes = principals.sum(axis=1)
@@ -433,13 +424,13 @@ def commutator_subgroup(group: FiniteGroup, left: Subgroup, right: Subgroup) -> 
             if left.order == group.order:
                 gens = group.generator_ids
             else:
-                gens = _small_generating_set(group, left)
+                _, gens = _closure(group, np.flatnonzero(left.mask))
             values = _commutators(group, np.asarray(gens)[:, None], ks[None, :])
             return normal_closure(group, np.unique(values))
         seeds: set[int] = set()
         for h in np.flatnonzero(left.mask):
             seeds.update(np.unique(_commutators(group, h, ks)).tolist())
-        return Subgroup(group, _closure(group, seeds))
+        return Subgroup(group, _closure(group, seeds)[0])
 
     if left.order == group.order:
         # [G, N] is asked for over and over by the topology layers
@@ -454,15 +445,24 @@ def derived_subgroup(group: FiniteGroup) -> Subgroup:
     )
 
 
+def _iterated_commutators(group: FiniteGroup, start: Subgroup) -> list[Subgroup]:
+    """[G, start], [G,[G,start]], ... down to the first repetition."""
+    full = full_subgroup(group)
+    chain = [commutator_subgroup(group, full, start)]
+    while True:
+        nxt = commutator_subgroup(group, full, chain[-1])
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
+
+
 def lower_central_series(group: FiniteGroup) -> CentralSeries:
     full = full_subgroup(group)
-    terms = [full]
-    if full.order > 1:
-        while True:
-            nxt = commutator_subgroup(group, full, terms[-1])
-            terms.append(nxt)
-            if nxt.order == 1 or nxt == terms[-2]:
-                break
+    if full.order == 1:
+        return CentralSeries("lower", (full,), stabilized=True)
+    terms = [full, *_iterated_commutators(group, full)]
+    if terms[-1].order > 1 and terms[-1] != terms[-2]:
+        terms.append(terms[-1])  # a stall shows as one repeated term
     return CentralSeries("lower", tuple(terms), stabilized=True)
 
 
@@ -542,7 +542,7 @@ def _generator_commutators(group: FiniteGroup) -> np.ndarray:
     def build() -> np.ndarray:
         xs = np.arange(group.order)[None, :]
         gens = np.asarray(group.generator_ids, dtype=np.int64).reshape(-1, 1)
-        rows = group.mul_many(group.mul_many(xs, gens), group.inverses[group.mul_many(gens, xs)])
+        rows = _commutators(group, xs, gens)
         rows.setflags(write=False)
         return rows
 
@@ -563,7 +563,7 @@ def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
         if sub.order == parent.order:
             return parent, np.arange(parent.order)
         embed = np.flatnonzero(sub.mask)
-        gens = np.searchsorted(embed, _small_generating_set(parent, sub))
+        gens = np.searchsorted(embed, _closure(parent, embed)[1])
         return FiniteGroup(None, parent.perms[embed], tuple(gens.tolist())), embed
 
     return parent._cached(("subgroup_group", sub.packed), build)

@@ -18,8 +18,8 @@ from .errors import GroupMismatch, InternalInconsistency, NotNormal
 from .groups import FiniteGroup, direct_product
 from .subgroups import (
     Subgroup,
+    _class_labels,
     center_subgroup,
-    conjugacy_classes,
     generated_subgroup,
     quotient_group,
     subgroup_as_group,
@@ -93,8 +93,8 @@ def taimanov_topology(
     whose centralizer cuts the current intersection the most (ties to the
     smallest element id).  Minimality of F is not claimed.
 
-    The first round reads |C(g)| = |G| / |class of g| off the conjugacy
-    classes; each later round counts, for every g, the members of the
+    The first round reads |C(g)| = |G| / |class of g| off the class
+    labels; each later round counts, for every g, the members of the
     current intersection commuting with g, one commuting mask per member.
     Each round replaces the intersection by a proper subgroup of it, so it
     at least halves every round.
@@ -105,13 +105,13 @@ def taimanov_topology(
         current = np.ones(group.order, dtype=bool)
         witness: list[int] = []
         while current.sum() > zc.order:
-            counts = np.zeros(group.order, dtype=np.int64)
             if witness:
+                counts = np.zeros(group.order, dtype=np.int64)
                 for x in np.flatnonzero(current):
                     counts += group.commuting_mask(int(x))  # commuting is symmetric
             else:
-                for cls in conjugacy_classes(group):
-                    counts[list(cls)] = group.order // len(cls)
+                labels = _class_labels(group)
+                counts = group.order // np.bincount(labels)[labels]
             g = int(np.argmin(counts))
             witness.append(g)
             current &= group.commuting_mask(g)

@@ -7,12 +7,20 @@ so they stay independent of the subgroup/topology machinery they check.
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from topolab import OrderCapExceeded, build_group, center, parse_group_spec, quotient_group
 from topolab.catalog import catalog_groups
+
+# CLI tests run topolab in child processes; they import it from this
+# checkout, as pytest's pythonpath setting makes the test process do
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")
@@ -106,6 +114,21 @@ def _oracle_classes(g):
         seen |= orbit
         classes.append(tuple(sorted(orbit)))
     return classes
+
+
+def reference_small_generating_set(g, sub):
+    """Generators of a subgroup as subgroups._small_generating_set chose
+    them before _closure returned its kept seeds: each member, in increasing
+    order, outside the span of the earlier picks, until the span is the
+    whole subgroup.  Spans come from _frontier_closure."""
+    gens, span = [], {0}
+    for x in sub.elements:
+        if x not in span:
+            gens.append(x)
+            span = set(_frontier_closure(g, gens))
+            if len(span) == sub.order:
+                break
+    return gens
 
 
 def oracle_normal_subgroups(g):
@@ -253,6 +276,23 @@ def reference_ids(perms, index, images):
     if not np.array_equal(perms[ids[..., None], base], images):
         raise ValueError("permutation is not an element of the group")
     return ids
+
+
+def reference_transversal(action, root):
+    """For each point of the root's orbit, one element mapping root to it,
+    as image tuples: the generator walk permaction._transversal made before
+    it read the root's column of the element rows."""
+    ident = tuple(range(action.degree))
+    reached = {root: ident}
+    frontier = [root]
+    while frontier:
+        pt = frontier.pop()
+        for g in action.generators:
+            img = g[pt]
+            if img not in reached:
+                reached[img] = tuple(g[x] for x in reached[pt])
+                frontier.append(img)
+    return reached
 
 
 def reference_full_symmetric_centralizer(action):

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -194,3 +195,35 @@ def test_perm_cap_is_above_the_spec_cap():
     result = _run_bounded("perm", "--degree", "9", "--gens", "(0 1 2 3 4 5 6 7 8),(0 1)")
     assert result.returncode == 3
     assert result.stderr == "error: group closure exceeds the order cap (100000)\n"
+
+
+def _run_in_1gb(*args):
+    """The CLI under a 10 s timeout and a 1 GB address-space limit that
+    applies to the child process only."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "topolab", *args],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=limit,
+    )
+
+
+def test_huge_point_in_a_perm_spec_hits_the_perm_cap():
+    # the degree of a perm spec comes from its largest point
+    result = _run_in_1gb("classify", "perm[(99999999 1)]")
+    assert result.returncode == 3
+    assert result.stderr == "error: perm degree 100000000 is above the cap (100000)\n"
+    result = _run_in_1gb("classify", "perm[(70000 1)]")
+    assert result.returncode == 0
+    assert "order: 2\n" in result.stdout
+
+
+def test_huge_point_in_perm_generators_is_rejected_before_building():
+    result = _run_in_1gb("perm", "--degree", "5", "--gens", "(99999999 1)")
+    assert result.returncode == 2
+    assert result.stderr == "error: syntax error at position 0: cycles mention point 99999999\n"

@@ -1,8 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
-from conftest import reference_full_symmetric_centralizer, reference_tuple_closure
+from conftest import (
+    reference_full_symmetric_centralizer,
+    reference_transversal,
+    reference_tuple_closure,
+)
 from topolab import (
     CapExceeded,
     DegreeTooLarge,
@@ -15,6 +20,7 @@ from topolab import (
     orbit_data,
     random_actions,
 )
+from topolab import permaction
 from topolab.permaction import _compose, _first_mapping
 
 
@@ -172,6 +178,26 @@ def test_first_mapping_is_the_first_element_in_numbering_order():
                         _first_mapping(act, src, dst)
                 else:
                     assert _first_mapping(act, src, dst) == first
+
+
+def test_witnesses_agree_with_the_generator_walk_transversal(monkeypatch):
+    # the witness is well defined for any transversal, so reading the root's
+    # column and walking the generators must give the same permutation
+    failures = []
+    for d in range(3, 9):
+        for act in random_actions(d, 40, seed=d):
+            _, failure = lemma_trivial_centralizer(act)
+            if failure is not None:
+                failures.append((act, failure, build_centralizing_witness(act, failure)))
+    assert {f.condition for _, f, _ in failures} == {"a", "b"}
+
+    def walk(action, root):
+        reached = reference_transversal(action, root)
+        return np.array(list(reached)), np.array(list(reached.values()))
+
+    monkeypatch.setattr(permaction, "_transversal", walk)
+    for act, failure, witness in failures:
+        assert build_centralizing_witness(act, failure) == witness
 
 
 def test_bad_generator_rejected():

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from topolab import (
@@ -37,6 +40,8 @@ def test_perm_specs():
     assert double == PermSpec(4, ((1, 0, 3, 2),))
     pinned = parse_group_spec("perm[(0 1)(4)]")
     assert pinned.degree == 5
+    # the rightmost cycle acts first
+    assert parse_group_spec("perm[(0 1)(1 2)]") == PermSpec(3, ((1, 2, 0),))
 
 
 @pytest.mark.parametrize(
@@ -95,6 +100,17 @@ def test_parse_perm_generators_pads_to_degree():
     assert gens == ((1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5))
     with pytest.raises(SpecSyntaxError):
         parse_perm_generators("(0 7)", 4)
+
+
+def test_many_cycles_parse_without_a_pass_per_cycle_over_the_degree():
+    # 40000 transpositions on 80000 points: one pass over all points per
+    # cycle would take minutes
+    spec = "perm[" + "".join(f"({2 * i} {2 * i + 1})" for i in range(40000)) + "]"
+    script = "import sys; from topolab import parse_group_spec; print(parse_group_spec(sys.stdin.read()).degree)"
+    result = subprocess.run(
+        [sys.executable, "-c", script], input=spec, capture_output=True, text=True, timeout=10
+    )
+    assert result.returncode == 0 and result.stdout == "80000\n"
 
 
 def test_format_perm():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _oracle_classes,
     brute_closure,
     brute_commutator_subgroup,
     brute_is_subgroup,
@@ -13,6 +14,7 @@ from conftest import (
     group,
     oracle_normal_subgroups,
     reference_quotient_center,
+    reference_small_generating_set,
 )
 from topolab import (
     NotNormal,
@@ -33,7 +35,37 @@ from topolab import (
     subgroup_as_group,
     upper_central_series,
 )
-from topolab.subgroups import Subgroup, normal_lattice, trivial_subgroup
+from topolab.subgroups import (
+    Subgroup,
+    _class_labels,
+    _closure,
+    normal_lattice,
+    trivial_subgroup,
+)
+
+
+# D2000 has long classes whose ids increase along conjugation, C4000 has
+# 4000 singleton classes
+CLASS_SPECS = ("S7", "SL(2,17)", "Heis(7) x C2", "A5 x A5", "D2000", "C4000")
+
+
+def test_class_labels_match_the_oracle_classes(catalog):
+    for name, g in list(catalog) + [(text, group(text)) for text in CLASS_SPECS]:
+        expected = _oracle_classes(g)
+        smallest = np.empty(g.order, dtype=np.int64)
+        for cls in expected:
+            smallest[list(cls)] = cls[0]
+        labels = _class_labels(g)
+        assert np.array_equal(labels, smallest) and not labels.flags.writeable, name
+        assert conjugacy_classes(g) == tuple(expected), name
+
+
+def test_closure_keeps_the_reference_generators(catalog64):
+    for name, g in catalog64:
+        for n in all_normal_subgroups(g):
+            mask, gens = _closure(g, np.flatnonzero(n.mask))
+            assert np.array_equal(mask, n.mask), name
+            assert gens == reference_small_generating_set(g, n), (name, n.order)
 
 
 def test_generated_subgroup_examples():
@@ -143,6 +175,10 @@ def test_lower_central_series_examples():
     s3_terms = lower_central_series(group("S3")).terms
     assert [t.order for t in s3_terms] == [6, 3, 3]
     assert s3_terms[-1] == s3_terms[-2]
+    # a perfect group stalls at once: G itself is the one repeated term
+    assert [t.order for t in lower_central_series(group("A5")).terms] == [60, 60]
+    assert [t.order for t in lower_central_series(group("SL(2,5)")).terms] == [120, 120]
+    assert [t.order for t in lower_central_series(group("C1")).terms] == [1]
 
 
 def test_upper_central_series_examples():
