@@ -10,7 +10,7 @@ from . import __version__ as TOOL_VERSION
 from .classify import ClassificationReport
 from .groups import FiniteGroup
 from .specparse import print_group_spec
-from .subgroups import normal_lattice
+from .subgroups import BLOCK_ENTRIES, normal_lattice
 
 
 def report_payload(report: ClassificationReport, *, seed: int) -> dict:
@@ -58,36 +58,58 @@ def emit_lattice_dot(group: FiniteGroup) -> str:
     One node per normal subgroup ("N#k (order m)"), solid edges for the
     covering relation, and a dashed edge N -> L labelled "semi:n" for every
     strictly nested pair whose identity map (zeta_N, zeta_L) is n-step
-    semitopological for some finite n.  Both come from the lattice's
-    containment matrix: L covers N when nothing strictly above N lies
-    strictly below L, and n is the first term of the commutator chain
-    [G, L], [G, [G, L]], ... (walked on comm_index) that lies in N, as in
-    semitop.min_steps.
+    semitopological for some finite n.  Both are read off the lattice's
+    containment matrix at the strictly nested pairs, a block of rows N at a
+    time.  L covers N unless L lies in the OR of the packed rows "strictly
+    above K" over every K strictly above N.  n is the first term of the
+    commutator chain [G, L], [G, [G, L]], ... (walked on comm_index) that
+    lies in N, as in semitop.min_steps; every chain is walked at once, and
+    each term is one gather of the containment matrix at the block's pairs.
     """
     lattice = normal_lattice(group)
-    count = len(lattice.subgroups)
-    above = lattice.contains.copy()
-    np.fill_diagonal(above, False)  # above[i, j]: N_i strictly inside N_j
-    covers = np.empty_like(above)
-    for i in range(count):
-        up = above[i]
-        covers[i] = up & ~above[up].any(axis=0)
+    contains, count = lattice.contains, len(lattice.subgroups)
     comm = lattice.comm_index
-    steps = np.zeros((count, count), dtype=np.int8)
-    for j in range(count):
-        chain = [comm[j]]
-        while comm[chain[-1]] != chain[-1]:
-            chain.append(comm[chain[-1]])
-        inside = lattice.contains[chain]  # inside[t, i]: term t lies in N_i
-        steps[:, j] = np.where(inside.any(axis=0), inside.argmax(axis=0) + 1, 0)
-    steps[~above] = 0
-    lines = ["digraph lattice {", "  rankdir=BT;"]
-    for k, sub in enumerate(lattice.subgroups):
-        lines.append(f'  n{k} [label="N#{k} (order {sub.order})"];')
-    for i, j in zip(*(idx.tolist() for idx in np.nonzero(covers))):
-        lines.append(f"  n{i} -> n{j};")
-    dashed = np.nonzero(steps)
-    for i, j, n in zip(*(idx.tolist() for idx in dashed), steps[dashed].tolist()):
-        lines.append(f'  n{i} -> n{j} [style=dashed, label="semi:{n}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    chain = [comm]  # chain[t][j]: term t + 1 of the chain from N_j
+    while not np.array_equal(comm[chain[-1]], chain[-1]):
+        chain.append(comm[chain[-1]])
+    # packed[i]: the N_j strictly above N_i, one bit each (the diagonal of
+    # contains is set, so the XOR clears it)
+    packed = np.packbits(contains, axis=1)
+    ids = np.arange(count)
+    packed[ids, ids >> 3] ^= (0x80 >> (ids & 7)).astype(np.uint8)
+    step = max(1, BLOCK_ENTRIES // count)
+    solid, dashed = [], []  # one string per block
+    for lo in range(0, count, step):
+        above = np.unpackbits(packed[lo : lo + step], axis=1, count=count)
+        rows, cols = np.nonzero(above)
+        through = _through(rows, cols, packed, len(above))
+        cover = (through[rows, cols >> 3] >> (7 - (cols & 7))) & 1 == 0
+        rows += lo
+        solid.append("".join(
+            f"  n{i} -> n{j};\n" for i, j in zip(rows[cover].tolist(), cols[cover].tolist())
+        ))
+        steps = np.zeros(len(rows), dtype=np.int8)
+        for t, terms in enumerate(chain, 1):
+            steps[(steps == 0) & contains[terms[cols], rows]] = t
+        semi = steps > 0
+        dashed.append("".join(
+            f'  n{i} -> n{j} [style=dashed, label="semi:{n}"];\n'
+            for i, j, n in zip(rows[semi].tolist(), cols[semi].tolist(), steps[semi].tolist())
+        ))
+    nodes = "".join(
+        f'  n{k} [label="N#{k} (order {sub.order})"];\n' for k, sub in enumerate(lattice.subgroups)
+    )
+    return "".join(["digraph lattice {\n  rankdir=BT;\n", nodes, *solid, *dashed, "}\n"])
+
+
+def _through(rows: np.ndarray, cols: np.ndarray, packed: np.ndarray, height: int) -> np.ndarray:
+    """Packed, for each of height rows: the OR of the packed rows cols over
+    its pairs (rows sorted), in runs of at most BLOCK_ENTRIES bytes."""
+    through = np.zeros((height, packed.shape[1]), dtype=np.uint8)
+    run = max(1, BLOCK_ENTRIES // packed.shape[1])
+    for lo in range(0, len(rows), run):
+        r, c = rows[lo : lo + run], cols[lo : lo + run]
+        starts = np.flatnonzero(np.diff(r, prepend=-1))
+        # r[starts] has no repeats, so the in-place OR touches each row once
+        through[r[starts]] |= np.bitwise_or.reduceat(packed[c], starts, axis=0)
+    return through

@@ -12,7 +12,9 @@ Grammar (whitespace between tokens is ignored):
 
 Products associate to the left.  A perm spec's degree is one more than the
 largest point mentioned; above permaction.MATERIALIZATION_CAP it raises
-OrderCapExceeded before any permutation is built.  Printing appends a
+OrderCapExceeded before any permutation is built, and so does a generator
+list whose degree x generator count is above PERM_ENTRY_CAP (each
+generator becomes one image tuple of the full degree).  Printing appends a
 singleton cycle to pin a degree that exceeds every moved point, and parsing
 drops generators that reduce to the identity, so parse(print(ast)) == ast
 for any parser-produced AST.
@@ -27,6 +29,8 @@ from __future__ import annotations
 from .errors import OrderCapExceeded, SpecSyntaxError
 
 MAX_NESTING = 32
+# ceiling on degree x generator count, the entries of a perm spec's image tuples
+PERM_ENTRY_CAP = 1_000_000
 from .groups import (
     AffineSpecialLinear,
     Alternating,
@@ -187,7 +191,13 @@ def _parse_bracketed_cycles(scanner: _Scanner) -> list[list[list[int]]]:
 def _generators(gens_cycles: list[list[list[int]]], degree: int) -> tuple[tuple[int, ...], ...]:
     """Each generator as an image tuple on 0..degree-1, the product of its
     cycles with the rightmost acting first; identities are dropped.  A
-    cycle touches only its own points."""
+    cycle touches only its own points.  Raises OrderCapExceeded, before any
+    tuple is built, when degree x generator count is above PERM_ENTRY_CAP."""
+    if degree * len(gens_cycles) > PERM_ENTRY_CAP:
+        raise OrderCapExceeded(
+            f"perm spec with {len(gens_cycles)} generators of degree {degree} "
+            f"is above the cap ({PERM_ENTRY_CAP} image entries)"
+        )
     identity = tuple(range(degree))
     generators = []
     for cycles in gens_cycles:

@@ -31,6 +31,10 @@ from .groups import FiniteGroup, cayley_table, center, group_from_table
 # astronomically many normal subgroups and must fail fast instead of hanging
 NORMAL_LATTICE_BOUND = 4096
 
+# entries per block of the temporaries that grow with |G| x |N| or with the
+# square of the lattice size: containment, [G, N] and DOT products, coset rows
+BLOCK_ENTRIES = 1 << 20
+
 
 class Subgroup:
     """A subset of a parent group closed under product and inverse, held as
@@ -175,17 +179,27 @@ def _mark_new(mask: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _coset_labels(group: FiniteGroup, kernel: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _coset_labels(group: FiniteGroup, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coset number of every element modulo a normal subgroup (given by its
     element ids), cosets numbered by their smallest member; also returns
-    those smallest members."""
-    labels = np.full(group.order, -1, dtype=np.int32)
-    reps: list[int] = []
-    for x in range(group.order):
-        if labels[x] < 0:
-            labels[group.mul_many(x, kernel)] = len(reps)
-            reps.append(x)
-    return labels, reps
+    those smallest members, in increasing order.
+
+    Each mul_many call multiplies the next unlabelled elements by the whole
+    kernel, as many as there are unlabelled cosets but at most
+    BLOCK_ENTRIES // |N| (and at least one), and every element of a coset
+    row gets that row's minimum, so no coset needs a call of its own.
+    """
+    first = np.full(group.order, -1, dtype=np.int64)  # smallest member of each coset
+    todo = np.arange(group.order)
+    while todo.size:
+        step = max(1, min(todo.size, BLOCK_ENTRIES) // len(kernel))
+        cosets = group.mul_many(todo[:step, None], kernel)
+        first[cosets] = cosets.min(axis=1, keepdims=True)
+        todo = todo[first[todo] < 0]
+    reps = np.flatnonzero(first == np.arange(group.order))
+    number = np.empty(group.order, dtype=np.int32)
+    number[reps] = np.arange(len(reps))
+    return number[first], reps
 
 
 def _commutators(group: FiniteGroup, gs, ls) -> np.ndarray:
@@ -316,47 +330,65 @@ class NormalLattice:
 
     @property
     def comm_index(self) -> np.ndarray:
+        """Position of [G, N] for every member N.
+
+        [G, AB] = [G, A][G, B] for normal A and B, and every N is the
+        product of the principal members (normal closures of one class)
+        inside it, so [G, N] is the smallest member containing [G, P] for
+        each principal P <= N.  commutator_subgroup runs on the principals
+        only; the rest is a row-blocked float32 product against contains.
+        """
+
         def build() -> np.ndarray:
-            full = full_subgroup(self.group)
-            out = np.array(
-                [self.index(commutator_subgroup(self.group, full, sub)) for sub in self.subgroups],
-                dtype=np.intp,
-            )
+            group = self.group
+            full = full_subgroup(group)
+            # the first member holding a class is that class's normal closure
+            principals = np.unique(self.masks[:, np.unique(_class_labels(group))].argmax(axis=0))
+            comms = [self.index(commutator_subgroup(group, full, self.subgroups[p])) for p in principals]
+            below = self.contains[principals].T.astype(np.float32)  # [N, P]: P <= N
+            holds = self.contains[comms].astype(np.float32)  # [P, M]: [G, P] <= M
+            # members sort by order, so the first one holding them all is their join
+            out = np.concatenate([block.argmax(axis=1) for _, block in _subset_blocks(below, holds)])
             out.setflags(write=False)
             return out
 
         return self.group._cached("lattice_comm_index", build)
 
 
-# float32 entries per block of the containment product
-_CONTAINMENT_BLOCK = 1 << 22
-
-
 def _containment(group: FiniteGroup, masks: np.ndarray) -> np.ndarray:
     """contains[i, j] = (row i of masks lies inside row j), for rows that are
-    unions of conjugacy classes.  Compared on one member per class, as a
-    float32 product of row blocks (exact: counts stay far below 2^24)."""
+    unions of conjugacy classes; compared on one member per class."""
     rows = masks[:, np.unique(_class_labels(group))].astype(np.float32)
-    sizes = rows.sum(axis=1)
-    count = len(rows)
-    contains = np.empty((count, count), dtype=bool)
-    step = max(1, _CONTAINMENT_BLOCK // count)
-    for lo in range(0, count, step):
-        hi = lo + step
-        contains[lo:hi] = rows[lo:hi] @ rows.T == sizes[lo:hi, None]
+    contains = np.empty((len(rows), len(rows)), dtype=bool)
+    for lo, block in _subset_blocks(rows, rows.T):
+        contains[lo : lo + len(block)] = block
     return contains
+
+
+def _subset_blocks(rows: np.ndarray, cols: np.ndarray):
+    """Yield (lo, block) with block[i, j] true iff every entry set in row
+    lo + i of rows is set in column j of cols, for 0/1 float32 matrices: a
+    product of row blocks of at most BLOCK_ENTRIES entries (exact, since
+    counts stay far below 2^24)."""
+    sizes = rows.sum(axis=1)
+    step = max(1, BLOCK_ENTRIES // cols.shape[1])
+    for lo in range(0, len(rows), step):
+        yield lo, rows[lo : lo + step] @ cols == sizes[lo : lo + step, None]
 
 
 def normal_lattice(group: FiniteGroup) -> NormalLattice:
     """The normal subgroup lattice, built once per group.
 
     Every normal subgroup is a product of principal ones, the normal
-    closures of single conjugacy classes.  A breadth-first search from the
+    closures of single conjugacy classes; _principal_closures finds them
+    with one closure per cyclic subgroup.  A breadth-first search from the
     trivial subgroup joins each found N with each principal P; the join is
     the product set NP, the union of the N-cosets that meet P, so no join
     closes anything.  When P contains N the join is P itself, and when P
     lies in N it is N, so cosets of N are labelled only if some P is
-    incomparable with N.  Raises OrderCapExceeded when the lattice grows
+    incomparable with N.  The cosets each such P meets form one row over
+    G/N; equal rows give equal joins, so only the distinct rows are spread
+    back over G and keyed.  Raises OrderCapExceeded when the lattice grows
     past NORMAL_LATTICE_BOUND.
     """
 
@@ -364,39 +396,76 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
         rows = [np.arange(group.order) == 0]
         found = {np.packbits(rows[0]).tobytes()}
 
-        def add(mask: np.ndarray) -> None:
-            key = np.packbits(mask).tobytes()
-            if key in found:
-                return
-            if len(rows) >= NORMAL_LATTICE_BOUND:
-                raise OrderCapExceeded(
-                    f"normal subgroup lattice exceeds {NORMAL_LATTICE_BOUND} entries"
-                )
-            found.add(key)
-            rows.append(mask)
+        def add(block: np.ndarray) -> None:
+            for mask, key in zip(block, np.packbits(block, axis=1)):
+                key = key.tobytes()
+                if key in found:
+                    continue
+                if len(rows) >= NORMAL_LATTICE_BOUND:
+                    raise OrderCapExceeded(
+                        f"normal subgroup lattice exceeds {NORMAL_LATTICE_BOUND} entries"
+                    )
+                found.add(key)
+                rows.append(mask)
 
-        for cls in conjugacy_classes(group)[1:]:  # the first class is {e}
-            add(_closure(group, cls)[0])
-        principals = np.array(rows[1:], dtype=bool).reshape(-1, group.order)
-        as_float = principals.astype(np.float32)
-        sizes = principals.sum(axis=1)
+        add(_principal_closures(group))
+        count = len(rows) - 1
+        which, members = np.nonzero(np.array(rows[1:], dtype=bool).reshape(count, group.order))
+        sizes = np.bincount(which, minlength=count)
         k = 1
         while k < len(rows):
             mask = rows[k]
             k += 1
-            meet = as_float @ mask  # |P n N| for every principal P
+            meet = np.bincount(which, weights=mask[members], minlength=count)  # |P n N|
             apart = (meet < sizes) & (meet < mask.sum())
             if not apart.any():
                 continue
             labels, reps = _coset_labels(group, np.flatnonzero(mask))
-            which, members = np.nonzero(principals[apart])
-            hit = np.zeros((int(apart.sum()), len(reps)), dtype=bool)
-            hit[which, labels[members]] = True
-            for joined in hit[:, labels]:
-                add(joined)
+            pick = apart[which]
+            hit = np.zeros((count, len(reps)), dtype=bool)
+            hit[which[pick], labels[members[pick]]] = True
+            add(_distinct_rows(hit[apart])[:, labels])
         return NormalLattice(group, np.array(rows))
 
     return group._cached("normal_lattice", build)
+
+
+def _principal_closures(group: FiniteGroup) -> np.ndarray:
+    """Rows holding the normal closure of every nontrivial conjugacy class,
+    one _closure per cyclic subgroup.
+
+    x and x^k with gcd(k, ord x) = 1 generate the same cyclic subgroup, so
+    their classes have the same normal closure: after closing the class of
+    x, the classes of those powers, read off the class labels, are done.
+    """
+    labels = _class_labels(group)
+    done = np.zeros(group.order, dtype=bool)
+    closures = []
+    for cls in conjugacy_classes(group)[1:]:  # the first class is {e}
+        if done[cls[0]]:
+            continue
+        powers = _powers(group, cls[0])
+        m = len(powers)
+        done[labels[powers[np.gcd(np.arange(m), m) == 1]]] = True
+        closures.append(_closure(group, cls)[0])
+    return np.array(closures, dtype=bool).reshape(-1, group.order)
+
+
+def _powers(group: FiniteGroup, x: int) -> np.ndarray:
+    """x^0, x^1, ..., x^(m-1) for the order m of x; each mul_many call
+    doubles the list."""
+    powers = np.array([0, x])
+    while not (powers[1:] == 0).any():
+        powers = np.concatenate([powers, group.mul_many(powers, group.mul(int(powers[-1]), x))])
+    return powers[: 1 + int(np.argmax(powers[1:] == 0))]
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a bool matrix, from one np.unique over the
+    packed rows."""
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    return rows[np.unique(keys, return_index=True)[1]]
 
 
 def all_normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:

@@ -38,6 +38,16 @@ def catalog24(catalog):
     return [(name, g) for name, g in catalog if g.order <= 24]
 
 
+# wide lattices, and large cyclic and dihedral groups with many classes per
+# cyclic subgroup, beside the catalog in the normal-lattice reference checks
+LATTICE_SPECS = ("C2 x C2 x C2 x C2 x C2", "C2 x C2 x C2 x C4", "C4 x C4 x C2", "D2000", "C4000")
+
+
+@pytest.fixture(scope="session")
+def lattice_groups(catalog):
+    return list(catalog) + [(text, group(text)) for text in LATTICE_SPECS]
+
+
 def group(text):
     return build_group(parse_group_spec(text))
 
@@ -305,3 +315,70 @@ def reference_full_symmetric_centralizer(action):
         garr = np.asarray(g, dtype=np.int8)
         mask &= (everyone[:, garr] == garr[everyone]).all(axis=1)
     return tuple(tuple(int(v) for v in row) for row in everyone[mask])
+
+
+def reference_principal_closures(g):
+    """The normal closure of every nontrivial conjugacy class, as a set of
+    packed masks, with one _closure per class as normal_lattice found its
+    principal subgroups before it closed one class per cyclic subgroup."""
+    from topolab.subgroups import _closure, conjugacy_classes
+
+    return {np.packbits(_closure(g, cls)[0]).tobytes() for cls in conjugacy_classes(g)[1:]}
+
+
+def reference_coset_labels(g, kernel):
+    """Coset numbers and smallest members modulo a normal subgroup given by
+    its element ids, as _coset_labels found them before it labelled cosets
+    in blocks: a pass over the ids with one mul_many call per coset."""
+    labels = np.full(g.order, -1, dtype=np.int32)
+    reps = []
+    for x in range(g.order):
+        if labels[x] < 0:
+            labels[g.mul_many(x, kernel)] = len(reps)
+            reps.append(x)
+    return labels, reps
+
+
+def reference_comm_index(g, lattice):
+    """Position of [G, N] for every lattice member N, with one
+    commutator_subgroup call per member, as NormalLattice.comm_index was
+    built before it read [G, N] off the principal members."""
+    from topolab.subgroups import commutator_subgroup, full_subgroup
+
+    full = full_subgroup(g)
+    return [lattice.index(commutator_subgroup(g, full, sub)) for sub in lattice.subgroups]
+
+
+def reference_lattice_dot(g):
+    """The DOT text of emit_lattice_dot as it was built before it walked
+    the containment matrix in row blocks: dense |L| x |L| matrices, covers
+    one row at a time and the commutator chain one column at a time."""
+    from topolab.subgroups import normal_lattice
+
+    lattice = normal_lattice(g)
+    count = len(lattice.subgroups)
+    above = lattice.contains.copy()
+    np.fill_diagonal(above, False)  # above[i, j]: N_i strictly inside N_j
+    covers = np.empty_like(above)
+    for i in range(count):
+        up = above[i]
+        covers[i] = up & ~above[up].any(axis=0)
+    comm = lattice.comm_index
+    steps = np.zeros((count, count), dtype=np.int8)
+    for j in range(count):
+        chain = [comm[j]]
+        while comm[chain[-1]] != chain[-1]:
+            chain.append(comm[chain[-1]])
+        inside = lattice.contains[chain]  # inside[t, i]: term t lies in N_i
+        steps[:, j] = np.where(inside.any(axis=0), inside.argmax(axis=0) + 1, 0)
+    steps[~above] = 0
+    lines = ["digraph lattice {", "  rankdir=BT;"]
+    for k, sub in enumerate(lattice.subgroups):
+        lines.append(f'  n{k} [label="N#{k} (order {sub.order})"];')
+    for i, j in zip(*(idx.tolist() for idx in np.nonzero(covers))):
+        lines.append(f"  n{i} -> n{j};")
+    dashed = np.nonzero(steps)
+    for i, j, n in zip(*(idx.tolist() for idx in dashed), steps[dashed].tolist()):
+        lines.append(f'  n{i} -> n{j} [style=dashed, label="semi:{n}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

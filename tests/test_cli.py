@@ -227,3 +227,19 @@ def test_huge_point_in_perm_generators_is_rejected_before_building():
     result = _run_in_1gb("perm", "--degree", "5", "--gens", "(99999999 1)")
     assert result.returncode == 2
     assert result.stderr == "error: syntax error at position 0: cycles mention point 99999999\n"
+
+
+def test_many_generators_of_a_huge_degree_hit_the_entry_cap():
+    # 3000 generators on 100000 points would be 3000 image tuples of 100000
+    # entries each before the group is built
+    gens = ",".join(f"(99999 {i})" for i in range(1, 3001))
+    cap_line = (
+        "error: perm spec with 3000 generators of degree 100000 "
+        "is above the cap (1000000 image entries)\n"
+    )
+    result = _run_in_1gb("classify", f"perm[{gens}]")
+    assert result.returncode == 3
+    assert result.stderr == cap_line
+    result = _run_in_1gb("perm", "--degree", "100000", "--gens", gens)
+    assert result.returncode == 3
+    assert result.stderr == cap_line

@@ -181,3 +181,29 @@ def test_comm_index_matches_commutator_subgroup_and_brute_force(catalog24):
             assert via_index == commutator_subgroup(g, full, sub), (name, k)
             brute = brute_commutator_subgroup(g, g.elements(), sub.elements)
             assert list(via_index.elements) == brute, (name, k)
+
+
+def test_dot_matches_the_dense_reference(lattice_groups):
+    from conftest import reference_lattice_dot
+
+    for name, g in lattice_groups:
+        assert emit_lattice_dot(g) == reference_lattice_dot(g), name
+
+
+def test_comm_index_and_dot_keep_their_temporaries_blocked():
+    import tracemalloc
+
+    from topolab.subgroups import normal_lattice
+
+    # C2^6 has 2825 normal subgroups: one dense 2825 x 2825 float32 product
+    # takes 32 MB, and the DOT text itself about 5 MB
+    g = group("C2 x C2 x C2 x C2 x C2 x C2")
+    lattice = normal_lattice(g)
+    tracemalloc.start()
+    try:
+        lattice.comm_index
+        emit_lattice_dot(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak

@@ -13,6 +13,9 @@ from conftest import (
     find_element,
     group,
     oracle_normal_subgroups,
+    reference_coset_labels,
+    reference_comm_index,
+    reference_principal_closures,
     reference_quotient_center,
     reference_small_generating_set,
 )
@@ -39,6 +42,8 @@ from topolab.subgroups import (
     Subgroup,
     _class_labels,
     _closure,
+    _coset_labels,
+    _principal_closures,
     normal_lattice,
     trivial_subgroup,
 )
@@ -460,3 +465,27 @@ def test_cache_keys_hold_no_element_tuples(text):
         assert isinstance(key, str) or (
             len(key) == 2 and isinstance(key[0], str) and isinstance(key[1], (bytes, int))
         ), key
+
+
+def test_principal_closures_match_one_closure_per_class(lattice_groups):
+    for name, g in lattice_groups:
+        got = {np.packbits(row).tobytes() for row in _principal_closures(g)}
+        assert got == reference_principal_closures(g), name
+
+
+def test_coset_labels_match_the_per_coset_loop(lattice_groups):
+    for name, g in lattice_groups:
+        for sub in normal_lattice(g).subgroups:
+            kernel = np.flatnonzero(sub.mask)
+            labels, reps = _coset_labels(g, kernel)
+            expected, expected_reps = reference_coset_labels(g, kernel)
+            assert np.array_equal(labels, expected), (name, sub.order)
+            assert reps.tolist() == expected_reps, (name, sub.order)
+            if g.order <= 64:
+                assert np.array_equal(quotient_group(g, sub).projection, expected), (name, sub.order)
+
+
+def test_comm_index_matches_one_commutator_subgroup_per_member(lattice_groups):
+    for name, g in lattice_groups:
+        lattice = normal_lattice(g)
+        assert lattice.comm_index.tolist() == reference_comm_index(g, lattice), name
