@@ -156,26 +156,29 @@ def _cmd_semitop(args: argparse.Namespace) -> int:
             )
     tau = make_topology(group, normals[args.from_index])
     sigma = make_topology(group, normals[args.to_index])
-    print(
+    # printed only once decided: a pair that is not nested writes no stdout
+    lines = [
         f"tau = zeta_N#{args.from_index} (kernel order {tau.kernel.order}), "
         f"sigma = zeta_N#{args.to_index} (kernel order {sigma.kernel.order})"
-    )
+    ]
     if args.steps:
         result = min_steps(tau, sigma)
         if result.steps is None:
-            print("steps: none (the commutator iteration stalls outside the kernel)")
+            lines.append("steps: none (the commutator iteration stalls outside the kernel)")
         else:
             orders = ", ".join(str(s.order) for s in result.chain)
-            print(f"steps: {result.steps}")
-            print(f"chain kernel orders: [{orders}]")
+            lines += [f"steps: {result.steps}", f"chain kernel orders: [{orders}]"]
     else:
         verdict = is_semitopological(tau, sigma)
         oracle = is_semitopological_oracle(tau, sigma)
-        print(f"semitopological: {_flag(verdict.is_semitopological)}")
-        print(f"oracle agrees: {_flag(verdict.is_semitopological == oracle)}")
+        lines += [
+            f"semitopological: {_flag(verdict.is_semitopological)}",
+            f"oracle agrees: {_flag(verdict.is_semitopological == oracle)}",
+        ]
         if verdict.violating_pair is not None:
             g, l = verdict.violating_pair
-            print(f"violating pair: g={g}, l={l} ([g,l] outside the kernel)")
+            lines.append(f"violating pair: g={g}, l={l} ([g,l] outside the kernel)")
+    print("\n".join(lines))
     return 0
 
 

@@ -32,8 +32,10 @@ DEFAULT_ORDER_CAP = 20_000
 TABLE_LIMIT = 4096
 _ASSOC_EXHAUSTIVE_LIMIT = 128
 _ASSOC_SAMPLES = 10_000
-# permutation entries per block of the inverse-law check
-_INVERSE_BLOCK = 1 << 20
+# entries per block of the temporaries that grow with |G| x degree, with
+# |G| x |N| or with the square of the lattice size: the inverse-law check,
+# coset rows, and the containment, [G, N] and DOT products
+BLOCK_ENTRIES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +194,7 @@ class FiniteGroup:
                 if self._table is None:
                     ids = np.arange(self.order)
                     built = cayley_table(
-                        self.order, [self._product_ids(ids, g) for g in self.generator_ids]
+                        self.order, [self._product_ids(g, ids) for g in self.generator_ids]
                     )
                     built.setflags(write=False)
                     self._table = built
@@ -214,10 +216,6 @@ class FiniteGroup:
 
     def inv(self, x: int) -> int:
         return int(self.inverses[x])
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
 
     def commutator(self, x: int, y: int) -> int:
         """[x, y] = x y x^-1 y^-1."""
@@ -288,10 +286,6 @@ class FiniteGroup:
 
     # -- product metadata ----------------------------------------------------
 
-    @property
-    def factors(self) -> Optional[tuple["FiniteGroup", "FiniteGroup"]]:
-        return self._factors
-
     def pair_id(self, x1: int, x2: int) -> int:
         """Element id of (x1, x2) in a direct product group."""
         if self._factors is None:
@@ -301,14 +295,6 @@ class FiniteGroup:
             [g1.perms[x1].astype(np.int64), g2.perms[x2].astype(np.int64) + g1.degree]
         )
         return int(self._lookup(combined))
-
-    def component_ids(self, x: int) -> tuple[int, int]:
-        """Factor element ids of a direct product element."""
-        if self._factors is None:
-            raise ValueError("not a direct product")
-        g1, g2 = self._factors
-        row = self.perms[x].astype(np.int64)
-        return int(g1._lookup(row[: g1.degree])), int(g2._lookup(row[g1.degree :] - g1.degree))
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -351,24 +337,24 @@ def _base_index(perms: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.asarray(base, dtype=np.intp), levels
 
 
-def cayley_table(n: int, rmul: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense table of a group of order n from right multiplication by each
-    generator (rmul[i][x] = x * g_i).  Columns are filled along a
-    breadth-first tree over generator words: if y = p * g_i, column y is
-    rmul[i] applied to column p."""
+def cayley_table(n: int, lmul: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense table of a group of order n from left multiplication by each
+    generator (lmul[i][x] = g_i * x).  Rows are filled along a
+    breadth-first tree over generator words: if y = g_i * p, row y is
+    lmul[i] applied to row p."""
     table = np.empty((n, n), dtype=np.int32)
-    table[:, 0] = np.arange(n, dtype=np.int32)
+    table[0] = np.arange(n, dtype=np.int32)
     done = np.zeros(n, dtype=bool)
     done[0] = True
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
         grown = []
-        for r in rmul:
-            images = r[frontier]
+        for left in lmul:
+            images = left[frontier]
             fresh = ~done[images]
             ys, first = np.unique(images[fresh], return_index=True)
             done[ys] = True
-            table[:, ys] = r[table[:, frontier[fresh][first]]]
+            table[ys] = left[table[frontier[fresh][first]]]
             grown.append(ys)
         frontier = np.concatenate(grown) if grown else frontier[:0]
     if not done.all():
@@ -555,7 +541,7 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
     if not np.array_equal(np.sort(group.inverses), np.arange(n)):
         raise InvalidSpec("inverse map is not a bijection")
     # x x^-1 on full rows, a block at a time: no whole copy of perms
-    step = max(1, _INVERSE_BLOCK // group.degree)
+    step = max(1, BLOCK_ENTRIES // group.degree)
     for lo in range(0, n, step):
         inverse_rows = group.perms[group.inverses[lo : lo + step]]
         composed = np.take_along_axis(group.perms[lo : lo + step], inverse_rows, axis=1)

@@ -8,9 +8,9 @@ import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from .classify import ClassificationReport
-from .groups import FiniteGroup
+from .groups import BLOCK_ENTRIES, FiniteGroup
 from .specparse import print_group_spec
-from .subgroups import BLOCK_ENTRIES, normal_lattice
+from .subgroups import normal_lattice
 
 
 def report_payload(report: ClassificationReport, *, seed: int) -> dict:
@@ -60,11 +60,14 @@ def emit_lattice_dot(group: FiniteGroup) -> str:
     strictly nested pair whose identity map (zeta_N, zeta_L) is n-step
     semitopological for some finite n.  Both are read off the lattice's
     containment matrix at the strictly nested pairs, a block of rows N at a
-    time.  L covers N unless L lies in the OR of the packed rows "strictly
-    above K" over every K strictly above N.  n is the first term of the
-    commutator chain [G, L], [G, [G, L]], ... (walked on comm_index) that
-    lies in N, as in semitop.min_steps; every chain is walked at once, and
-    each term is one gather of the containment matrix at the block's pairs.
+    time.  Normal subgroups form a modular lattice, so by the Jordan-Dedekind
+    chain condition every maximal chain between two members has the same
+    length: L covers N iff N < L and L is one level above N, the level of a
+    member being the length of the longest chain up to it from {e}.  n is
+    the first term of the commutator chain [G, L], [G, [G, L]], ... (walked
+    on comm_index) that lies in N, as in semitop.min_steps; every chain is
+    walked at once, and each term is one gather of the containment matrix
+    at the block's pairs.
     """
     lattice = normal_lattice(group)
     contains, count = lattice.contains, len(lattice.subgroups)
@@ -72,19 +75,20 @@ def emit_lattice_dot(group: FiniteGroup) -> str:
     chain = [comm]  # chain[t][j]: term t + 1 of the chain from N_j
     while not np.array_equal(comm[chain[-1]], chain[-1]):
         chain.append(comm[chain[-1]])
-    # packed[i]: the N_j strictly above N_i, one bit each (the diagonal of
-    # contains is set, so the XOR clears it)
-    packed = np.packbits(contains, axis=1)
-    ids = np.arange(count)
-    packed[ids, ids >> 3] ^= (0x80 >> (ids & 7)).astype(np.uint8)
+    # members are sorted by order, so every strict subgroup of N_i comes
+    # before it: height[i] is final when row i lifts the members above it
+    height = np.zeros(count, dtype=np.int32)
+    for i in range(count):
+        above = height[i + 1 :]
+        np.maximum(above, height[i] + 1, out=above, where=contains[i, i + 1 :])
     step = max(1, BLOCK_ENTRIES // count)
     solid, dashed = [], []  # one string per block
     for lo in range(0, count, step):
-        above = np.unpackbits(packed[lo : lo + step], axis=1, count=count)
-        rows, cols = np.nonzero(above)
-        through = _through(rows, cols, packed, len(above))
-        cover = (through[rows, cols >> 3] >> (7 - (cols & 7))) & 1 == 0
+        rows, cols = np.nonzero(contains[lo : lo + step])
         rows += lo
+        strict = rows != cols
+        rows, cols = rows[strict], cols[strict]
+        cover = height[cols] == height[rows] + 1
         solid.append("".join(
             f"  n{i} -> n{j};\n" for i, j in zip(rows[cover].tolist(), cols[cover].tolist())
         ))
@@ -100,16 +104,3 @@ def emit_lattice_dot(group: FiniteGroup) -> str:
         f'  n{k} [label="N#{k} (order {sub.order})"];\n' for k, sub in enumerate(lattice.subgroups)
     )
     return "".join(["digraph lattice {\n  rankdir=BT;\n", nodes, *solid, *dashed, "}\n"])
-
-
-def _through(rows: np.ndarray, cols: np.ndarray, packed: np.ndarray, height: int) -> np.ndarray:
-    """Packed, for each of height rows: the OR of the packed rows cols over
-    its pairs (rows sorted), in runs of at most BLOCK_ENTRIES bytes."""
-    through = np.zeros((height, packed.shape[1]), dtype=np.uint8)
-    run = max(1, BLOCK_ENTRIES // packed.shape[1])
-    for lo in range(0, len(rows), run):
-        r, c = rows[lo : lo + run], cols[lo : lo + run]
-        starts = np.flatnonzero(np.diff(r, prepend=-1))
-        # r[starts] has no repeats, so the in-place OR touches each row once
-        through[r[starts]] |= np.bitwise_or.reduceat(packed[c], starts, axis=0)
-    return through

@@ -25,15 +25,11 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import NotNormal, OrderCapExceeded
-from .groups import FiniteGroup, cayley_table, center, group_from_table
+from .groups import BLOCK_ENTRIES, FiniteGroup, cayley_table, center, group_from_table
 
 # ceiling on the normal-lattice size; elementary-abelian inputs can have
 # astronomically many normal subgroups and must fail fast instead of hanging
 NORMAL_LATTICE_BOUND = 4096
-
-# entries per block of the temporaries that grow with |G| x |N| or with the
-# square of the lattice size: containment, [G, N] and DOT products, coset rows
-BLOCK_ENTRIES = 1 << 20
 
 
 class Subgroup:
@@ -578,9 +574,9 @@ def quotient_group(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
             img = int(proj[g])
             if img != 0 and img not in gen_images:
                 gen_images[img] = g
-        # right multiplication by each generator image, on coset numbers
-        rmul = [proj[group.mul_many(reps, g)] for g in gen_images.values()]
-        target = group_from_table(cayley_table(len(reps), rmul), tuple(gen_images))
+        # left multiplication by each generator image, on coset numbers
+        lmul = [proj[group.mul_many(g, reps)] for g in gen_images.values()]
+        target = group_from_table(cayley_table(len(reps), lmul), tuple(gen_images))
         return QuotientMap(group, target, kernel, proj)
 
     return group._cached(("quotient", kernel.packed), build)

@@ -199,6 +199,30 @@ def reference_bfs_enumerate(degree, gens, order_cap):
     return np.vstack(perms), tuple(index[g.tobytes()] for g in gen_arrays)
 
 
+def reference_cayley_table(n, rmul):
+    """Dense table of a group of order n from right multiplication by each
+    generator (rmul[i][x] = x * g_i), as groups.cayley_table filled it
+    before it went row-wise: one strided column per breadth-first tree
+    node, column y = rmul[i] applied to column p when y = p * g_i."""
+    table = np.empty((n, n), dtype=np.int32)
+    table[:, 0] = np.arange(n, dtype=np.int32)
+    done = np.zeros(n, dtype=bool)
+    done[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        grown = []
+        for r in rmul:
+            images = r[frontier]
+            fresh = ~done[images]
+            ys, first = np.unique(images[fresh], return_index=True)
+            done[ys] = True
+            table[:, ys] = r[table[:, frontier[fresh][first]]]
+            grown.append(ys)
+        frontier = np.concatenate(grown) if grown else frontier[:0]
+    assert done.all()
+    return table
+
+
 def reference_tuple_closure(degree, generators):
     """The subgroup of S(degree) generated by image tuples, closed with
     Python tuples as PermAction did before it was built on FiniteGroup:

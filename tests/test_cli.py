@@ -66,8 +66,11 @@ def test_semitop_command():
 
 
 def test_semitop_not_comparable_exit_code():
-    result = run_cli("semitop", "S4", "--from", "2", "--to", "1")
-    assert result.returncode == 1
+    for extra in ((), ("--steps",)):
+        result = run_cli("semitop", "S4", "--from", "2", "--to", "1", *extra)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
 
 
 def test_lattice_command(tmp_path):

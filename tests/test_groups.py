@@ -12,6 +12,7 @@ from conftest import (
     group,
     reference_base_index,
     reference_bfs_enumerate,
+    reference_cayley_table,
     reference_ids,
 )
 from topolab import (
@@ -30,7 +31,9 @@ from topolab import (
     centralizer,
     commutator,
     invert,
+    all_normal_subgroups,
     multiply,
+    quotient_group,
     spec_order,
 )
 from topolab import groups
@@ -236,12 +239,17 @@ def test_small_group_table_matches_permutations():
 
 
 def test_product_component_roundtrip():
-    g = group("S3 x C4")
-    g1, g2 = g.factors
-    assert (g1.order, g2.order) == (6, 4)
-    for x in g.elements():
-        a, b = g.component_ids(x)
-        assert g.pair_id(a, b) == x
+    # factor numbering is canonical, so fresh builds of S3 and C4 number the
+    # product's factors; pair (a, b) acts as a on the first 3 points and as
+    # b on the last 4
+    g, g1, g2 = group("S3 x C4"), group("S3"), group("C4")
+    pairs = [(a, b) for a in g1.elements() for b in g2.elements()]
+    ids = [g.pair_id(a, b) for a, b in pairs]
+    assert sorted(ids) == list(g.elements())
+    for (a, b), x in zip(pairs, ids):
+        perm = g.element_perm(x)
+        assert perm[:3] == g1.element_perm(a)
+        assert tuple(v - 3 for v in perm[3:]) == g2.element_perm(b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -491,3 +499,20 @@ def test_inverse_law_check_reads_full_rows():
     assert bent.inverses.tolist() == s3.inverses.tolist()
     with pytest.raises(InvalidSpec, match="inverse law"):
         groups._smoke_check(bent, 0)
+
+
+def test_row_fill_of_the_table_matches_the_column_fill(lattice_groups):
+    # every group of the normal-lattice checks that has a table (the
+    # catalog, D2000, C4000 and wide abelian products), then quotients
+    for name, g in lattice_groups:
+        ids = np.arange(g.order)
+        rmul = [g._product_ids(ids, s) for s in g.generator_ids]
+        assert np.array_equal(g.table, reference_cayley_table(g.order, rmul)), name
+    for text, index in (("S4", 1), ("Q8 x D8", 3), ("D2000", 2)):
+        g = group(text)
+        quotient = quotient_group(g, all_normal_subgroups(g)[index])
+        proj = quotient.projection
+        reps = np.unique(proj, return_index=True)[1]
+        rmul = [proj[g.mul_many(reps, s)] for s in g.generator_ids]
+        expected = reference_cayley_table(len(reps), rmul)
+        assert np.array_equal(quotient.target.table, expected), text

@@ -325,7 +325,7 @@ def test_are_conjugate_examples():
     stab0 = Subgroup(s4, [x for x in s4.elements() if s4.element_perm(x)[0] == 0])
     ok, witness = are_conjugate(ambient, stab3, stab0)
     assert ok
-    conj = {s4.conjugate(witness, x) for x in stab3.elements}
+    conj = set(s4.conj_map(witness)[list(stab3.elements)].tolist())
     assert conj == stab0.element_set
 
     dbl = find_element(s4, (1, 0, 3, 2))
