@@ -231,7 +231,7 @@ def _cmd_perm(args: argparse.Namespace) -> int:
     print(f"group order: {action.order}")
     print(f"orbits: {' '.join('{' + ' '.join(map(str, o)) + '}' for o in data.orbits)}")
     for rep in data.representatives:
-        print(f"stabilizer at {rep}: order {len(data.stabilizers[rep])}")
+        print(f"stabilizer at {rep}: order {data.stabilizers[rep].order}")
     lemma_ok: Optional[bool] = None
     if args.check_lemma:
         lemma_ok, failure = lemma_trivial_centralizer(action)

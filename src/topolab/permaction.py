@@ -4,11 +4,14 @@ and the criterion for c_{S(X)}(H) to be trivial.
 The criterion: the centralizer of H inside the full symmetric group is
 trivial iff (a) every point stabilizer at an orbit representative is
 self-normalizing in H, and (b) stabilizers at distinct representatives are
-never conjugate in H.  Because conjugates of point stabilizers are again
-point stabilizers (S_x^h = S_{h^-1(x)}), both conditions reduce to set
-comparisons among the stabilizers along orbits, and each failure yields an
-explicit non-identity permutation commuting with H, built along
-transversals read off one column of the element rows.
+never conjugate in H.  It rests on c_{S(X)}(H) being N_H(H_x)/H_x for
+transitive H (Dixon & Mortimer, *Permutation Groups*, GTM 163, Thm 4.2A).
+Because conjugates of point stabilizers are again point stabilizers
+(S_x^h = S_{h^-1(x)}), both conditions reduce to equalities among the
+stabilizers along orbits, which are Subgroup masks compared by their packed
+bytes, and each failure yields an explicit non-identity permutation
+commuting with H, built along transversals read off one column of the
+element rows.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from .errors import DegreeTooLarge, InternalInconsistency
 from .groups import FiniteGroup, PermSpec, build_group
+from .subgroups import Subgroup
 
 # above groups.DEFAULT_ORDER_CAP: S8 (order 40320) is a supported action
 MATERIALIZATION_CAP = 100_000
@@ -77,11 +81,6 @@ class PermAction:
         perms = self.group.perms
         return perms == np.arange(self.degree, dtype=perms.dtype)
 
-    def point_stabilizers(self) -> dict[int, frozenset[int]]:
-        """For every point, the set of element indices fixing it."""
-        fixed = self.fixed_points()
-        return {pt: frozenset(np.flatnonzero(fixed[:, pt]).tolist()) for pt in range(self.degree)}
-
     def __repr__(self) -> str:
         return f"PermAction(degree={self.degree}, generators={len(self.generators)})"
 
@@ -89,11 +88,11 @@ class PermAction:
 @dataclass(frozen=True)
 class OrbitData:
     """Orbit partition with smallest-point representatives and their
-    stabilizers (as tuples of permutations)."""
+    stabilizers, as Subgroup masks of the action's group."""
 
     orbits: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
-    stabilizers: dict[int, tuple[Perm, ...]]
+    stabilizers: dict[int, Subgroup]
 
 
 @dataclass(frozen=True)
@@ -128,14 +127,13 @@ def _orbit_partition(action: PermAction) -> tuple[tuple[int, ...], ...]:
 
 def orbit_data(action: PermAction) -> OrbitData:
     """Orbits, representatives, and representative stabilizers."""
-    perms = action.group.perms
     fixed = action.fixed_points()
     orbits = _orbit_partition(action)
     reps = tuple(orbit[0] for orbit in orbits)
     stabilizers = {}
     for orbit, rep in zip(orbits, reps):
-        stab = tuple(map(tuple, perms[fixed[:, rep]].tolist()))
-        if len(orbit) * len(stab) != action.order:
+        stab = Subgroup(action.group, fixed[:, rep])
+        if len(orbit) * stab.order != action.order:
             raise InternalInconsistency("orbit-stabilizer arithmetic fails")
         stabilizers[rep] = stab
     return OrbitData(orbits, reps, stabilizers)
@@ -177,40 +175,36 @@ def lemma_trivial_centralizer(
 
     Conjugate-stabilizer failures across distinct orbits (condition b) are
     reported in preference to self-normalizing failures (condition a);
-    within a condition the smallest representatives win.
+    within a condition the smallest representatives win, then orbit order.
+    One pass keys every point by its stabilizer's packed mask (the bytes of
+    Subgroup.packed), listing the (orbit index, point) pairs under each key
+    in orbit order; while (b) holds, no earlier orbit has a point under a
+    representative's key, so each list is read once from its own orbit on.
     """
-    fixed = action.fixed_points()
-    stabs = [fixed[:, pt].tobytes() for pt in range(action.degree)]
+    keys = np.ascontiguousarray(np.packbits(action.fixed_points(), axis=0).T)
     orbits = _orbit_partition(action)
-    reps = [orbit[0] for orbit in orbits]
+    holders: dict[bytes, list[tuple[int, int]]] = {}
+    for i, orbit in enumerate(orbits):
+        for pt in orbit:
+            holders.setdefault(keys[pt].tobytes(), []).append((i, pt))
+    same = [holders[keys[orbit[0]].tobytes()] for orbit in orbits]
 
     # (b): S_x conjugate to S_z in H  <=>  some point of O(z) has stabilizer
     # equal (as a set) to S_x, since conjugates of point stabilizers are the
     # stabilizers along the orbit.
-    for i, x in enumerate(reps):
-        for z, orbit_z in ((reps[j], orbits[j]) for j in range(i + 1, len(reps))):
-            for y in orbit_z:
-                if stabs[y] == stabs[x]:
-                    return False, LemmaFailure(
-                        condition="b",
-                        representative=x,
-                        other_representative=z,
-                        paired_point=y,
-                        conjugator=_first_mapping(action, y, z),
-                    )
+    for i, orbit in enumerate(orbits):
+        j, y = next(((j, y) for j, y in same[i] if j > i), (None, None))
+        if j is not None:
+            z = orbits[j][0]
+            return False, LemmaFailure("b", orbit[0], z, y, _first_mapping(action, y, z))
 
     # (a): S_x self-normalizing  <=>  no other point of O(x) shares the
     # exact stabilizer set.
-    for x, orbit in zip(reps, orbits):
-        for y in orbit:
-            if y != x and stabs[y] == stabs[x]:
-                return False, LemmaFailure(
-                    condition="a",
-                    representative=x,
-                    other_representative=None,
-                    paired_point=y,
-                    conjugator=_first_mapping(action, y, x),
-                )
+    for i, orbit in enumerate(orbits):
+        x = orbit[0]
+        y = next((y for j, y in same[i] if j == i and y != x), None)
+        if y is not None:
+            return False, LemmaFailure("a", x, None, y, _first_mapping(action, y, x))
     return True, None
 
 

@@ -329,6 +329,72 @@ def reference_transversal(action, root):
     return reached
 
 
+def c2_power_gens(k):
+    """The --gens text of the C2^k action: k generators on 2(2^k - 1)
+    points, generator i swapping 2(c-1) and 2(c-1)+1 for every c in
+    1..2^k-1 with bit i set, so each pair is an orbit with a stabilizer of
+    its own."""
+    return ",".join(
+        "".join(f"({2 * c - 2} {2 * c - 1})" for c in range(1, 2**k) if c >> i & 1)
+        for i in range(k)
+    )
+
+
+def reference_orbit_data(action):
+    """Orbits, representatives and representative stabilizers as
+    permaction.orbit_data found them before stabilizers were Subgroup masks:
+    each stabilizer a tuple of permutation tuples, in element order."""
+    from topolab.errors import InternalInconsistency
+    from topolab.permaction import _orbit_partition
+
+    perms = action.group.perms
+    fixed = action.fixed_points()
+    orbits = _orbit_partition(action)
+    reps = tuple(orbit[0] for orbit in orbits)
+    stabilizers = {}
+    for orbit, rep in zip(orbits, reps):
+        stab = tuple(map(tuple, perms[fixed[:, rep]].tolist()))
+        if len(orbit) * len(stab) != action.order:
+            raise InternalInconsistency("orbit-stabilizer arithmetic fails")
+        stabilizers[rep] = stab
+    return orbits, reps, stabilizers
+
+
+def reference_lemma_trivial_centralizer(action):
+    """The trivial-centralizer criterion as permaction decided it before its
+    one pass over packed stabilizer keys: condition (b) compares stabilizer
+    bytes pair by pair over later orbits, then condition (a) within each
+    orbit, smallest representatives first."""
+    from topolab.permaction import LemmaFailure, _first_mapping, _orbit_partition
+
+    fixed = action.fixed_points()
+    stabs = [fixed[:, pt].tobytes() for pt in range(action.degree)]
+    orbits = _orbit_partition(action)
+    reps = [orbit[0] for orbit in orbits]
+    for i, x in enumerate(reps):
+        for z, orbit_z in ((reps[j], orbits[j]) for j in range(i + 1, len(reps))):
+            for y in orbit_z:
+                if stabs[y] == stabs[x]:
+                    return False, LemmaFailure(
+                        condition="b",
+                        representative=x,
+                        other_representative=z,
+                        paired_point=y,
+                        conjugator=_first_mapping(action, y, z),
+                    )
+    for x, orbit in zip(reps, orbits):
+        for y in orbit:
+            if y != x and stabs[y] == stabs[x]:
+                return False, LemmaFailure(
+                    condition="a",
+                    representative=x,
+                    other_representative=None,
+                    paired_point=y,
+                    conjugator=_first_mapping(action, y, x),
+                )
+    return True, None
+
+
 def reference_full_symmetric_centralizer(action):
     """The exhaustive centralizer of a PermAction inside S(degree) as
     permaction computed it from itertools.permutations: every permutation in

@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 
+from conftest import c2_power_gens
 from topolab import DEFAULT_ORDER_CAP
 
 
@@ -224,6 +225,18 @@ def test_huge_point_in_a_perm_spec_hits_the_perm_cap():
     result = _run_in_1gb("classify", "perm[(70000 1)]")
     assert result.returncode == 0
     assert "order: 2\n" in result.stdout
+
+
+def test_perm_stabilizers_fit_in_1gb():
+    # up to 19999 stabilizers: each must cost about order bytes, not order x degree
+    cases = [(str(2 * (2**k - 1)), c2_power_gens(k), 2**k - 1) for k in (9, 10)]
+    cases.append(("20000", "(0 1)", 19999))
+    for degree, gens, orbits in cases:
+        result = _run_in_1gb("perm", "--degree", degree, "--gens", gens, "--check-lemma")
+        assert result.returncode == 0
+        assert "Traceback" not in result.stderr
+        lines = result.stdout.splitlines()
+        assert sum(line.startswith("stabilizer at ") for line in lines) == orbits
 
 
 def test_huge_point_in_perm_generators_is_rejected_before_building():

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    c2_power_gens,
     reference_full_symmetric_centralizer,
+    reference_lemma_trivial_centralizer,
+    reference_orbit_data,
     reference_transversal,
     reference_tuple_closure,
 )
@@ -22,6 +25,7 @@ from topolab import (
 )
 from topolab import permaction
 from topolab.permaction import _compose, _first_mapping
+from topolab.specparse import parse_perm_generators
 
 
 def test_orbit_data_three_cycle_on_five_points():
@@ -29,14 +33,14 @@ def test_orbit_data_three_cycle_on_five_points():
     data = orbit_data(act)
     assert data.orbits == ((0, 1, 2), (3,), (4,))
     assert data.representatives == (0, 3, 4)
-    assert len(data.stabilizers[0]) == 1
+    assert data.stabilizers[0].order == 1
 
 
 def test_orbit_data_trivial_group():
     act = PermAction(4, [])
     data = orbit_data(act)
     assert data.orbits == ((0,), (1,), (2,), (3,))
-    assert all(len(data.stabilizers[r]) == 1 for r in data.representatives)
+    assert all(data.stabilizers[r].order == 1 for r in data.representatives)
 
 
 def test_orbit_data_natural_symmetric():
@@ -44,7 +48,7 @@ def test_orbit_data_natural_symmetric():
     data = orbit_data(act)
     assert act.order == 120
     assert data.orbits == ((0, 1, 2, 3, 4),)
-    assert len(data.stabilizers[0]) == math.factorial(4)
+    assert data.stabilizers[0].order == math.factorial(4)
 
 
 def test_full_symmetric_centralizer_examples():
@@ -118,13 +122,14 @@ def test_orbit_stabilizer_arithmetic_on_random_actions():
     for act in random_actions(6, 25, seed=11):
         data = orbit_data(act)
         for orbit, rep in zip(data.orbits, data.representatives):
-            assert len(orbit) * len(data.stabilizers[rep]) == act.order
+            assert len(orbit) * data.stabilizers[rep].order == act.order
 
 
 def test_centralizer_elements_transport_stabilizers():
     # tau in c_{S(X)}(H) satisfies S_x = tau^-1 S_{tau(x)} tau pointwise
     for act in random_actions(5, 25, seed=23):
-        stabs = act.point_stabilizers()
+        fixed = act.fixed_points()
+        stabs = [np.flatnonzero(fixed[:, x]).tolist() for x in range(5)]
         elements = act.elements
         cent = full_symmetric_centralizer(act)
         for tau in cent[:6]:
@@ -135,6 +140,26 @@ def test_centralizer_elements_transport_stabilizers():
                     for i in stabs[tau[x]]
                 }
                 assert moved == set(stabs[x])
+
+
+def test_orbit_data_and_lemma_match_the_references():
+    # the C2^k actions reach condition (a) with one stabilizer per orbit
+    actions = [act for d in range(3, 9) for act in random_actions(d, 40, seed=d)]
+    for k in range(1, 6):
+        degree = 2 * (2**k - 1)
+        actions.append(PermAction(degree, parse_perm_generators(c2_power_gens(k), degree)))
+    conditions = set()
+    for act in actions:
+        data = orbit_data(act)
+        orbits, reps, stabilizers = reference_orbit_data(act)
+        assert (data.orbits, data.representatives) == (orbits, reps)
+        ids = {h: i for i, h in enumerate(act.elements)}
+        for rep in reps:
+            assert data.stabilizers[rep].elements == tuple(ids[h] for h in stabilizers[rep])
+        result = lemma_trivial_centralizer(act)
+        assert result == reference_lemma_trivial_centralizer(act)
+        conditions.add(result[1] and result[1].condition)
+    assert conditions == {None, "a", "b"}
 
 
 def test_materialization_cap():
