@@ -33,9 +33,10 @@ TABLE_LIMIT = 4096
 _ASSOC_EXHAUSTIVE_LIMIT = 128
 _ASSOC_SAMPLES = 10_000
 # entries per block of the temporaries that grow with |G| x degree, with
-# |G| x |N| or with the square of the lattice size: the inverse-law check,
-# coset rows, and the containment, [G, N] and DOT products
+# |G| x |N| or with the square of the lattice size: closure levels, inverse
+# images and law, coset rows, and the containment, [G, N] and DOT products
 BLOCK_ENTRIES = 1 << 20
+_CLOSURE_BLOCK_ROWS = 4096  # candidate rows per closure block, each given a bytes key
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +173,12 @@ class FiniteGroup:
         if table is not None:
             self._table.setflags(write=False)
         self._base, self._levels = _base_index(perms)
-        # x^-1(b) is the point that row x sends to b: read for the base only
+        # x^-1(b) is the point that row x sends to b: base only, in row blocks
         inverse_images = np.empty((self.order, len(self._base)), dtype=np.intp)
-        for j, b in enumerate(self._base):
-            inverse_images[:, j] = (perms == b).argmax(axis=1)
+        step = max(1, BLOCK_ENTRIES // self.degree)
+        for lo in range(0, self.order, step):
+            for j, b in enumerate(self._base):
+                inverse_images[lo : lo + step, j] = (perms[lo : lo + step] == b).argmax(axis=1)
         self.inverses = self._ids(inverse_images)
         self.inverses.setflags(write=False)
         self._cache: dict = {}
@@ -307,31 +310,32 @@ def _base_index(perms: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     j) to the next state, or to the next level's dead state, its extra
     last row, when no row has them; on the last level states are row ids
     and the dead state is -1.  In a group each level has a proper multiple
-    of the states before it, so all levels hold under |G| + |base| rows."""
+    of the states before it, so all levels hold under |G| + |base| rows.
+    A point refines the states iff its rows have more distinct pairs state
+    * degree + image than there are states; a cumulative sum over a bool
+    array of the pairs numbers the next states in order, with no sort."""
     n, degree = perms.shape
     rank = np.zeros(n, dtype=np.int64)  # prefix state of each row
-    order = np.arange(n)  # rows sorted by state
-    same = np.ones(n - 1, dtype=bool)  # order[i], order[i + 1] share a state
     distinct = 1
     base: list[int] = []
     levels: list[np.ndarray] = []
     for point in range(degree):
         if distinct == n:
             break
-        # the point refines the states iff its column changes inside one
-        column = perms[order, point]
-        if not (same & (column[1:] != column[:-1])).any():
+        pairs = rank * degree + perms[:, point]
+        present = np.zeros(distinct * degree, dtype=bool)
+        present[pairs] = True
+        count = int(np.count_nonzero(present))
+        if count == distinct:
             continue
-        values, refined = np.unique(rank * degree + perms[:, point], return_inverse=True)
-        last = len(values) == n
-        level = np.full((distinct + 1, degree), -1 if last else len(values), dtype=np.int32)
-        level[rank, perms[:, point]] = np.arange(n) if last else refined.reshape(n)
+        refined = (np.cumsum(present) - 1)[pairs]
+        last = count == n
+        level = np.full((distinct + 1, degree), -1 if last else count, dtype=np.int32)
+        level.flat[pairs] = np.arange(n) if last else refined
         level.setflags(write=False)
         base.append(point)
         levels.append(level)
-        rank, distinct = refined.reshape(n), len(values)
-        order = np.argsort(rank)
-        same = rank[order[1:]] == rank[order[:-1]]
+        rank, distinct = refined, count
     if distinct != n:
         raise InvalidSpec("permutation rows are not distinct")
     return np.asarray(base, dtype=np.intp), levels
@@ -471,6 +475,19 @@ def _perm_dtype(degree: int):
     return np.uint16 if degree <= 0xFFFF else np.uint32
 
 
+def row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-D array, from one tolist of an np.void view."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
+def fresh_rows(rows: np.ndarray, seen: dict) -> list[int]:
+    """Positions of the rows whose bytes are not keys of seen, first
+    occurrences in row order, adding their keys to seen (setdefault
+    inserts a key and returns None; a dict is more compact than a set)."""
+    return [i for i, k in enumerate(row_keys(rows)) if k not in seen and seen.setdefault(k) is None]
+
+
 def _bfs_enumerate(
     degree: int, gens: Sequence[np.ndarray], order_cap: int
 ) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -478,28 +495,24 @@ def _bfs_enumerate(
 
     Candidate row i*k + j of a level is frontier[i] * step[j] (step[j] acts
     first), so scanning the candidates in row order finds new elements in
-    the order a FIFO queue over elements and generators would.
+    the order a FIFO queue over elements and generators would.  A level is
+    scanned in blocks (see fresh_rows), and the order cap is checked per
+    block, so a closure over the cap stops within one block of it.
     """
     dtype = _perm_dtype(degree)
     ident = np.arange(degree, dtype=dtype)
-    width = ident.nbytes
-    index = {ident.tobytes(): None}  # a dict is more compact than a set
+    index = {ident.tobytes(): None}
     levels = [ident[None, :]]
     step = np.asarray(gens, dtype=dtype).reshape(-1, degree)
     while len(levels[-1]) and len(step):
-        candidates = levels[-1][:, step].reshape(-1, degree)
-        raw = candidates.tobytes()
+        rows = max(1, min(_CLOSURE_BLOCK_ROWS, BLOCK_ENTRIES // degree) // len(step))
         fresh = []
-        for row in range(len(candidates)):
-            key = raw[row * width : (row + 1) * width]
-            if key not in index:
-                if len(index) >= order_cap:
-                    raise OrderCapExceeded(
-                        f"group closure exceeds the order cap ({order_cap})"
-                    )
-                index[key] = None
-                fresh.append(row)
-        levels.append(candidates[fresh])
+        for lo in range(0, len(levels[-1]), rows):
+            candidates = levels[-1][lo : lo + rows, step].reshape(-1, degree)
+            fresh.append(candidates[fresh_rows(candidates, index)])
+            if len(index) > order_cap:
+                raise OrderCapExceeded(f"group closure exceeds the order cap ({order_cap})")
+        levels.append(np.concatenate(fresh))
         if len(levels) == 2:
             # the first level is the generators without repeats or the
             # identity; later levels need only these, and generator j is
@@ -529,9 +542,11 @@ def _assemble(
 def _smoke_check(group: FiniteGroup, seed: int) -> None:
     """Identity/inverse/associativity sanity checks at construction.
 
-    Exhaustive associativity up to order 128 (on all products).  Above
-    that, seeded random triples compare (x y) z with x (y z) as ids from
-    the base-image lookup every product uses, without forcing a table
+    Up to order 128 each table entry t[x, y] must have the base images
+    x[y[base]]: base images tell the (closed) rows apart, so the table is
+    their composition law, stronger than associativity in n^2 |base| reads.
+    Above that, seeded random triples compare (x y) z with x (y z) as ids
+    from the base-image lookup every product uses, without forcing a table
     build.
     """
     n = group.order
@@ -554,11 +569,9 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
             np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))
         ):
             raise InvalidSpec("identity law fails on the table")
-        # t[t[x]][y,z] = (x y) z  and  t[x][t][y,z] = x (y z), one x at a
-        # time: two n x n arrays where all x at once would need two n^3
-        for x in range(n):
-            if not np.array_equal(t[t[x]], t[x][t]):
-                raise InvalidSpec("associativity fails")
+        base = group._base
+        if not np.array_equal(group.perms[t[..., None], base], group.perms[:, group.perms[:, base]]):
+            raise InvalidSpec("associativity fails")
         return
     # the standard library's generator: importing numpy.random costs about
     # 6 MB of resident memory in every process that builds a group

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegreeTooLarge, InternalInconsistency
-from .groups import FiniteGroup, PermSpec, build_group
+from .groups import FiniteGroup, PermSpec, build_group, row_keys
 from .subgroups import Subgroup
 
 # above groups.DEFAULT_ORDER_CAP: S8 (order 40320) is a supported action
@@ -168,6 +168,17 @@ def _first_mapping(action: PermAction, src: int, dst: int) -> Perm:
     return tuple(perms[hits[0]].tolist())
 
 
+def _stabilizer_keys(fixed: np.ndarray) -> list[bytes]:
+    """The Subgroup.packed bytes of each column of a fixed-point mask, as
+    rows 8k + b OR-ed into bit 7 - b of byte k: np.packbits(fixed, axis=0)
+    reads the mask with a stride of a whole row."""
+    packed = np.zeros(((len(fixed) + 7) // 8, fixed.shape[1]), dtype=np.uint8)
+    for b in range(8):
+        rows = fixed[b::8].view(np.uint8)
+        packed[: len(rows)] |= rows << (7 - b)
+    return row_keys(packed.T)
+
+
 def lemma_trivial_centralizer(
     action: PermAction,
 ) -> tuple[bool, Optional[LemmaFailure]]:
@@ -181,13 +192,13 @@ def lemma_trivial_centralizer(
     in orbit order; while (b) holds, no earlier orbit has a point under a
     representative's key, so each list is read once from its own orbit on.
     """
-    keys = np.ascontiguousarray(np.packbits(action.fixed_points(), axis=0).T)
+    keys = _stabilizer_keys(action.fixed_points())
     orbits = _orbit_partition(action)
     holders: dict[bytes, list[tuple[int, int]]] = {}
     for i, orbit in enumerate(orbits):
         for pt in orbit:
-            holders.setdefault(keys[pt].tobytes(), []).append((i, pt))
-    same = [holders[keys[orbit[0]].tobytes()] for orbit in orbits]
+            holders.setdefault(keys[pt], []).append((i, pt))
+    same = [holders[keys[orbit[0]]] for orbit in orbits]
 
     # (b): S_x conjugate to S_z in H  <=>  some point of O(z) has stabilizer
     # equal (as a set) to S_x, since conjugates of point stabilizers are the

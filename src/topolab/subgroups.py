@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import NotNormal, OrderCapExceeded
-from .groups import BLOCK_ENTRIES, FiniteGroup, cayley_table, center, group_from_table
+from .groups import BLOCK_ENTRIES, FiniteGroup, cayley_table, center, fresh_rows, group_from_table
 
 # ceiling on the normal-lattice size; elementary-abelian inputs can have
 # astronomically many normal subgroups and must fail fast instead of hanging
@@ -389,21 +389,19 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
     """
 
     def build() -> NormalLattice:
-        rows = [np.arange(group.order) == 0]
-        found = {np.packbits(rows[0]).tobytes()}
+        rows: list[np.ndarray] = []
+        found: dict = {}
 
         def add(block: np.ndarray) -> None:
-            for mask, key in zip(block, np.packbits(block, axis=1)):
-                key = key.tobytes()
-                if key in found:
-                    continue
-                if len(rows) >= NORMAL_LATTICE_BOUND:
-                    raise OrderCapExceeded(
-                        f"normal subgroup lattice exceeds {NORMAL_LATTICE_BOUND} entries"
-                    )
-                found.add(key)
-                rows.append(mask)
+            # row views of the block: copies of its new rows would be many
+            # small arrays
+            rows.extend(block[k] for k in fresh_rows(np.packbits(block, axis=1), found))
+            if len(rows) > NORMAL_LATTICE_BOUND:
+                raise OrderCapExceeded(
+                    f"normal subgroup lattice exceeds {NORMAL_LATTICE_BOUND} entries"
+                )
 
+        add((np.arange(group.order) == 0)[None])
         add(_principal_closures(group))
         count = len(rows) - 1
         which, members = np.nonzero(np.array(rows[1:], dtype=bool).reshape(count, group.order))
@@ -420,7 +418,8 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
             pick = apart[which]
             hit = np.zeros((count, len(reps)), dtype=bool)
             hit[which[pick], labels[members[pick]]] = True
-            add(_distinct_rows(hit[apart])[:, labels])
+            distinct = hit[apart]
+            add(distinct[fresh_rows(np.packbits(distinct, axis=1), {})][:, labels])
         return NormalLattice(group, np.array(rows))
 
     return group._cached("normal_lattice", build)
@@ -454,14 +453,6 @@ def _powers(group: FiniteGroup, x: int) -> np.ndarray:
     while not (powers[1:] == 0).any():
         powers = np.concatenate([powers, group.mul_many(powers, group.mul(int(powers[-1]), x))])
     return powers[: 1 + int(np.argmax(powers[1:] == 0))]
-
-
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a bool matrix, from one np.unique over the
-    packed rows."""
-    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    return rows[np.unique(keys, return_index=True)[1]]
 
 
 def all_normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:

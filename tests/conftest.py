@@ -299,6 +299,37 @@ def reference_base_index(perms):
     return np.asarray(base, dtype=np.intp), level_keys, sorted_ids
 
 
+def reference_sorted_transition_tables(perms):
+    """groups._base_index as it was before it went linear: one np.unique
+    per refining point relabels the pairs state * degree + image, and an
+    argsort of the states tells whether a point refines them (its column
+    changes inside one state).  Returns (base, levels)."""
+    n, degree = perms.shape
+    rank = np.zeros(n, dtype=np.int64)
+    order = np.arange(n)
+    same = np.ones(n - 1, dtype=bool)
+    distinct = 1
+    base = []
+    levels = []
+    for point in range(degree):
+        if distinct == n:
+            break
+        column = perms[order, point]
+        if not (same & (column[1:] != column[:-1])).any():
+            continue
+        values, refined = np.unique(rank * degree + perms[:, point], return_inverse=True)
+        last = len(values) == n
+        level = np.full((distinct + 1, degree), -1 if last else len(values), dtype=np.int32)
+        level[rank, perms[:, point]] = np.arange(n) if last else refined.reshape(n)
+        base.append(point)
+        levels.append(level)
+        rank, distinct = refined.reshape(n), len(values)
+        order = np.argsort(rank)
+        same = rank[order[1:]] == rank[order[:-1]]
+    assert distinct == n, "permutation rows are not distinct"
+    return np.asarray(base, dtype=np.intp), levels
+
+
 def reference_ids(perms, index, images):
     """Element ids of base images (last axis) through the searchsorted chain
     over reference_base_index(perms); ValueError for images no element has."""

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     reference_bfs_enumerate,
     reference_cayley_table,
     reference_ids,
+    reference_sorted_transition_tables,
 )
 from topolab import (
     AffineSpecialLinear,
@@ -360,6 +362,20 @@ def test_level_wise_closure_stops_at_the_cap_like_the_element_queue():
     assert gen_ids == ref_ids == (1, 2)
 
 
+def test_closure_stops_at_the_cap_inside_a_large_level():
+    # S8 by its 28 transpositions: the last level holds the 5040 8-cycles,
+    # found from 13068 x 28 candidates over many blocks
+    transpositions = []
+    for i, j in itertools.combinations(range(8), 2):
+        row = list(range(8))
+        row[i], row[j] = j, i
+        transpositions.append(tuple(row))
+    spec = PermSpec(8, tuple(transpositions))
+    with pytest.raises(OrderCapExceeded, match=r"^group closure exceeds the order cap \(40319\)$"):
+        build_group(spec, order_cap=40319)
+    assert build_group(spec, order_cap=40320).order == 40320
+
+
 def test_permutation_outside_the_group_is_rejected():
     a7 = group("A7")
     # (0 1) agrees with (0 1)(5 6) on A7's base, so only the full row tells
@@ -402,6 +418,29 @@ def test_transition_tables_agree_with_the_searchsorted_chain(lookup_groups):
         assert np.array_equal(g.inverses, reference_ids(g.perms, index, inverted))
         assert all(level.dtype == np.int32 for level in g._levels)
         assert sum(len(level) for level in g._levels) < g.order + len(g._base)
+
+
+def test_linear_base_search_gives_the_tables_of_the_sorting_search(lookup_groups):
+    s8 = PermAction(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)]).group
+    for g in lookup_groups + [s8]:
+        base, levels = reference_sorted_transition_tables(g.perms)
+        assert np.array_equal(g._base, base) and g._base.dtype == base.dtype
+        assert len(g._levels) == len(levels)
+        for got, want in zip(g._levels, levels):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_inverse_images_are_read_in_row_blocks():
+    c4000 = group("C4000")
+    tracemalloc.start()
+    try:
+        rebuilt = groups.FiniteGroup(None, c4000.perms, c4000.generator_ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rebuilt.inverses, c4000.inverses)
+    # one bool per entry of perms for each base point would be 15 MiB
+    assert peak < 4 << 20
 
 
 def _dies_at(g, images):
@@ -449,6 +488,20 @@ def test_corrupted_table_entry_fails_the_base_image_check():
         g._ids(images)
     with pytest.raises(ValueError):
         g.mul_many(x, 0)
+
+
+@pytest.mark.parametrize("text", ["Q8 x D8", "C128"])
+def test_table_check_catches_two_swapped_entries(text):
+    g = group(text)
+    assert g.order <= groups._ASSOC_EXHAUSTIVE_LIMIT
+    groups._smoke_check(g, 0)
+    # two entries of one row trade ids: the row is still a permutation of
+    # the ids and the identity laws still hold
+    table = g.table.copy()
+    table[3, [5, 6]] = table[3, [6, 5]]
+    g._table = table
+    with pytest.raises(InvalidSpec, match="associativity fails"):
+        groups._smoke_check(g, 0)
 
 
 @pytest.mark.parametrize("text", ["C256", "S7"])

@@ -23,6 +23,7 @@ from topolab import (
     orbit_data,
     random_actions,
 )
+from topolab.subgroups import Subgroup
 from topolab import permaction
 from topolab.permaction import _compose, _first_mapping
 from topolab.specparse import parse_perm_generators
@@ -140,6 +141,16 @@ def test_centralizer_elements_transport_stabilizers():
                     for i in stabs[tau[x]]
                 }
                 assert moved == set(stabs[x])
+
+
+def test_stabilizer_keys_are_the_packed_stabilizer_masks():
+    actions = [act for d in range(3, 9) for act in random_actions(d, 10, seed=d)]
+    degree = 2 * (2**10 - 1)
+    actions.append(PermAction(degree, parse_perm_generators(c2_power_gens(10), degree)))
+    for act in actions:
+        fixed = act.fixed_points()
+        keys = permaction._stabilizer_keys(fixed)
+        assert keys == [Subgroup(act.group, fixed[:, pt]).packed for pt in range(act.degree)]
 
 
 def test_orbit_data_and_lemma_match_the_references():
