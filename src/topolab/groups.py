@@ -36,7 +36,6 @@ _ASSOC_SAMPLES = 10_000
 # |G| x |N| or with the square of the lattice size: closure levels, inverse
 # images and law, coset rows, and the containment, [G, N] and DOT products
 BLOCK_ENTRIES = 1 << 20
-_CLOSURE_BLOCK_ROWS = 4096  # candidate rows per closure block, each given a bytes key
 
 
 # ---------------------------------------------------------------------------
@@ -311,33 +310,42 @@ def _base_index(perms: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     last row, when no row has them; on the last level states are row ids
     and the dead state is -1.  In a group each level has a proper multiple
     of the states before it, so all levels hold under |G| + |base| rows.
-    A point refines the states iff its rows have more distinct pairs state
-    * degree + image than there are states; a cumulative sum over a bool
-    array of the pairs numbers the next states in order, with no sort."""
+    A point refines iff its pairs state * degree + image, marked in a bool
+    array, outnumber the states; the marks in order number the next states.
+    Where marking costs more than a few reads per row, points on which all
+    rows of a state agree are first skipped in blocks: O(|G|) per point."""
     n, degree = perms.shape
-    rank = np.zeros(n, dtype=np.int64)  # prefix state of each row
-    distinct = 1
-    base: list[int] = []
-    levels: list[np.ndarray] = []
-    for point in range(degree):
-        if distinct == n:
-            break
-        pairs = rank * degree + perms[:, point]
-        present = np.zeros(distinct * degree, dtype=bool)
-        present[pairs] = True
-        count = int(np.count_nonzero(present))
-        if count == distinct:
-            continue
-        refined = (np.cumsum(present) - 1)[pairs]
-        last = count == n
-        level = np.full((distinct + 1, degree), -1 if last else count, dtype=np.int32)
-        level.flat[pairs] = np.arange(n) if last else refined
-        level.setflags(write=False)
-        base.append(point)
-        levels.append(level)
-        rank, distinct = refined, count
-    if distinct != n:
-        raise InvalidSpec("permutation rows are not distinct")
+    rank = np.zeros(n, dtype=np.int32)  # prefix state of each row
+    distinct, point, base, levels = 1, 0, [], []
+    while distinct < n and point < degree:
+        if distinct * degree > 4 * n:
+            peer = np.empty(distinct, dtype=np.intp)
+            peer[rank] = np.arange(n)
+            peer = peer[rank]  # a row with the same state
+            while point < degree:
+                block = slice(point, point + max(1, (BLOCK_ENTRIES >> 3) // n))
+                moved = np.flatnonzero((perms[peer, block] != perms[:, block]).any(axis=0))
+                if len(moved):
+                    point += int(moved[0])
+                    break
+                point = block.stop
+            else:
+                break
+        pairs = rank.astype(np.int64) * degree + perms[:, point]
+        marked = np.zeros(distinct * degree, dtype=bool)
+        marked[pairs] = True
+        keys = np.flatnonzero(marked)
+        del marked  # before the level, which is four times its size
+        if len(keys) > distinct:
+            last = len(keys) == n
+            level = np.full((distinct + 1, degree), -1 if last else len(keys), dtype=np.int32)
+            level.flat[pairs if last else keys] = np.arange(len(keys))
+            level.setflags(write=False)
+            base.append(point)
+            levels.append(level)
+            rank, distinct = level.flat[pairs], len(keys)
+        point += 1
+    _require(distinct == n, "permutation rows are not distinct")
     return np.asarray(base, dtype=np.intp), levels
 
 
@@ -482,9 +490,8 @@ def row_keys(rows: np.ndarray) -> list[bytes]:
 
 
 def fresh_rows(rows: np.ndarray, seen: dict) -> list[int]:
-    """Positions of the rows whose bytes are not keys of seen, first
-    occurrences in row order, adding their keys to seen (setdefault
-    inserts a key and returns None; a dict is more compact than a set)."""
+    """Positions of the rows whose bytes are new keys of seen (a dict is more
+    compact than a set), first occurrences in row order, adding the keys."""
     return [i for i, k in enumerate(row_keys(rows)) if k not in seen and seen.setdefault(k) is None]
 
 
@@ -495,9 +502,8 @@ def _bfs_enumerate(
 
     Candidate row i*k + j of a level is frontier[i] * step[j] (step[j] acts
     first), so scanning the candidates in row order finds new elements in
-    the order a FIFO queue over elements and generators would.  A level is
-    scanned in blocks (see fresh_rows), and the order cap is checked per
-    block, so a closure over the cap stops within one block of it.
+    the order a FIFO queue over elements and generators would.  Levels are
+    scanned in blocks, each checked against the order cap.
     """
     dtype = _perm_dtype(degree)
     ident = np.arange(degree, dtype=dtype)
@@ -505,10 +511,11 @@ def _bfs_enumerate(
     levels = [ident[None, :]]
     step = np.asarray(gens, dtype=dtype).reshape(-1, degree)
     while len(levels[-1]) and len(step):
-        rows = max(1, min(_CLOSURE_BLOCK_ROWS, BLOCK_ENTRIES // degree) // len(step))
+        rows = max(1, min(4096, BLOCK_ENTRIES // degree) // len(step))  # frontier rows per block
         fresh = []
         for lo in range(0, len(levels[-1]), rows):
-            candidates = levels[-1][lo : lo + rows, step].reshape(-1, degree)
+            # take, not [:, step]: that gather comes out strided, and the reshape copies it
+            candidates = np.take(levels[-1][lo : lo + rows], step, axis=1).reshape(-1, degree)
             fresh.append(candidates[fresh_rows(candidates, index)])
             if len(index) > order_cap:
                 raise OrderCapExceeded(f"group closure exceeds the order cap ({order_cap})")
@@ -543,11 +550,9 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
     """Identity/inverse/associativity sanity checks at construction.
 
     Up to order 128 each table entry t[x, y] must have the base images
-    x[y[base]]: base images tell the (closed) rows apart, so the table is
-    their composition law, stronger than associativity in n^2 |base| reads.
-    Above that, seeded random triples compare (x y) z with x (y z) as ids
-    from the base-image lookup every product uses, without forcing a table
-    build.
+    x[y[base]], which tell the rows apart: the table is their composition
+    law.  Above that, seeded random triples compare (x y) z with x (y z) as
+    ids from the base-image lookup, without forcing a table build.
     """
     n = group.order
     if not np.array_equal(group.perms[0], np.arange(group.degree, dtype=group.perms.dtype)):
@@ -565,12 +570,10 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
     if n <= _ASSOC_EXHAUSTIVE_LIMIT:
         ids = np.arange(n)
         t = group.mul_many(ids[:, None], ids)
-        if not (
-            np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))
-        ):
+        if not (np.array_equal(t[0], ids) and np.array_equal(t[:, 0], ids)):
             raise InvalidSpec("identity law fails on the table")
-        base = group._base
-        if not np.array_equal(group.perms[t[..., None], base], group.perms[:, group.perms[:, base]]):
+        perms, base = group.perms, group._base
+        if not np.array_equal(perms[t[..., None], base], perms[:, perms[:, base]]):
             raise InvalidSpec("associativity fails")
         return
     # the standard library's generator: importing numpy.random costs about
@@ -635,8 +638,7 @@ def _quaternion_action() -> tuple[int, list[np.ndarray]]:
         elif ua == ub:
             unit, sign = 0, sign ^ 1
         else:
-            third = 6 - ua - ub
-            unit = third
+            unit = 6 - ua - ub
             if (ua, ub) not in ((1, 2), (2, 3), (3, 1)):
                 sign ^= 1
         return 4 * sign + unit
@@ -666,18 +668,14 @@ def _gen_dihedral_action(base: FiniteGroup) -> tuple[int, list[np.ndarray]]:
         left = base.mul_many(g, np.arange(n))
         gens.append(np.concatenate([left, left + n]))
     inv = base.inverses.astype(np.int64)
-    flip = np.concatenate([inv + n, inv])
-    gens.append(flip)
+    gens.append(np.concatenate([inv + n, inv]))  # the flip
     return 2 * n, gens
 
 
 def _vector_points(n: int, p: int) -> np.ndarray:
     """All vectors of F_p^n as rows, indexed big-endian base p."""
     pts = np.arange(p**n)
-    cols = []
-    for k in range(n):
-        cols.append((pts // p ** (n - 1 - k)) % p)
-    return np.stack(cols, axis=1)
+    return np.stack([(pts // p ** (n - 1 - k)) % p for k in range(n)], axis=1)
 
 
 def _vector_index(vecs: np.ndarray, p: int) -> np.ndarray:
@@ -773,8 +771,7 @@ def _assemble_gen_dihedral(
     spec: GroupSpec, base_spec: GroupSpec, order_cap: int, seed: int
 ) -> FiniteGroup:
     base = build_group(base_spec, order_cap=order_cap, seed=seed)
-    if not _is_abelian(base):
-        raise InvalidSpec("generalized dihedral base must be abelian")
+    _require(len(center(base)) == base.order, "generalized dihedral base must be abelian")
     degree, gens = _gen_dihedral_action(base)
     return _assemble(spec, degree, gens, order_cap, seed, 2 * base.order)
 
@@ -794,9 +791,7 @@ def direct_product(
     """
     expected = left.order * right.order
     if expected > order_cap:
-        raise OrderCapExceeded(
-            f"product order {expected} is above the cap ({order_cap})"
-        )
+        raise OrderCapExceeded(f"product order {expected} is above the cap ({order_cap})")
 
     def build() -> FiniteGroup:
         degree = left.degree + right.degree
@@ -852,10 +847,6 @@ def invert(group: FiniteGroup, x: int) -> int:
 def commutator(group: FiniteGroup, x: int, y: int) -> int:
     """[x, y] = x y x^-1 y^-1."""
     return group.commutator(x, y)
-
-
-def _is_abelian(group: FiniteGroup) -> bool:
-    return len(center(group)) == group.order
 
 
 def center(group: FiniteGroup) -> tuple[int, ...]:

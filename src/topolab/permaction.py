@@ -169,9 +169,8 @@ def _first_mapping(action: PermAction, src: int, dst: int) -> Perm:
 
 
 def _stabilizer_keys(fixed: np.ndarray) -> list[bytes]:
-    """The Subgroup.packed bytes of each column of a fixed-point mask, as
-    rows 8k + b OR-ed into bit 7 - b of byte k: np.packbits(fixed, axis=0)
-    reads the mask with a stride of a whole row."""
+    """Subgroup.packed of each column of a fixed-point mask: row 8k + b goes
+    to bit 7 - b of byte k, read by contiguous rows, not down the columns."""
     packed = np.zeros(((len(fixed) + 7) // 8, fixed.shape[1]), dtype=np.uint8)
     for b in range(8):
         rows = fixed[b::8].view(np.uint8)

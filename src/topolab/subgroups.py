@@ -127,9 +127,6 @@ class QuotientMap:
     kernel: Subgroup
     projection: np.ndarray
 
-    def apply(self, x: int) -> int:
-        return int(self.projection[x])
-
 
 # ---------------------------------------------------------------------------
 # closure machinery
@@ -393,14 +390,12 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
         found: dict = {}
 
         def add(block: np.ndarray) -> None:
-            # row views of the block: copies of its new rows would be many
-            # small arrays
+            # row views of the block, not many small copies of its new rows
             rows.extend(block[k] for k in fresh_rows(np.packbits(block, axis=1), found))
             if len(rows) > NORMAL_LATTICE_BOUND:
                 raise OrderCapExceeded(
                     f"normal subgroup lattice exceeds {NORMAL_LATTICE_BOUND} entries"
                 )
-
         add((np.arange(group.order) == 0)[None])
         add(_principal_closures(group))
         count = len(rows) - 1

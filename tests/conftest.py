@@ -300,7 +300,7 @@ def reference_base_index(perms):
 
 
 def reference_sorted_transition_tables(perms):
-    """groups._base_index as it was before it went linear: one np.unique
+    """groups._base_index as it was before it dropped the sort: one np.unique
     per refining point relabels the pairs state * degree + image, and an
     argsort of the states tells whether a point refines them (its column
     changes inside one state).  Returns (base, levels)."""

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_center,
+    c2_power_gens,
     find_element,
     group,
     reference_base_index,
@@ -40,6 +42,7 @@ from topolab import (
 )
 from topolab import groups
 from topolab.catalog import catalog_entries
+from topolab.specparse import parse_perm_generators
 
 
 def test_cyclic_order():
@@ -420,14 +423,45 @@ def test_transition_tables_agree_with_the_searchsorted_chain(lookup_groups):
         assert sum(len(level) for level in g._levels) < g.order + len(g._base)
 
 
+# degree 100000, moving only the last points
+HIGH_POINT_SPECS = ["(99998 99999)", "(99996 99997 99998 99999),(99996 99997)"]
+
+
 def test_linear_base_search_gives_the_tables_of_the_sorting_search(lookup_groups):
     s8 = PermAction(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)]).group
-    for g in lookup_groups + [s8]:
+    # wide actions, where points that refine nothing are skipped in blocks
+    wide = [PermAction(2046, parse_perm_generators(c2_power_gens(10), 2046)).group]
+    wide += [group(f"perm[{text}]") for text in HIGH_POINT_SPECS]
+    for g in lookup_groups + [s8] + wide:
         base, levels = reference_sorted_transition_tables(g.perms)
         assert np.array_equal(g._base, base) and g._base.dtype == base.dtype
         assert len(g._levels) == len(levels)
         for got, want in zip(g._levels, levels):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_base_search_is_linear_in_the_degree():
+    # the sort-based search took about 0.5 s on each, and a pass per point
+    # over a bool array of states x degree entries about 1.7 s
+    for text in HIGH_POINT_SPECS:
+        perms = group(f"perm[{text}]").perms
+        assert perms.shape[1] == 100_000
+        best = min(_seconds(lambda: groups._base_index(perms)) for _ in range(3))
+        assert best < 0.1, (text, best)
+
+
+def _seconds(call) -> float:
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+@pytest.mark.parametrize("degree", [3, 1000])
+def test_base_search_rejects_repeated_rows(degree):
+    rows = np.tile(np.arange(degree, dtype=np.uint16), (3, 1))
+    rows[2, [0, 1]] = [1, 0]
+    with pytest.raises(InvalidSpec, match="not distinct"):
+        groups._base_index(rows)
 
 
 def test_inverse_images_are_read_in_row_blocks():
