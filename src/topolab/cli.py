@@ -34,7 +34,7 @@ from .permaction import (
 )
 from .report import emit_catalog_json, emit_lattice_dot, emit_report_json
 from .semitop import is_semitopological, is_semitopological_oracle, min_steps
-from .specparse import format_perm, parse_group_spec, parse_perm_generators, print_group_spec
+from .specparse import PERM_ENTRY_CAP, format_perm, parse_group_spec, parse_perm_generators, print_group_spec
 from .subgroups import all_normal_subgroups
 from .topology import make_topology
 
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_perm = sub.add_parser("perm", help="analyze a permutation action")
     p_perm.add_argument("--degree", type=int, required=True)
-    p_perm.add_argument("--gens", required=True, help='cycles, e.g. "(0 1 2),(0 1)"')
+    p_perm.add_argument("--gens", required=True, help='cycles, e.g. "(0 1 2),(0 1)"; - reads stdin')
     p_perm.add_argument("--check-lemma", action="store_true")
     p_perm.add_argument("--oracle", action="store_true")
     p_perm.add_argument("--seed", type=int, default=0)
@@ -221,10 +221,12 @@ def _cmd_perm(args: argparse.Namespace) -> int:
     # the degree counts against the cap before parsing pads every
     # generator to it, as an SL/ASL field size does in build_group
     if args.degree > MATERIALIZATION_CAP:
-        raise OrderCapExceeded(
-            f"perm degree {args.degree} is above the cap ({MATERIALIZATION_CAP})"
-        )
-    gens = parse_perm_generators(args.gens, args.degree)
+        raise OrderCapExceeded(f"perm degree {args.degree} is above the cap ({MATERIALIZATION_CAP})")
+    # bounded before parsing: unlike an argument (128 KiB on Linux), stdin has no limit
+    text = sys.stdin.read(PERM_ENTRY_CAP + 1) if args.gens == "-" else args.gens
+    if len(text) > PERM_ENTRY_CAP:
+        raise OrderCapExceeded(f"perm generator text is above the cap ({PERM_ENTRY_CAP} characters)")
+    gens = parse_perm_generators(text, args.degree)
     action = PermAction(args.degree, gens)
     data = orbit_data(action)
     print(f"degree: {action.degree}")

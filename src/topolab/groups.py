@@ -9,10 +9,11 @@ Every product id comes from FiniteGroup.mul_many.  An element is fixed by
 its images of a base (a few points whose pointwise stabilizer is trivial),
 so a product composes only the base columns and maps them back to an id
 with one read per base point of an int32 transition table, from prefix
-state and image to the next state.  Groups of order <= TABLE_LIMIT cache all
-products in a dense table, built on first use; the table is read only
-inside FiniteGroup.  Instances are immutable after construction, so they
-can be shared freely between threads.
+state and image to the next state.  This lookup is built on first use, so
+the perm analysis, which reads only the rows, never pays for it.  Groups of
+order <= TABLE_LIMIT cache all products in a dense table, built on first
+use; the table is read only inside FiniteGroup.  Instances are immutable to
+callers, so they can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -135,9 +136,10 @@ class FiniteGroup:
 
     Instances are produced by :func:`build_group`, :func:`direct_product`,
     from the parent's rows (subgroup materializations), or from a
-    multiplication table (quotients).  All state is frozen at construction;
-    caches added later are invisible to callers and safe under concurrent
-    reads.
+    multiplication table (quotients).  Rows, generators and order are frozen
+    at construction; the element lookup (checked by _smoke_check before its
+    first use when build_group passed a check seed), the table and other
+    caches are built on first use, invisible to callers, safe to share.
     """
 
     __slots__ = (
@@ -145,10 +147,10 @@ class FiniteGroup:
         "order",
         "degree",
         "perms",
-        "inverses",
         "generator_ids",
-        "_base",
-        "_levels",
+        "_checked",
+        "_unchecked",
+        "_check_seed",
         "_table",
         "_cache",
         "_cache_lock",
@@ -161,6 +163,7 @@ class FiniteGroup:
         perms: np.ndarray,
         generator_ids: tuple[int, ...],
         table: Optional[np.ndarray] = None,
+        check_seed: Optional[int] = None,
     ):
         self.spec = spec
         self.perms = perms
@@ -171,15 +174,8 @@ class FiniteGroup:
         self._table = table
         if table is not None:
             self._table.setflags(write=False)
-        self._base, self._levels = _base_index(perms)
-        # x^-1(b) is the point that row x sends to b: base only, in row blocks
-        inverse_images = np.empty((self.order, len(self._base)), dtype=np.intp)
-        step = max(1, BLOCK_ENTRIES // self.degree)
-        for lo in range(0, self.order, step):
-            for j, b in enumerate(self._base):
-                inverse_images[lo : lo + step, j] = (perms[lo : lo + step] == b).argmax(axis=1)
-        self.inverses = self._ids(inverse_images)
-        self.inverses.setflags(write=False)
+        self._checked = self._unchecked = None
+        self._check_seed = check_seed
         self._cache: dict = {}
         # reentrant: cached builders routinely call other cached builders
         self._cache_lock = threading.RLock()
@@ -187,10 +183,41 @@ class FiniteGroup:
 
     identity = 0
 
+    def _index(self) -> tuple:
+        """The lookup (base, transition tables, inverses), built and checked
+        under the lock on first use; until then only the building thread reads it."""
+        if self._checked is None:
+            with self._cache_lock:
+                return self._checked or self._unchecked or self._build_index()
+        return self._checked
+
+    def _build_index(self) -> tuple:
+        base, levels = self._unchecked = _base_index(self.perms)
+        try:
+            # x^-1(b) is the point that row x sends to b: base only, in row blocks
+            inverse_images = np.empty((self.order, len(base)), dtype=np.intp)
+            step = max(1, BLOCK_ENTRIES // self.degree)
+            for lo in range(0, self.order, step):
+                for j, b in enumerate(base):
+                    inverse_images[lo : lo + step, j] = (self.perms[lo : lo + step] == b).argmax(axis=1)
+            self._unchecked = (base, levels, self._ids(inverse_images))
+            self._unchecked[2].setflags(write=False)
+            if self._check_seed is not None:
+                _smoke_check(self, self._check_seed)
+            self._checked = self._unchecked
+        finally:
+            self._unchecked = None
+        return self._checked
+
+    _base = property(lambda self: self._index()[0])
+    _levels = property(lambda self: self._index()[1])
+    inverses = property(lambda self: self._index()[2], doc="inverses[x] is the id of x^-1")
+
     @property
     def table(self) -> Optional[np.ndarray]:
         """Dense multiplication table; built on first demand for groups of
         order <= TABLE_LIMIT, None above that."""
+        self._index()  # first: the lookup's checks may build the table
         if self._table is None and self.order <= TABLE_LIMIT:
             with self._cache_lock:
                 if self._table is None:
@@ -537,17 +564,17 @@ def _assemble(
     expected_order: Optional[int],
 ) -> FiniteGroup:
     perms, gen_ids = _bfs_enumerate(degree, gens, order_cap)
-    group = FiniteGroup(spec, perms, gen_ids)
-    if expected_order is not None and group.order != expected_order:
+    if not np.array_equal(perms[0], np.arange(degree)):
+        raise InvalidSpec("element 0 is not the identity")
+    if expected_order is not None and len(perms) != expected_order:
         raise InvalidSpec(
-            f"closure produced order {group.order}, expected {expected_order} for {spec!r}"
+            f"closure produced order {len(perms)}, expected {expected_order} for {spec!r}"
         )
-    _smoke_check(group, seed)
-    return group
+    return FiniteGroup(spec, perms, gen_ids, check_seed=seed)
 
 
 def _smoke_check(group: FiniteGroup, seed: int) -> None:
-    """Identity/inverse/associativity sanity checks at construction.
+    """Inverse and associativity checks of an element lookup, run as it is built.
 
     Up to order 128 each table entry t[x, y] must have the base images
     x[y[base]], which tell the rows apart: the table is their composition
@@ -555,8 +582,6 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
     ids from the base-image lookup, without forcing a table build.
     """
     n = group.order
-    if not np.array_equal(group.perms[0], np.arange(group.degree, dtype=group.perms.dtype)):
-        raise InvalidSpec("element 0 is not the identity")
     # a sort, not np.unique, which imports numpy.ma (about 1.5 MB resident)
     if not np.array_equal(np.sort(group.inverses), np.arange(n)):
         raise InvalidSpec("inverse map is not a bijection")

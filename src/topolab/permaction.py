@@ -141,23 +141,37 @@ def orbit_data(action: PermAction) -> OrbitData:
 
 def full_symmetric_centralizer(action: PermAction) -> tuple[Perm, ...]:
     """Exhaustive centralizer of H inside the full S(X), degree <= 8, in
-    lexicographic order."""
-    if action.degree > ORACLE_MAX_DEGREE:
-        raise DegreeTooLarge(
-            f"exhaustive centralizer limited to degree {ORACLE_MAX_DEGREE}"
-        )
-    # S_k in lexicographic order: each first point f, then the rows of
-    # S_{k-1} shifted past f
-    rows = np.zeros((1, 0), dtype=np.int8)
-    for k in range(1, action.degree + 1):
-        first = np.repeat(np.arange(k, dtype=np.int8), len(rows))[:, None]
-        rest = np.tile(rows, (k, 1))
-        rows = np.hstack([first, rest + (rest >= first)])
-    for g in action.generators:
-        garr = np.asarray(g, dtype=np.intp)
-        # tau∘g == g∘tau, rowwise; one generator at a time shrinks the rows
-        rows = rows[(rows[:, garr] == garr[rows]).all(axis=1)]
-    return tuple(map(tuple, rows.tolist()))
+    lexicographic order, by propagation from the generators alone.  Rows t
+    grow an orbit at a time: each unused image of its smallest point in
+    increasing order, the rest by t(g x) = g t(x) along a spanning tree,
+    kept while images stay distinct and t commutes with the generators.
+    Points below a representative lie in earlier orbits: rows stay sorted."""
+    n = action.degree
+    if n > ORACLE_MAX_DEGREE:
+        raise DegreeTooLarge(f"exhaustive centralizer limited to degree {ORACLE_MAX_DEGREE}")
+    gens = [np.asarray(g, dtype=np.intp) for g in action.generators]
+    rows, free = np.zeros((1, n), dtype=np.int8), np.ones((1, n), dtype=bool)  # free: unused images
+    done: list[int] = []
+    for rep in (p for p in range(n) if p not in done):
+        image = np.flatnonzero(free) % n
+        rows, free = np.repeat(rows, n - len(done), axis=0), np.repeat(free, n - len(done), axis=0)
+        rows[:, rep] = image
+        orbit = [rep]
+        for x in orbit:  # grows while walked: breadth first along a spanning tree
+            for g in gens:
+                if g[x] not in orbit:
+                    orbit.append(int(g[x]))
+                    rows[:, orbit[-1]] = g[rows[:, x]]
+        done += orbit
+        at, keep = np.arange(len(rows)), np.ones(len(rows), dtype=bool)
+        for x in orbit:
+            keep &= free[at, rows[:, x]]
+            free[at, rows[:, x]] = False
+        for g in gens:
+            keep &= (rows[:, g[orbit]] == g[rows[:, orbit]]).all(axis=1)
+        if not keep.all():
+            rows, free = rows[keep], free[keep]
+    return tuple(zip(*rows.T.tolist()))
 
 
 def _first_mapping(action: PermAction, src: int, dst: int) -> Perm:

@@ -201,18 +201,19 @@ def test_perm_cap_is_above_the_spec_cap():
     assert result.stderr == "error: group closure exceeds the order cap (100000)\n"
 
 
-def _run_in_1gb(*args):
-    """The CLI under a 10 s timeout and a 1 GB address-space limit that
-    applies to the child process only."""
+def _run_in_1gb(*args, stdin=None, timeout=10):
+    """The CLI under a timeout (10 s by default) and a 1 GB address-space
+    limit that applies to the child process only."""
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     return subprocess.run(
         [sys.executable, "-m", "topolab", *args],
+        input=stdin,
         capture_output=True,
         text=True,
-        timeout=10,
+        timeout=timeout,
         preexec_fn=limit,
     )
 
@@ -259,3 +260,31 @@ def test_many_generators_of_a_huge_degree_hit_the_entry_cap():
     result = _run_in_1gb("perm", "--degree", "100000", "--gens", gens)
     assert result.returncode == 3
     assert result.stderr == cap_line
+    result = _run_in_1gb("perm", "--degree", "100000", "--gens", "-", stdin=gens)
+    assert result.returncode == 3
+    assert result.stderr == cap_line
+
+
+def test_perm_generator_text_on_stdin_is_capped_before_parsing():
+    # 2.4 MB of "(0 1)," would be 400000 generators' cycle lists
+    text_cap_line = "error: perm generator text is above the cap (1000000 characters)\n"
+    for degree in ("2", "100000"):
+        result = _run_in_1gb("perm", "--degree", degree, "--gens", "-", stdin="(0 1)," * 400_000)
+        assert result.returncode == 3
+        assert result.stderr == text_cap_line
+
+
+def test_perm_reads_generators_from_stdin():
+    # the C2^12 action's cycle text is over Linux's 128 KiB limit on one argument
+    gens = c2_power_gens(12)
+    assert len(gens) > 128 << 10
+    result = _run_in_1gb("perm", "--degree", "8190", "--gens", "-", "--check-lemma", stdin=gens, timeout=60)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert lines[:2] == ["degree: 8190", "group order: 4096"]
+    assert sum(line.startswith("stabilizer at ") for line in lines) == 4095
+    assert "trivial centralizer in S(X): false" in lines
+    small = _run_in_1gb("perm", "--degree", "4", "--gens", "-", "--oracle", stdin="(0 1),\n(2 3)\n")
+    assert small.returncode == 0
+    assert "full centralizer order: 4\n" in small.stdout

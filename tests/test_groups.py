@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import sys
 import time
 import tracemalloc
 
@@ -282,6 +283,28 @@ def test_concurrent_reads_share_caches():
     assert len(set(results)) == 1
 
 
+def test_racing_first_reads_build_one_checked_lookup(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    builds = []
+    honest = groups._base_index
+    monkeypatch.setattr(groups, "_base_index", lambda perms: builds.append(len(perms)) or honest(perms))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for text in ("C128", "S5", "Q8 x D8") * 4:
+            builds.clear()
+            g = group(text)
+            ids = np.arange(g.order)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(g.mul_many, ids[:, None], ids) for _ in range(16)]
+                tables = [f.result(timeout=60) for f in futures]
+            assert all(np.array_equal(t, tables[0]) for t in tables)
+            assert builds.count(g.order) == 1, text
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # sha256 prefixes of perms (uint16 bytes) and inverses (int32 bytes), recorded
 # before products moved onto base images; element numbering must not move
 NUMBERING_DIGESTS = {
@@ -469,6 +492,7 @@ def test_inverse_images_are_read_in_row_blocks():
     tracemalloc.start()
     try:
         rebuilt = groups.FiniteGroup(None, c4000.perms, c4000.generator_ids)
+        rebuilt.inverses  # the lookup, inverses included, is built on first use
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -603,3 +627,34 @@ def test_row_fill_of_the_table_matches_the_column_fill(lattice_groups):
         rmul = [proj[g.mul_many(reps, s)] for s in g.generator_ids]
         expected = reference_cayley_table(len(reps), rmul)
         assert np.array_equal(quotient.target.table, expected), text
+
+
+@pytest.mark.parametrize("text", ["C128", "Q8 x D8", "ASL(3,2)"])
+def test_table_is_built_once_per_group(text, monkeypatch):
+    # up to order 128 the lookup's checks read the table: the table read
+    # that builds the lookup must not build the table a second time
+    builds = []
+    honest = groups.cayley_table
+    monkeypatch.setattr(groups, "cayley_table", lambda n, lmul: builds.append(n) or honest(n, lmul))
+    g = group(text)
+    built_before = len(builds)
+    g.mul_many(1, 2)
+    assert g.table is g.table
+    g.mul_many(np.arange(g.order), 3)
+    assert builds[built_before:] == [g.order]
+    assert builds.count(g.order) == 1
+
+
+def test_lookup_checks_run_on_the_first_product_of_a_bent_group(monkeypatch):
+    s3 = group("S3")
+    # the rows of test_inverse_law_check_reads_full_rows, closed by build_group's path
+    perms = np.concatenate([s3.perms, np.tile(np.arange(3, 6, dtype=s3.perms.dtype), (6, 1))], axis=1)
+    cycle = next(x for x in s3.elements() if all(s3.perms[x, p] != p for p in range(3)))
+    perms[cycle, 3:] = [4, 5, 3]
+    monkeypatch.setattr(groups, "_bfs_enumerate", lambda degree, gens, cap: (perms, s3.generator_ids))
+    bent = groups._assemble(None, 6, [], 100, 0, 6)  # order and identity row pass
+    for _ in range(2):  # the lookup is never handed out unchecked
+        with pytest.raises(InvalidSpec, match="inverse law"):
+            bent.mul_many(1, 2)
+    with pytest.raises(InvalidSpec, match="inverse law"):
+        bent.inverses

@@ -2,9 +2,12 @@
 
 The DOT files and JSON reports are a contract: element numbering, lattice
 order and every byte must survive refactors of the code behind them.  The
-digests below were recorded before the normal lattice was built in bulk
-(one closure per cyclic subgroup, joins deduplicated in coset space, [G, N]
-from the principals); a change that moves any byte fails here.
+lattice and classification digests below were recorded before the normal
+lattice was built in bulk (one closure per cyclic subgroup, joins
+deduplicated in coset space, [G, N] from the principals), and the perm
+digests before the element lookup was built on first use and the S(X)
+centralizer oracle worked by propagation; a change that moves any byte
+fails here.
 """
 
 import hashlib
@@ -32,6 +35,37 @@ CLASSIFY_JSON = {
     "Heis(7) x C2": "b5d5ef6e08a145d74b6239f0242276d3b02267f98c6c5a67881825b2d6397f00",
 }
 
+# `perm --check-lemma --oracle` on degree-8 actions: S8, A8 and PGL(2,7) on
+# the projective line over F_7 (point 7 is infinity), the regular C8 and Q8,
+# the octagon's dihedral group (condition (a) fails), S3 on two orbits
+# (condition (b) fails), and one transposition (centralizer order 1440)
+PERM_STDOUT = {
+    "S8": (8, "(0 1 2 3 4 5 6 7),(0 1)", "e675f608cdf1c2433ba51a341cb31f5dc47cab6dc1ef2e7c1365c9f550b21d8b"),
+    "A8": (8, "(0 1 2),(1 2 3 4 5 6 7)", "b0bbbe369e193a8ddb6e711731f188ef48f60326d21db2b5ecfe16bcaa33bbe0"),
+    "PGL(2,7)": (
+        8,
+        "(0 1 2 3 4 5 6),(1 3 2 6 4 5),(0 7)(1 6)(2 3)(4 5)",
+        "204cdae97ac7fa6ac9f5cb1db6a00b77009931f9b5e23ff966cf209cfa1b6d34",
+    ),
+    "C8 regular": (8, "(0 1 2 3 4 5 6 7)", "c9a8c479ec94274c77ebe80f0f2f53032eb5e15e08bef078aa8c4ce1c7f20538"),
+    "Q8 regular": (
+        8,
+        "(0 1 4 5)(2 3 6 7),(0 2 4 6)(1 7 5 3)",
+        "60c749793dfb8f49efdcb9dde5f62ba3dd0042a3904c78a2a1c9ef1384f20322",
+    ),
+    "D16 (a fails)": (
+        8,
+        "(0 1 2 3 4 5 6 7),(1 7)(2 6)(3 5)",
+        "58c37e7cca2be195c9cc1795356bde87dd31a08af4d2f960bd939f42cfcfddb4",
+    ),
+    "S3 twice (b fails)": (
+        6,
+        "(0 1 2)(3 4 5),(0 1)(3 4)",
+        "0dd1c5ed583724f70e85fdc6f7949ba429d7d73fff10f7ad58df2be47e8d55fa",
+    ),
+    "transposition": (8, "(0 1)", "8b21b93e285bc92d09eaa458f968e08729b0625bae5d979da60eef96a6032ffd"),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -49,3 +83,10 @@ def test_lattice_dot_bytes_are_unchanged(spec, tmp_path, capsys):
 def test_classify_json_bytes_are_unchanged(spec, capsys):
     assert main(["classify", spec, "--json"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == CLASSIFY_JSON[spec]
+
+
+@pytest.mark.parametrize("name", sorted(PERM_STDOUT))
+def test_perm_stdout_bytes_are_unchanged(name, capsys):
+    degree, gens, digest = PERM_STDOUT[name]
+    assert main(["perm", "--degree", str(degree), "--gens", gens, "--check-lemma", "--oracle"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == digest

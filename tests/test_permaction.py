@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from topolab import (
     random_actions,
 )
 from topolab.subgroups import Subgroup
-from topolab import permaction
+from topolab import groups, permaction
+from topolab.cli import main
 from topolab.permaction import _compose, _first_mapping
 from topolab.specparse import parse_perm_generators
 
@@ -194,8 +196,34 @@ def test_elements_match_the_tuple_closure():
         assert act.elements == reference_tuple_closure(act.degree, act.generators)
 
 
+def _block_actions(count, seed):
+    """Intransitive actions of degree 6-8: each generator acts on two
+    blocks of points at once (or fixes one), the points relabelled at
+    random so that orbits interleave."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        degree = rng.randint(6, 8)
+        cut = rng.randint(1, degree - 1)
+        label = rng.sample(range(degree), degree)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            left = rng.sample(range(cut), cut) if rng.random() < 0.8 else list(range(cut))
+            right = rng.sample(range(cut, degree), degree - cut)
+            image = left + right
+            perm = [0] * degree
+            for x in range(degree):
+                perm[label[x]] = label[image[x]]
+            gens.append(tuple(perm))
+        out.append(PermAction(degree, gens))
+    return out
+
+
 def test_full_symmetric_centralizer_matches_the_itertools_scan():
     actions = [act for d in (6, 7, 8) for act in random_actions(d, 20, seed=d)]
+    actions += [act for d in range(1, 6) for act in random_actions(d, 8, seed=100 + d)]
+    actions += _block_actions(40, seed=5)
+    actions.append(PermAction(8, [tuple(range(8))]))
     actions.append(PermAction(8, []))  # every one of the 40320 permutations survives
     for act in actions:
         assert full_symmetric_centralizer(act) == reference_full_symmetric_centralizer(act)
@@ -239,3 +267,28 @@ def test_witnesses_agree_with_the_generator_walk_transversal(monkeypatch):
 def test_bad_generator_rejected():
     with pytest.raises(ValueError):
         PermAction(3, [(0, 0, 1)])
+
+
+def test_oracle_reads_only_the_generators(monkeypatch):
+    actions = [PermAction(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)])]
+    actions += _block_actions(5, seed=6)
+    expected = [reference_full_symmetric_centralizer(act) for act in actions]
+
+    def no_closure(self):
+        raise AssertionError("the oracle closed the group")
+
+    monkeypatch.setattr(PermAction, "group", property(no_closure))
+    assert [full_symmetric_centralizer(act) for act in actions] == expected
+
+
+def test_perm_command_builds_no_element_lookup(monkeypatch, capsys):
+    builds = []
+    honest = groups._base_index
+    monkeypatch.setattr(groups, "_base_index", lambda perms: builds.append(len(perms)) or honest(perms))
+    argv = ["perm", "--degree", "8", "--gens", "(0 1 2 3 4 5 6 7),(0 1)", "--check-lemma", "--oracle"]
+    assert main(argv) == 0
+    assert "lemma agrees with oracle: true" in capsys.readouterr().out
+    assert builds == []
+    # the counter does see a build: the first read of the inverses
+    PermAction(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)]).group.inverses
+    assert builds == [40320]
