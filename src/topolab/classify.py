@@ -7,9 +7,10 @@ trivial, zeta_N is A-complete iff G/N has trivial center, and Arnautov,
 totally Taimanov, and "[G,N] = N for all normal N" coincide.  The two
 available routes to each verdict are both computed and must agree.
 
-The center route reads the preimage of Z(G/N) from quotient_center (the x
-whose commutator with every generator of G lies in N), so no quotient
-group is built; the commutator route reads [G, N] off the normal lattice.
+The center route reads the preimage of Z(G/N), the x whose commutator
+with every generator of G lies in N, off G itself, so no quotient group is
+built; the commutator route reads [G, N] off the normal lattice.  Both are
+read for every lattice member at once and cached on the group.
 """
 
 from __future__ import annotations
@@ -20,14 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalInconsistency
-from .groups import FiniteGroup, GroupSpec, center
-from .subgroups import (
-    Subgroup,
-    all_normal_subgroups,
-    derived_subgroup,
-    normal_lattice,
-    quotient_center,
-)
+from .groups import BLOCK_ENTRIES, FiniteGroup, GroupSpec, center
+from .subgroups import Subgroup, _generator_commutators, derived_subgroup, normal_lattice
 from .topology import AlmostTrivialTopology, make_topology
 
 
@@ -81,9 +76,9 @@ def is_totally_taimanov(group: FiniteGroup) -> tuple[bool, Optional[Subgroup]]:
     On failure returns the smallest violating normal subgroup (by order,
     then element set).
     """
-    for sub in all_normal_subgroups(group):
-        if quotient_center(group, sub).order != sub.order:
-            return False, sub
+    bad = np.flatnonzero(~_centerless_quotients(group))
+    if bad.size:
+        return False, normal_lattice(group).subgroups[bad[0]]
     return True, None
 
 
@@ -94,29 +89,60 @@ def is_a_complete(tau: AlmostTrivialTopology) -> bool:
     Decided as "G/N has trivial center"; independently re-derived as "no
     normal N' strictly above N has [G, N'] <= N", and the two must agree.
     """
-    verdict, violator = _a_complete_both_routes(tau)
-    return verdict
+    complete, _ = _a_complete_both_routes(tau.group)
+    return bool(complete[normal_lattice(tau.group).index(tau.kernel)])
 
 
-def _a_complete_both_routes(
-    tau: AlmostTrivialTopology,
-) -> tuple[bool, Optional[int]]:
-    group = tau.group
-    by_center = quotient_center(group, tau.kernel).order == tau.kernel.order
+def _centerless_quotients(group: FiniteGroup) -> np.ndarray:
+    """For every lattice member N, whether G/N has trivial center.
 
-    lattice = normal_lattice(group)
-    k = lattice.index(tau.kernel)
-    # N' above N whose [G, N'] lies in N
-    above = lattice.contains[k] & lattice.contains[lattice.comm_index, k]
-    above[k] = False
-    hits = np.flatnonzero(above)
-    violator: Optional[int] = int(hits[0]) if hits.size else None
-    by_criterion = violator is None
-    if by_center != by_criterion:
-        raise InternalInconsistency(
-            "center route and commutator route disagree on A-completeness"
-        )
-    return by_center, violator
+    xN is central in G/N iff [x, s] lies in N for every generator s of G,
+    so the preimage of Z(G/N) is the AND over generators of N's mask read
+    at those commutators; the center is trivial iff the preimage has the
+    order of N.  Read in row blocks of at most BLOCK_ENTRIES entries.
+    """
+
+    def build() -> np.ndarray:
+        masks = normal_lattice(group).masks
+        comms = _generator_commutators(group)
+        central = np.empty(len(masks), dtype=np.int64)  # |preimage of Z(G/N)|
+        step = max(1, BLOCK_ENTRIES // max(1, comms.size))
+        for lo in range(0, len(masks), step):
+            central[lo : lo + step] = masks[lo : lo + step][:, comms].all(axis=1).sum(axis=1)
+        out = central == masks.sum(axis=1)
+        out.setflags(write=False)
+        return out
+
+    return group._cached("centerless_quotients", build)
+
+
+def _a_complete_both_routes(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """For every lattice member N, whether zeta_N is A-complete, and the
+    position of the first N' strictly above N with [G, N'] <= N (-1 if
+    none).  The center route decides; the commutator route must agree.
+    """
+
+    def build() -> tuple[np.ndarray, np.ndarray]:
+        lattice = normal_lattice(group)
+        contains = lattice.contains
+        count = len(contains)
+        by_center = _centerless_quotients(group)
+        violator = np.full(count, -1)
+        step = max(1, BLOCK_ENTRIES // count)
+        for lo in range(0, count, step):
+            # above[i, j]: N_j strictly above N_lo+i with [G, N_j] <= N_lo+i
+            above = contains[lo : lo + step] & contains[lattice.comm_index, lo : lo + step].T
+            above[np.arange(len(above)), np.arange(lo, lo + len(above))] = False
+            hits = above.any(axis=1)
+            violator[lo : lo + step][hits] = above[hits].argmax(axis=1)
+        if not np.array_equal(by_center, violator < 0):
+            raise InternalInconsistency(
+                "center route and commutator route disagree on A-completeness"
+            )
+        violator.setflags(write=False)
+        return by_center, violator
+
+    return group._cached("a_complete", build)
 
 
 def is_arnautov(group: FiniteGroup) -> tuple[bool, Optional[ArnautovWitness]]:
@@ -146,20 +172,19 @@ def is_arnautov(group: FiniteGroup) -> tuple[bool, Optional[ArnautovWitness]]:
 def classify(group: FiniteGroup) -> ClassificationReport:
     """Full classification with per-normal-subgroup A-completeness table."""
     lattice = normal_lattice(group)
-    rows = []
-    for idx, sub in enumerate(lattice.subgroups):
-        tau = make_topology(group, sub)
-        complete, violator = _a_complete_both_routes(tau)
-        rows.append(
-            NormalSubgroupRow(
-                index=idx,
-                subgroup=sub,
-                order=sub.order,
-                a_complete=complete,
-                commutator_with_g_order=lattice.subgroups[lattice.comm_index[idx]].order,
-                a_complete_violator=violator,
-            )
+    complete, violators = _a_complete_both_routes(group)
+    comm = lattice.comm_index
+    rows = [
+        NormalSubgroupRow(
+            index=idx,
+            subgroup=sub,
+            order=sub.order,
+            a_complete=bool(complete[idx]),
+            commutator_with_g_order=lattice.subgroups[comm[idx]].order,
+            a_complete_violator=None if violators[idx] < 0 else int(violators[idx]),
         )
+        for idx, sub in enumerate(lattice.subgroups)
+    ]
 
     taimanov = is_taimanov(group)
     totally, tt_witness = is_totally_taimanov(group)

@@ -243,31 +243,38 @@ def generated_subgroup(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
 
 
 def _class_labels(group: FiniteGroup) -> np.ndarray:
-    """Read-only array: the smallest member of every element's class.
-
-    A round sets the labels of x and g x g^-1 to the smaller of the two for
-    each generator g, then lets every label jump to its label's label, so a
-    minimum crosses a conjugation cycle in a few rounds even when ids rise
-    along it.  Labels only fall and always name a class member; a round
-    that changes nothing leaves them constant on every class.
-    """
+    """Read-only array: the smallest member of every element's class, the
+    orbit minima under conjugation by each generator."""
 
     def build() -> np.ndarray:
-        cmaps = [group.conj_map(g) for g in group.generator_ids]
-        labels = np.arange(group.order)
-        while True:
-            before = labels
-            for m in cmaps:
-                labels = np.minimum(labels, labels[m])
-                # m is a permutation, so no id is written twice
-                labels[m] = np.minimum(labels[m], labels)
-            labels = labels[labels]
-            if np.array_equal(labels, before):
-                break
+        maps = [(slice(None), group.conj_map(g)) for g in group.generator_ids]
+        labels = _orbit_minima(group.order, maps)
         labels.setflags(write=False)
         return labels
 
     return group._cached("class_labels", build)
+
+
+def _orbit_minima(count: int, maps) -> np.ndarray:
+    """The smallest node of every node's orbit, for nodes 0..count-1 and
+    maps given as (sources, targets) index pairs, each one-to-one.
+
+    A round sets the labels of x and its target to the smaller of the two
+    for each map, then lets every label jump to its label's label, so a
+    minimum crosses a long cycle in a few rounds even when ids rise along
+    it.  Since each map is one-to-one, no id is written twice in one
+    scatter.  Labels only fall and always name an orbit member; a round
+    that changes nothing leaves them constant on every orbit.
+    """
+    labels = np.arange(count)
+    while True:
+        before = labels.copy()
+        for src, dst in maps:
+            labels[src] = np.minimum(labels[src], labels[dst])
+            labels[dst] = np.minimum(labels[dst], labels[src])
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            return labels
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -374,55 +381,151 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
 
     Every normal subgroup is a product of principal ones, the normal
     closures of single conjugacy classes; _principal_closures finds them
-    with one closure per cyclic subgroup.  A breadth-first search from the
-    trivial subgroup joins each found N with each principal P; the join is
-    the product set NP, the union of the N-cosets that meet P, so no join
-    closes anything.  When P contains N the join is P itself, and when P
-    lies in N it is N, so cosets of N are labelled only if some P is
-    incomparable with N.  The cosets each such P meets form one row over
-    G/N; equal rows give equal joins, so only the distinct rows are spread
-    back over G and keyed.  Raises OrderCapExceeded when the lattice grows
-    past NORMAL_LATTICE_BOUND.
+    with one closure per cyclic subgroup.  The search then runs a level at
+    a time: each member N found by the last level is joined with every
+    principal P apart from it.  The join is the product set NP, the union
+    of the N-cosets that meet P, so no join closes anything.  When P
+    contains N the join is P itself, and when P lies in N it is N, so only
+    the P apart from N, neither holding the other, count; a member without
+    one is not joined further.  |P n N| for every P is read as one
+    reduceat over the principals' members when N is found.  A level's
+    members are taken in blocks whose temporaries hold at most
+    BLOCK_ENTRIES >> 3 entries, BLOCK_ENTRIES bytes as int64 (most cosets
+    first, so a block's rows are alike), and each block is one
+    numpy pass: the cosets each apart P meets as one row over G/N, the
+    distinct rows of each N, and those rows spread back over G and keyed.
+    Cosets are labelled by _coset_labels only for principals, when their
+    block comes up; a new join inherits its labels from N's along the
+    seeds of P (_join_labels).
+    Raises OrderCapExceeded when the lattice grows past
+    NORMAL_LATTICE_BOUND.
     """
 
     def build() -> NormalLattice:
+        order = group.order
         rows: list[np.ndarray] = []
         found: dict = {}
 
-        def add(block: np.ndarray) -> None:
-            # row views of the block, not many small copies of its new rows
-            rows.extend(block[k] for k in fresh_rows(np.packbits(block, axis=1), found))
+        def add(block: np.ndarray) -> tuple[list[int], np.ndarray]:
+            new = fresh_rows(np.packbits(block, axis=1), found)
+            # the lattice keeps row views: of the block itself when every
+            # row is new, else of one copy of the new rows
+            kept = block if len(new) == len(block) else block[new]
+            rows.extend(kept)
             if len(rows) > NORMAL_LATTICE_BOUND:
                 raise OrderCapExceeded(
                     f"normal subgroup lattice exceeds {NORMAL_LATTICE_BOUND} entries"
                 )
-        add((np.arange(group.order) == 0)[None])
-        add(_principal_closures(group))
-        count = len(rows) - 1
-        which, members = np.nonzero(np.array(rows[1:], dtype=bool).reshape(count, group.order))
-        sizes = np.bincount(which, minlength=count)
-        k = 1
-        while k < len(rows):
-            mask = rows[k]
-            k += 1
-            meet = np.bincount(which, weights=mask[members], minlength=count)  # |P n N|
-            apart = (meet < sizes) & (meet < mask.sum())
-            if not apart.any():
-                continue
-            labels, reps = _coset_labels(group, np.flatnonzero(mask))
-            pick = apart[which]
-            hit = np.zeros((count, len(reps)), dtype=bool)
-            hit[which[pick], labels[members[pick]]] = True
-            distinct = hit[apart]
-            add(distinct[fresh_rows(np.packbits(distinct, axis=1), {})][:, labels])
+            return new, kept
+
+        add((np.arange(order) == 0)[None])
+        closures, seeds = _principal_closures(group)
+        new, principals = add(closures)
+        del closures  # principals holds the distinct ones
+        seeds = [seeds[k] for k in new]
+        sizes = principals.sum(axis=1)
+        which, members = np.nonzero(principals)
+        starts = np.cumsum(sizes) - sizes
+        budget = BLOCK_ENTRIES >> 3  # entries of one temporary, which may be int64
+        # (coset count, coset labels, principals apart from it) of each
+        # member the last level found; a member is its coset of the identity.
+        # A principal holds its position instead, and is labelled when its
+        # block comes up, so a lattice past the bound fails before the rest
+        # are labelled
+        frontier = []
+
+        def enter(masks: np.ndarray, label) -> None:
+            # queue the members some principal is apart from, with the coset
+            # labels label(positions) gives them
+            inner = masks.sum(axis=1)  # |N|
+            apart = np.empty((len(masks), len(sizes)), dtype=bool)
+            step = max(1, budget // max(1, len(members)))
+            for lo in range(0, len(masks), step):
+                held = masks[lo : lo + step, members]  # the principal members in N
+                meet = np.add.reduceat(held, starts, axis=1, dtype=np.int32)  # |P n N|
+                apart[lo : lo + step] = (meet < sizes) & (meet < inner[lo : lo + step, None])
+            keep = np.flatnonzero(apart.any(axis=1))
+            if keep.size:
+                frontier.extend(zip((order // inner[keep]).tolist(), label(keep), apart[keep]))
+
+        def principal_labels(k: int) -> np.ndarray:
+            labels, reps = _coset_labels(group, np.flatnonzero(principals[k]))
+            return labels.astype(np.min_scalar_type(len(reps) - 1))
+
+        enter(principals, lambda keep: keep.tolist())
+        span = max(1, budget // max(order, len(members)))  # joins spread over G at once
+        while frontier:
+            # taken from the end, most cosets first, so a block's members are alike
+            level = sorted(frontier, key=lambda member: member[0])
+            frontier = []
+            while level:
+                cosets = level[-1][0]  # the most in the block
+                step = max(1, budget // max(order, len(members), len(sizes) * cosets))
+                _, labels, apart = zip(*level[-step:])
+                del level[-step:]
+                labels = np.array([principal_labels(x) if isinstance(x, int) else x for x in labels])
+                apart = np.array(apart)
+                met = labels[:, members]  # the coset of N holding each principal member
+                # row f * |principals| + p: the cosets of the f-th N that P meets
+                hit = np.zeros((apart.size, cosets), dtype=bool)
+                row = np.arange(len(labels))[:, None] * len(sizes) + which
+                hit.ravel()[row * cosets + met] = True
+                hit = hit[apart.ravel()]
+                on, with_p = np.nonzero(apart)
+                # equal rows of one N give equal joins: keep the first row of
+                # each (N, row) key, found by a sort, which makes no Python
+                # object per row as a dict of keys would
+                tags = on.astype(np.int32).reshape(-1, 1).view(np.uint8)
+                keyed = np.concatenate([np.packbits(hit, axis=1), tags], axis=1)
+                _, first = np.unique(keyed.view(np.dtype((np.void, keyed.shape[1]))), return_index=True)
+                distinct = np.sort(first)
+                hit, on, with_p = hit[distinct], on[distinct], with_p[distinct]
+                for s in range(0, len(hit), span):
+                    own = labels[on[s : s + span]]
+                    # row r of the chunk read at own[r]: the join as a mask over G
+                    spread = np.arange(len(own))[:, None] * cosets + own
+                    new, joins = add(np.take(hit[s : s + span], spread))
+                    own, by = own[new], [seeds[p] for p in with_p[s : s + span][new]]
+                    enter(joins, lambda keep: _join_labels(group, own[keep], [by[k] for k in keep]))
         return NormalLattice(group, np.array(rows))
 
     return group._cached("normal_lattice", build)
 
 
-def _principal_closures(group: FiniteGroup) -> np.ndarray:
+def _join_labels(group: FiniteGroup, labels: np.ndarray, seeds: list[list[int]]) -> np.ndarray:
+    """Coset labels of joins NP, one per row of labels, from the coset labels
+    of N (that row, numbered by smallest member) and the seeds that
+    generate P.
+
+    Right multiplication by a seed s permutes the cosets of N (xN s = xsN),
+    and the cosets of NP are the orbits of the cosets of N under the seeds,
+    found by _orbit_minima from one product per coset and seed.  An orbit's
+    smallest coset number is the coset holding its smallest member, so
+    numbering the orbits by it numbers the cosets of NP by smallest member,
+    as _coset_labels does.  Returned in the narrowest integer dtype that
+    holds every coset number.
+    """
+    top = np.maximum.accumulate(labels, axis=1)
+    first = np.ones(labels.shape, dtype=bool)  # the smallest member of its coset
+    first[:, 1:] = top[:, 1:] != top[:, :-1]
+    row, reps = np.nonzero(first)  # coset n is in row row[n], its smallest member reps[n]
+    start = np.searchsorted(row, np.arange(len(labels)))  # coset 0 of each row
+    maps = []
+    for t in range(max(map(len, seeds))):
+        seed = np.array([kept[t] if t < len(kept) else -1 for kept in seeds])[row]
+        cosets = np.flatnonzero(seed >= 0)
+        images = labels[row[cosets], group.mul_many(reps[cosets], seed[cosets])]
+        maps.append((cosets, start[row[cosets]] + images))
+    orbit = _orbit_minima(len(row), maps)
+    rank = np.cumsum(orbit == np.arange(len(row))) - 1
+    number = rank[orbit] - rank[start[row]]
+    return number[start[:, None] + labels].astype(np.min_scalar_type(number.max()))
+
+
+def _principal_closures(group: FiniteGroup) -> tuple[np.ndarray, list[list[int]]]:
     """Rows holding the normal closure of every nontrivial conjugacy class,
-    one _closure per cyclic subgroup.
+    one _closure per cyclic subgroup, and the seeds each closure kept as
+    its generators.
 
     x and x^k with gcd(k, ord x) = 1 generate the same cyclic subgroup, so
     their classes have the same normal closure: after closing the class of
@@ -431,14 +534,17 @@ def _principal_closures(group: FiniteGroup) -> np.ndarray:
     labels = _class_labels(group)
     done = np.zeros(group.order, dtype=bool)
     closures = []
+    seeds = []
     for cls in conjugacy_classes(group)[1:]:  # the first class is {e}
         if done[cls[0]]:
             continue
         powers = _powers(group, cls[0])
         m = len(powers)
         done[labels[powers[np.gcd(np.arange(m), m) == 1]]] = True
-        closures.append(_closure(group, cls)[0])
-    return np.array(closures, dtype=bool).reshape(-1, group.order)
+        mask, kept = _closure(group, cls)
+        closures.append(mask)
+        seeds.append(kept)
+    return np.array(closures, dtype=bool).reshape(-1, group.order), seeds
 
 
 def _powers(group: FiniteGroup, x: int) -> np.ndarray:

@@ -447,6 +447,41 @@ def reference_principal_closures(g):
     return {np.packbits(_closure(g, cls)[0]).tobytes() for cls in conjugacy_classes(g)[1:]}
 
 
+def reference_normal_lattice_masks(g):
+    """Packed masks of every normal subgroup, as normal_lattice found them
+    before it searched a level at a time: one Python iteration per member,
+    which labels that member's cosets afresh and joins it with every
+    principal subgroup apart from it."""
+    from topolab.groups import fresh_rows
+    from topolab.subgroups import _coset_labels, _principal_closures
+
+    rows, found = [], {}
+
+    def add(block):
+        rows.extend(block[k] for k in fresh_rows(np.packbits(block, axis=1), found))
+
+    add((np.arange(g.order) == 0)[None])
+    add(_principal_closures(g)[0])
+    count = len(rows) - 1
+    which, members = np.nonzero(np.array(rows[1:], dtype=bool).reshape(count, g.order))
+    sizes = np.bincount(which, minlength=count)
+    k = 1
+    while k < len(rows):
+        mask = rows[k]
+        k += 1
+        meet = np.bincount(which, weights=mask[members], minlength=count)  # |P n N|
+        apart = (meet < sizes) & (meet < mask.sum())
+        if not apart.any():
+            continue
+        labels, reps = _coset_labels(g, np.flatnonzero(mask))
+        pick = apart[which]
+        hit = np.zeros((count, len(reps)), dtype=bool)
+        hit[which[pick], labels[members[pick]]] = True
+        distinct = hit[apart]
+        add(distinct[fresh_rows(np.packbits(distinct, axis=1), {})][:, labels])
+    return {np.packbits(row).tobytes() for row in rows}
+
+
 def reference_coset_labels(g, kernel):
     """Coset numbers and smallest members modulo a normal subgroup given by
     its element ids, as _coset_labels found them before it labelled cosets

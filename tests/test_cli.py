@@ -288,3 +288,18 @@ def test_perm_reads_generators_from_stdin():
     small = _run_in_1gb("perm", "--degree", "4", "--gens", "-", "--oracle", stdin="(0 1),\n(2 3)\n")
     assert small.returncode == 0
     assert "full centralizer order: 4\n" in small.stdout
+
+
+def test_main_called_again_in_process_prints_what_a_fresh_process_prints(capsys):
+    from topolab.cli import main
+
+    semitop = ["semitop", "Heis(3)", "--from", "0", "--to", "6"]
+    pairs = ((semitop + ["--steps"], semitop), (["classify", "S4", "--json"], ["classify", "S4"]))
+    for first, second in pairs:
+        assert main(first) == 0
+        capsys.readouterr()
+        assert main(second) == 0
+        again = capsys.readouterr().out
+        fresh = run_cli(*second)
+        assert fresh.returncode == 0
+        assert again == fresh.stdout, second

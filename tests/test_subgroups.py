@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    LATTICE_SPECS,
     _oracle_classes,
     brute_closure,
     brute_commutator_subgroup,
@@ -14,6 +16,7 @@ from conftest import (
     group,
     oracle_normal_subgroups,
     reference_coset_labels,
+    reference_normal_lattice_masks,
     reference_comm_index,
     reference_principal_closures,
     reference_quotient_center,
@@ -43,6 +46,8 @@ from topolab.subgroups import (
     _class_labels,
     _closure,
     _coset_labels,
+    _join_labels,
+    _orbit_minima,
     _principal_closures,
     normal_lattice,
     trivial_subgroup,
@@ -469,8 +474,12 @@ def test_cache_keys_hold_no_element_tuples(text):
 
 def test_principal_closures_match_one_closure_per_class(lattice_groups):
     for name, g in lattice_groups:
-        got = {np.packbits(row).tobytes() for row in _principal_closures(g)}
+        rows, seeds = _principal_closures(g)
+        got = {np.packbits(row).tobytes() for row in rows}
         assert got == reference_principal_closures(g), name
+        # the seeds each closure kept generate it
+        for row, kept in zip(rows, seeds):
+            assert np.array_equal(_closure(g, kept)[0], row), name
 
 
 def test_coset_labels_match_the_per_coset_loop(lattice_groups):
@@ -489,3 +498,118 @@ def test_comm_index_matches_one_commutator_subgroup_per_member(lattice_groups):
     for name, g in lattice_groups:
         lattice = normal_lattice(g)
         assert lattice.comm_index.tolist() == reference_comm_index(g, lattice), name
+
+
+# beside lattice_groups: wide lattices of odd order, and a nonabelian one
+# whose principal subgroups need two seeds
+EXTRA_LATTICE_SPECS = ("C3 x C3 x C3 x C3", "Heis(5) x C5")
+
+
+def test_lattice_masks_match_the_per_member_search(lattice_groups):
+    for name, g in lattice_groups + [(text, group(text)) for text in EXTRA_LATTICE_SPECS]:
+        got = {np.packbits(row).tobytes() for row in normal_lattice(g).masks}
+        assert got == reference_normal_lattice_masks(g), name
+
+
+def test_inherited_coset_labels_match_a_fresh_labelling(monkeypatch, catalog):
+    """Every member a join adds, and that the search joins further, carries
+    the labels _coset_labels gives it; the member is its coset of the
+    identity, label 0."""
+    import topolab.subgroups as subgroups_module
+
+    inherit = subgroups_module._join_labels
+    carried = []
+
+    def recording(g, labels, seeds):
+        out = inherit(g, labels, seeds)
+        carried.extend(out)
+        return out
+
+    monkeypatch.setattr(subgroups_module, "_join_labels", recording)
+    texts = [name for name, _ in catalog] + list(LATTICE_SPECS[:2] + EXTRA_LATTICE_SPECS)
+    for text in texts:
+        g = group(text)
+        carried.clear()
+        lattice = normal_lattice(g)
+        joined = set()
+        for labels in carried:
+            kernel = np.flatnonzero(labels == 0)
+            assert np.array_equal(labels, _coset_labels(g, kernel)[0]), (text, len(kernel))
+            joined.add(np.packbits(labels == 0).tobytes())
+        rows = _principal_closures(g)[0]
+        principals = {np.packbits(row).tobytes() for row in rows}
+        # a member is joined further when some principal is apart from it,
+        # neither holding the other
+        masks = lattice.masks[:, None]
+        apart = (rows[None] & ~masks).any(axis=2) & (masks & ~rows[None]).any(axis=2)
+        joinable = {sub.packed for sub, row in zip(lattice.subgroups, apart) if row.any()}
+        # each such member that is not principal is labelled once
+        assert len(joined) == len(carried), text
+        assert joined == joinable - principals, text
+
+
+def test_join_labels_match_a_fresh_labelling_of_every_join(catalog64):
+    """N's labels merged along the seeds of each principal P, all in one
+    call, are the labels of NP; the closures there keep up to three seeds."""
+    for name, g in catalog64:
+        rows, seeds = _principal_closures(g)
+        if not len(rows):
+            continue
+        for sub in normal_lattice(g).subgroups:
+            labels = _coset_labels(g, np.flatnonzero(sub.mask))[0]
+            joined = _join_labels(g, np.repeat(labels[None], len(rows), axis=0), seeds)
+            for row, got in zip(rows, joined):
+                join = _closure(g, np.flatnonzero(sub.mask | row))[0]
+                assert np.array_equal(got, _coset_labels(g, np.flatnonzero(join))[0]), (name, sub.order)
+
+
+def test_c2_power_6_lattice_makes_few_products(monkeypatch):
+    from topolab.groups import FiniteGroup
+
+    g = group("C2 x C2 x C2 x C2 x C2 x C2")
+    multiply = FiniteGroup.mul_many
+    calls = []
+
+    def counting(self, xs, ys):
+        calls.append(1)
+        return multiply(self, xs, ys)
+
+    monkeypatch.setattr(FiniteGroup, "mul_many", counting)
+    assert len(normal_lattice(g).subgroups) == 2825
+    # one labelling per principal and a few per level; the per-member
+    # search made 7268 calls
+    assert len(calls) <= 1000
+
+
+def test_c2_power_6_lattice_memory_is_bounded():
+    g = group("C2 x C2 x C2 x C2 x C2 x C2")
+    tracemalloc.start()
+    try:
+        normal_lattice(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 16.4-16.7 MiB measured, 8 MiB of it the 2825 x 2825 containment matrix
+    assert peak < 18 << 20
+
+
+def test_orbit_minima_cross_a_rising_cycle_in_few_rounds():
+    class Rounds(list):
+        """The maps, counting how often a round walks them."""
+
+        walks = 0
+
+        def __iter__(self):
+            self.walks += 1
+            return super().__iter__()
+
+    nodes = np.arange(4096)
+    maps = Rounds([(nodes, np.roll(nodes, -1))])  # x -> x + 1, ids rising along the cycle
+    assert (_orbit_minima(len(nodes), maps) == 0).all()
+    # the labels jump to their labels' labels; without that a minimum moves
+    # one step per round
+    assert maps.walks <= 2 * 12 + 2
+    # two maps, each a cycle on its own half of the nodes
+    half = np.arange(2048)
+    halves = [(half, np.roll(half, 1)), (half + 2048, np.roll(half, -1) + 2048)]
+    assert _orbit_minima(4096, halves).tolist() == [0] * 2048 + [2048] * 2048
