@@ -166,7 +166,7 @@ class FiniteGroup:
         check_seed: Optional[int] = None,
     ):
         self.spec = spec
-        self.perms = perms
+        self.perms = np.ascontiguousarray(perms)  # the lookup takes from it flattened
         self.perms.setflags(write=False)
         self.order = int(perms.shape[0])
         self.degree = int(perms.shape[1])
@@ -184,24 +184,29 @@ class FiniteGroup:
     identity = 0
 
     def _index(self) -> tuple:
-        """The lookup (base, transition tables, inverses), built and checked
-        under the lock on first use; until then only the building thread reads it."""
+        """The lookup (base, transition tables, base images, inverses), built
+        and checked under the lock on first use; until then only the
+        building thread reads it."""
         if self._checked is None:
             with self._cache_lock:
                 return self._checked or self._unchecked or self._build_index()
         return self._checked
 
     def _build_index(self) -> tuple:
-        base, levels = self._unchecked = _base_index(self.perms)
+        base, levels = _base_index(self.perms)
         try:
+            # every element's base images, one row each
+            images = np.take(self.perms, base, axis=1)
+            images.setflags(write=False)
+            self._unchecked = (base, levels, images)
             # x^-1(b) is the point that row x sends to b: base only, in row blocks
             inverse_images = np.empty((self.order, len(base)), dtype=np.intp)
             step = max(1, BLOCK_ENTRIES // self.degree)
             for lo in range(0, self.order, step):
                 for j, b in enumerate(base):
                     inverse_images[lo : lo + step, j] = (self.perms[lo : lo + step] == b).argmax(axis=1)
-            self._unchecked = (base, levels, self._ids(inverse_images))
-            self._unchecked[2].setflags(write=False)
+            self._unchecked += (self._ids(inverse_images),)
+            self._unchecked[3].setflags(write=False)
             if self._check_seed is not None:
                 _smoke_check(self, self._check_seed)
             self._checked = self._unchecked
@@ -211,7 +216,8 @@ class FiniteGroup:
 
     _base = property(lambda self: self._index()[0])
     _levels = property(lambda self: self._index()[1])
-    inverses = property(lambda self: self._index()[2], doc="inverses[x] is the id of x^-1")
+    _base_images = property(lambda self: self._index()[2], doc="row x holds x's base images")
+    inverses = property(lambda self: self._index()[3], doc="inverses[x] is the id of x^-1")
 
     @property
     def table(self) -> Optional[np.ndarray]:
@@ -259,29 +265,43 @@ class FiniteGroup:
     # -- base-image lookup --------------------------------------------------
 
     def _product_ids(self, xs, ys) -> np.ndarray:
-        """mul_many without the table: compose only the base columns."""
-        y_base = self.perms[np.asarray(ys)[..., None], self._base]
-        return self._ids(self.perms[np.asarray(xs)[..., None], y_base])
+        """mul_many without the table: x's row read at y's base images."""
+        y_images = self._base_images.take(ys, axis=0)
+        rows = np.asarray(xs, dtype=np.intp) * self.degree
+        return self._ids(self.perms.take(rows[..., None] + y_images))
 
     def _ids(self, images: np.ndarray) -> np.ndarray:
         """Element ids from base images (last axis): state = level[state,
         image] for each base point, from state 0, where the last level holds
-        ids and -1 for a prefix no element has.  Raises ValueError for images
-        no element has."""
+        ids and -1 for a prefix no element has.  Each read is a take from
+        the flattened level at state * degree + image, so an image outside
+        0..degree-1 reads a neighbouring row (clipped at the ends); the
+        check that each id has the given base images rejects it, as it does
+        any images no element has, with a ValueError.  One element's images
+        are read with Python ints, which cost less than numpy calls."""
+        degree = self.degree
+        if images.ndim == 1:
+            flat = images.tolist()
+            state = 0
+            if all(0 <= image < degree for image in flat):  # else state 0 fails the check
+                for level, image in zip(self._levels, flat):
+                    state = level.item(state * degree + image)
+            if state < 0 or self._base_images[state].tolist() != flat:
+                raise ValueError("permutation is not an element of the group")
+            return np.int32(state)
+        width = np.intp(degree)  # so that state * width is computed in intp
         state = np.zeros(images.shape[:-1], dtype=np.int32)
         for j, level in enumerate(self._levels):
-            state = level[state, images[..., j]]
-        if (state < 0).any() or not np.array_equal(
-            self.perms[state[..., None], self._base], images
-        ):
+            state = level.take(state * width + images[..., j], mode="clip")
+        if (state < 0).any() or not np.array_equal(self._base_images.take(state, axis=0), images):
             raise ValueError("permutation is not an element of the group")
         return state
 
     def _lookup(self, perm_rows: np.ndarray) -> np.ndarray:
         """Element ids of full permutation rows (last axis)."""
         perm_rows = np.asarray(perm_rows)
-        ids = self._ids(perm_rows[..., self._base])
-        if not np.array_equal(self.perms[ids], perm_rows):
+        ids = self._ids(perm_rows.take(self._base, axis=-1))
+        if not np.array_equal(self.perms.take(ids, axis=0), perm_rows):
             raise ValueError("permutation is not an element of the group")
         return ids
 
@@ -294,7 +314,12 @@ class FiniteGroup:
         base images and never needs a table or a lookup.
         """
         pg = self.perms[g]
-        return (self.perms[:, pg[self._base]] == pg[self.perms[:, self._base]]).all(axis=1)
+        images = self._base_images
+        mask = np.ones(self.order, dtype=bool)
+        # one base point at a time: a row-wise all() over so few columns is slow
+        for j, b in enumerate(pg.take(self._base)):
+            mask &= self.perms[:, b] == pg.take(images[:, j])
+        return mask
 
     def conj_map(self, g: int) -> np.ndarray:
         """Array m with m[x] = g x g^-1 for every x."""
@@ -597,8 +622,8 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
         t = group.mul_many(ids[:, None], ids)
         if not (np.array_equal(t[0], ids) and np.array_equal(t[:, 0], ids)):
             raise InvalidSpec("identity law fails on the table")
-        perms, base = group.perms, group._base
-        if not np.array_equal(perms[t[..., None], base], perms[:, perms[:, base]]):
+        images = group._base_images
+        if not np.array_equal(images.take(t, axis=0), group.perms.take(images, axis=1)):
             raise InvalidSpec("associativity fails")
         return
     # the standard library's generator: importing numpy.random costs about

@@ -19,6 +19,7 @@ a group of its own with a dense table, is left to quotient topologies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -132,7 +133,9 @@ class QuotientMap:
 # closure machinery
 
 
-def _closure(group: FiniteGroup, seed_ids: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+def _closure(
+    group: FiniteGroup, seed_ids: Iterable[int], within: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, list[int]]:
     """Membership mask of the smallest subgroup containing seed_ids, and
     the seeds it kept as generators.
 
@@ -145,9 +148,20 @@ def _closure(group: FiniteGroup, seed_ids: Iterable[int]) -> tuple[np.ndarray, l
     m has all its powers after about log2(m) rounds instead of m; after
     that they are dropped, since only the seeds are needed for closure.
     A round makes at most (new elements) x (generators) products.
+
+    within, when given, is the mask of a subgroup M known to hold every
+    seed.  The span is then a subgroup of M, and once the mask holds more
+    than |M|/p elements, p the smallest prime dividing |M|, its index in M
+    is below p, so it is M (Lagrange): the closure returns a copy of M
+    there.  Every later seed would have been skipped, so the kept seeds
+    are the same and generate M.
     """
     mask = np.zeros(group.order, dtype=bool)
     mask[0] = True
+    found, enough = 1, group.order + 1
+    if within is not None:
+        size = int(np.count_nonzero(within))
+        enough = size // _smallest_prime_factor(size) + 1
     gens: list[int] = []
     for s in sorted({int(x) for x in seed_ids} - {0}):
         if mask[s]:
@@ -157,6 +171,9 @@ def _closure(group: FiniteGroup, seed_ids: Iterable[int]) -> tuple[np.ndarray, l
         fresh = _mark_new(mask, group.mul_many(np.flatnonzero(mask), s))
         squares = [s]
         while fresh.size:
+            found += fresh.size
+            if found >= enough:
+                return within.copy(), gens
             if squares:
                 square = group.mul(squares[-1], squares[-1])
                 squares = [] if mask[square] else squares + [square]
@@ -164,12 +181,17 @@ def _closure(group: FiniteGroup, seed_ids: Iterable[int]) -> tuple[np.ndarray, l
     return mask, gens
 
 
+def _smallest_prime_factor(n: int) -> int:
+    """The smallest prime dividing n >= 2."""
+    return next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+
+
 def _mark_new(mask: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Set mask at ids; return the ids that were not set before."""
-    ids = np.unique(ids)
-    ids = ids[~mask[ids]]
+    """Set mask at ids; return the ids that were not set before, in
+    increasing order, read off a scatter over the group instead of a sort."""
+    before = mask.copy()
     mask[ids] = True
-    return ids
+    return np.flatnonzero(mask != before)
 
 
 def _coset_labels(group: FiniteGroup, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -530,10 +552,14 @@ def _principal_closures(group: FiniteGroup) -> tuple[np.ndarray, list[list[int]]
     x and x^k with gcd(k, ord x) = 1 generate the same cyclic subgroup, so
     their classes have the same normal closure: after closing the class of
     x, the classes of those powers, read off the class labels, are done.
+    Each closure runs within the smallest normal subgroup found so far that
+    holds the class (G if none), so it stops at Lagrange's bound there.
     """
     labels = _class_labels(group)
     done = np.zeros(group.order, dtype=bool)
-    closures = []
+    bounds = [np.ones(group.order, dtype=bool)]  # G, then each closure
+    holder = np.zeros(group.order, dtype=np.intp)  # the smallest bound holding each element
+    held = np.full(group.order, group.order)  # its order
     seeds = []
     for cls in conjugacy_classes(group)[1:]:  # the first class is {e}
         if done[cls[0]]:
@@ -541,10 +567,13 @@ def _principal_closures(group: FiniteGroup) -> tuple[np.ndarray, list[list[int]]
         powers = _powers(group, cls[0])
         m = len(powers)
         done[labels[powers[np.gcd(np.arange(m), m) == 1]]] = True
-        mask, kept = _closure(group, cls)
-        closures.append(mask)
+        mask, kept = _closure(group, cls, bounds[holder[cls[0]]])
+        size = np.count_nonzero(mask)
+        smaller = mask & (held > size)
+        holder[smaller], held[smaller] = len(bounds), size
+        bounds.append(mask)
         seeds.append(kept)
-    return np.array(closures, dtype=bool).reshape(-1, group.order), seeds
+    return np.array(bounds[1:], dtype=bool).reshape(-1, group.order), seeds
 
 
 def _powers(group: FiniteGroup, x: int) -> np.ndarray:

@@ -343,6 +343,26 @@ def reference_ids(perms, index, images):
     return ids
 
 
+def reference_product_ids(g, xs, ys):
+    """Products x*y through the base-image lookup as FiniteGroup._product_ids
+    read it before flat takes: 2-D broadcast fancy indexing of perms at the
+    base columns of y."""
+    y_base = g.perms[np.asarray(ys)[..., None], g._base]
+    return reference_level_ids(g, g.perms[np.asarray(xs)[..., None], y_base])
+
+
+def reference_level_ids(g, images):
+    """Element ids of base images (last axis) as FiniteGroup._ids read them
+    before flat takes: level[state, image] by 2-D fancy indexing, then the
+    check that each id has those base images."""
+    state = np.zeros(images.shape[:-1], dtype=np.int32)
+    for j, level in enumerate(g._levels):
+        state = level[state, images[..., j]]
+    if (state < 0).any() or not np.array_equal(g.perms[state[..., None], g._base], images):
+        raise ValueError("permutation is not an element of the group")
+    return state
+
+
 def reference_transversal(action, root):
     """For each point of the root's orbit, one element mapping root to it,
     as image tuples: the generator walk permaction._transversal made before

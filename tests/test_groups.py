@@ -18,6 +18,8 @@ from conftest import (
     reference_bfs_enumerate,
     reference_cayley_table,
     reference_ids,
+    reference_level_ids,
+    reference_product_ids,
     reference_sorted_transition_tables,
 )
 from topolab import (
@@ -431,7 +433,9 @@ def test_base_search_picks_the_base_of_the_sorting_search(lookup_groups):
 def test_transition_tables_agree_with_the_searchsorted_chain(lookup_groups):
     rng = np.random.default_rng(3)
     s8 = PermAction(8, [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)]).group
-    for g in lookup_groups + [s8]:
+    wide = [group(f"perm[{text}]") for text in HIGH_POINT_SPECS]
+    assert all(g.perms.dtype == np.uint32 for g in wide)
+    for g in lookup_groups + [s8] + wide:
         index = reference_base_index(g.perms)
         every = g.perms[:, g._base]
         assert np.array_equal(g._ids(every), np.arange(g.order))
@@ -444,6 +448,20 @@ def test_transition_tables_agree_with_the_searchsorted_chain(lookup_groups):
         assert np.array_equal(g.inverses, reference_ids(g.perms, index, inverted))
         assert all(level.dtype == np.int32 for level in g._levels)
         assert sum(len(level) for level in g._levels) < g.order + len(g._base)
+        # flat takes give the ids of 2-D fancy indexing, shape and dtype too
+        assert np.array_equal(g._base_images, g.perms[:, g._base])
+        assert np.array_equal(g._ids(composed), reference_level_ids(g, composed))
+        shapes = (
+            (int(xs[0]), int(ys[0])),  # scalar
+            (xs[:, None], ys[:7]),  # outer product
+            (xs, int(ys[1])),  # against a scalar
+            (xs[:0], ys[:0]),  # empty
+            (xs[:0, None], ys[:3]),
+        )
+        for x_ids, y_ids in shapes:
+            got, want = g._product_ids(x_ids, y_ids), reference_product_ids(g, x_ids, y_ids)
+            assert got.dtype == want.dtype == np.int32
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
 
 
 # degree 100000, moving only the last points
@@ -529,6 +547,22 @@ def test_base_images_no_element_has_are_rejected_at_each_level():
         with pytest.raises(ValueError):
             g._ids(np.stack([x, images]))
     assert g._ids(x) == 1234
+
+
+def test_images_outside_the_points_are_rejected():
+    # a flat read at state * degree + image takes an image past the last
+    # point from the next row: only the base-image check can tell
+    g = group("S7")
+    x = g.perms[1234, g._base].astype(np.int64)
+    for j in range(len(x)):
+        for bad in (x[j] + g.degree, x[j] - g.degree, -1, g.degree * g.order):
+            images = x.copy()
+            images[j] = bad
+            with pytest.raises(ValueError):
+                g._ids(images)
+            with pytest.raises(ValueError):
+                g._ids(np.stack([x, images]))
+    assert g._ids(np.stack([x, x])).tolist() == [1234, 1234]
 
 
 def test_corrupted_table_entry_fails_the_base_image_check():

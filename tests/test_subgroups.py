@@ -482,6 +482,41 @@ def test_principal_closures_match_one_closure_per_class(lattice_groups):
             assert np.array_equal(_closure(g, kept)[0], row), name
 
 
+def test_closure_stops_at_lagranges_bound_and_not_before():
+    g = group("S7")
+    full = np.ones(g.order, dtype=bool)
+    three_cycles = next(cls for cls in conjugacy_classes(g) if len(cls) == 70)
+    # the 3-cycles generate A7, exactly |S7|/2 elements: no stop at S7
+    mask, kept = _closure(g, three_cycles, full)
+    assert np.count_nonzero(mask) == g.order // 2
+    assert np.array_equal(mask, _closure(g, three_cycles)[0])
+    # inside A7 it gives A7 again, with the same seeds
+    stopped, same = _closure(g, three_cycles, mask)
+    assert np.array_equal(stopped, mask) and same == kept
+    transpositions = next(cls for cls in conjugacy_classes(g) if len(cls) == 21)
+    assert np.array_equal(_closure(g, transpositions, full)[0], full)
+
+
+def test_principal_closures_of_s7_close_little_more_than_two_subgroups(monkeypatch):
+    from topolab.groups import FiniteGroup
+
+    g = group("S7")
+    _class_labels(g)
+    multiply = FiniteGroup.mul_many
+    served = []
+
+    def counting(self, xs, ys):
+        got = multiply(self, xs, ys)
+        served.append(np.size(got))
+        return got
+
+    monkeypatch.setattr(FiniteGroup, "mul_many", counting)
+    rows, _ = _principal_closures(g)
+    assert sorted(rows.sum(axis=1).tolist()) == [2520] * 7 + [5040] * 7
+    # each of the 14 closures ran to the end before: 181688 products
+    assert sum(served) <= 100_000
+
+
 def test_coset_labels_match_the_per_coset_loop(lattice_groups):
     for name, g in lattice_groups:
         for sub in normal_lattice(g).subgroups:
