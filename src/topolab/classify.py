@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InternalInconsistency
 from .groups import BLOCK_ENTRIES, FiniteGroup, GroupSpec, center
-from .subgroups import Subgroup, _generator_commutators, derived_subgroup, normal_lattice
+from .subgroups import Subgroup, _generator_commutators, center_subgroup, derived_subgroup, normal_lattice
 from .topology import AlmostTrivialTopology, make_topology
 
 
@@ -192,8 +192,6 @@ def classify(group: FiniteGroup) -> ClassificationReport:
     perfect = is_perfect(group)
     witnesses: dict = {}
     if not taimanov:
-        from .subgroups import center_subgroup
-
         witnesses["taimanov"] = center_subgroup(group)
     if not totally:
         witnesses["totally_taimanov"] = tt_witness

@@ -322,14 +322,18 @@ class NormalLattice:
 
     subgroups[k] is the k-th normal subgroup in (order, element set) order
     and masks[k] its membership row over the group's elements, of which
-    subgroups[k].mask is a view.  contains[i, j] says subgroups[i] <=
-    subgroups[j] (so the diagonal is set), and comm_index[k], built on first
-    use, is the position of [G, subgroups[k]].  Nothing here is writable.
+    subgroups[k].mask is a view.  holds[k, p] says subgroups[k] contains
+    reps[p], the smallest member of a class whose normal closure is the
+    p-th distinct principal member.  Each member is the join of the
+    principals it holds, so contains[i, j], subgroups[i] <= subgroups[j]
+    (the diagonal is set), compares rows of holds.  comm_index[k], built
+    on first use, is the position of [G, subgroups[k]].  Nothing here is
+    writable.
     """
 
-    __slots__ = ("group", "subgroups", "masks", "contains", "_position")
+    __slots__ = ("group", "subgroups", "masks", "reps", "holds", "contains", "_position")
 
-    def __init__(self, group: FiniteGroup, masks: np.ndarray):
+    def __init__(self, group: FiniteGroup, masks: np.ndarray, reps: np.ndarray):
         self.group = group
         # among equal orders the smaller element tuple is the mask set at
         # the first position where two masks differ, so its complement's
@@ -338,12 +342,18 @@ class NormalLattice:
         keys = [row.tobytes() for row in np.packbits(~masks, axis=1)]
         order = sorted(range(len(masks)), key=lambda k: (sizes[k], keys[k]))
         self.masks = masks[order]
-        self.masks.setflags(write=False)
+        self.masks.setflags(write=False)  # so that each subgroup shares its row
         self.subgroups: tuple[Subgroup, ...] = tuple(
             Subgroup(group, row, _normal=True) for row in self.masks
         )
-        self.contains = _containment(group, self.masks)
-        self.contains.setflags(write=False)
+        self.reps = reps
+        self.holds = self.masks[:, reps]
+        rows = self.holds.astype(np.float32)
+        self.contains = np.empty((len(rows), len(rows)), dtype=bool)
+        for lo, block in _subset_blocks(rows, rows.T):
+            self.contains[lo : lo + len(block)] = block
+        for array in (self.reps, self.holds, self.contains):
+            array.setflags(write=False)
         self._position = {sub.packed: k for k, sub in enumerate(self.subgroups)}
 
     def index(self, sub: Subgroup) -> int:
@@ -355,36 +365,26 @@ class NormalLattice:
         """Position of [G, N] for every member N.
 
         [G, AB] = [G, A][G, B] for normal A and B, and every N is the
-        product of the principal members (normal closures of one class)
-        inside it, so [G, N] is the smallest member containing [G, P] for
-        each principal P <= N.  commutator_subgroup runs on the principals
-        only; the rest is a row-blocked float32 product against contains.
+        product of the principal members inside it, so [G, N] is the
+        smallest member containing [G, P] for each principal P <= N.  The
+        first member holding reps[p] is the p-th principal, and
+        commutator_subgroup runs on the principals only; the rest is a
+        row-blocked float32 product of holds against contains.
         """
 
         def build() -> np.ndarray:
             group = self.group
             full = full_subgroup(group)
-            # the first member holding a class is that class's normal closure
-            principals = np.unique(self.masks[:, np.unique(_class_labels(group))].argmax(axis=0))
+            principals = self.holds.argmax(axis=0)
             comms = [self.index(commutator_subgroup(group, full, self.subgroups[p])) for p in principals]
-            below = self.contains[principals].T.astype(np.float32)  # [N, P]: P <= N
-            holds = self.contains[comms].astype(np.float32)  # [P, M]: [G, P] <= M
+            below = self.holds.astype(np.float32)  # [N, P]: P <= N
+            inside = self.contains[comms].astype(np.float32)  # [P, M]: [G, P] <= M
             # members sort by order, so the first one holding them all is their join
-            out = np.concatenate([block.argmax(axis=1) for _, block in _subset_blocks(below, holds)])
+            out = np.concatenate([block.argmax(axis=1) for _, block in _subset_blocks(below, inside)])
             out.setflags(write=False)
             return out
 
         return self.group._cached("lattice_comm_index", build)
-
-
-def _containment(group: FiniteGroup, masks: np.ndarray) -> np.ndarray:
-    """contains[i, j] = (row i of masks lies inside row j), for rows that are
-    unions of conjugacy classes; compared on one member per class."""
-    rows = masks[:, np.unique(_class_labels(group))].astype(np.float32)
-    contains = np.empty((len(rows), len(rows)), dtype=bool)
-    for lo, block in _subset_blocks(rows, rows.T):
-        contains[lo : lo + len(block)] = block
-    return contains
 
 
 def _subset_blocks(rows: np.ndarray, cols: np.ndarray):
@@ -445,6 +445,7 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
         new, principals = add(closures)
         del closures  # principals holds the distinct ones
         seeds = [seeds[k] for k in new]
+        reps = np.array([kept[0] for kept in seeds], dtype=np.intp)  # class minima, kept first
         sizes = principals.sum(axis=1)
         which, members = np.nonzero(principals)
         starts = np.cumsum(sizes) - sizes
@@ -509,7 +510,7 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
                     new, joins = add(np.take(hit[s : s + span], spread))
                     own, by = own[new], [seeds[p] for p in with_p[s : s + span][new]]
                     enter(joins, lambda keep: _join_labels(group, own[keep], [by[k] for k in keep]))
-        return NormalLattice(group, np.array(rows))
+        return NormalLattice(group, np.array(rows), reps)
 
     return group._cached("normal_lattice", build)
 

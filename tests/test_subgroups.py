@@ -58,6 +58,10 @@ from topolab.subgroups import (
 # 4000 singleton classes
 CLASS_SPECS = ("S7", "SL(2,17)", "Heis(7) x C2", "A5 x A5", "D2000", "C4000")
 
+# beside lattice_groups: wide lattices of odd order, and a nonabelian one
+# whose principal subgroups need two seeds
+EXTRA_LATTICE_SPECS = ("C3 x C3 x C3 x C3", "Heis(5) x C5")
+
 
 def test_class_labels_match_the_oracle_classes(catalog):
     for name, g in list(catalog) + [(text, group(text)) for text in CLASS_SPECS]:
@@ -361,7 +365,8 @@ def test_large_group_normal_lattice_and_subgroup_materialization():
 
 
 def test_lattice_matches_class_join_oracle(catalog64):
-    extra = [(text, group(text)) for text in ("C2 x C2 x C2 x C2 x C2", "C2 x C2 x C2 x C4")]
+    texts = ("C2 x C2 x C2 x C2 x C2", "C2 x C2 x C2 x C4") + EXTRA_LATTICE_SPECS
+    extra = [(text, group(text)) for text in texts]
     for name, g in catalog64 + extra:
         lattice = normal_lattice(g)
         got = [(n.order, n.elements) for n in lattice.subgroups]
@@ -535,9 +540,40 @@ def test_comm_index_matches_one_commutator_subgroup_per_member(lattice_groups):
         assert lattice.comm_index.tolist() == reference_comm_index(g, lattice), name
 
 
-# beside lattice_groups: wide lattices of odd order, and a nonabelian one
-# whose principal subgroups need two seeds
-EXTRA_LATTICE_SPECS = ("C3 x C3 x C3 x C3", "Heis(5) x C5")
+def test_holds_reads_one_class_minimum_per_principal(lattice_groups):
+    for name, g in lattice_groups + [(text, group(text)) for text in EXTRA_LATTICE_SPECS]:
+        lattice = normal_lattice(g)
+        holds, reps = lattice.holds, lattice.reps.tolist()
+        assert not holds.flags.writeable and holds.shape == (len(lattice.subgroups), len(reps)), name
+        assert np.array_equal(_class_labels(g)[reps], reps), name
+        # column p is every member's membership of reps[p]
+        assert holds.tolist() == [[x in sub.element_set for x in reps] for sub in lattice.subgroups], name
+        # the first member holding column p is the normal closure of reps[p]
+        for p, x in enumerate(reps):
+            assert lattice.subgroups[holds[:, p].argmax()] == normal_closure(g, [x]), (name, x)
+        # one column per distinct normal closure of a nontrivial class
+        assert len({col.tobytes() for col in holds.T}) == len(reps), name
+        assert len(reps) == len(reference_principal_closures(g)), name
+        # every member is the join of the principals it holds
+        assert len({row.tobytes() for row in holds}) == len(holds), name
+
+
+def test_lattice_relations_scale_with_the_principals_not_the_classes():
+    # abelian, so 2025 classes, but 636 members and only 30 principals
+    g = group("C3 x C3 x C3 x C3 x C25")
+    g.table
+    _class_labels(g)
+    tracemalloc.start()
+    try:
+        lattice = normal_lattice(g)
+        lattice.comm_index
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lattice.subgroups) == 636
+    # 13.0 MiB measured with containment compared on one column per class
+    # (a 636 x 2025 float32 copy of the masks), 7.5 MiB on one per principal
+    assert peak < 9 << 20
 
 
 def test_lattice_masks_match_the_per_member_search(lattice_groups):
@@ -648,3 +684,32 @@ def test_orbit_minima_cross_a_rising_cycle_in_few_rounds():
     half = np.arange(2048)
     halves = [(half, np.roll(half, 1)), (half + 2048, np.roll(half, -1) + 2048)]
     assert _orbit_minima(4096, halves).tolist() == [0] * 2048 + [2048] * 2048
+
+
+def test_orbit_minima_match_scipy_connected_components():
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    from scipy.sparse import coo_matrix
+
+    rng = np.random.default_rng(16)
+    for trial in range(24):
+        count = int(rng.integers(1, 600))
+        maps = []
+        for _ in range(int(rng.integers(1, 4))):
+            # one-to-one from part of the nodes onto as many distinct nodes
+            size = int(rng.integers(0, count + 1))
+            maps.append((rng.choice(count, size, replace=False), rng.choice(count, size, replace=False)))
+        if trial % 3 == 0:
+            # a permutation of every node, as the conjugation maps are
+            maps.append((slice(None), rng.permutation(count)))
+        if trial % 3 == 1:
+            # one long cycle through every node, ids shuffled along it
+            cycle = rng.permutation(count)
+            maps.append((cycle, np.roll(cycle, -1)))
+        nodes = np.arange(count)
+        src = np.concatenate([nodes[a] for a, _ in maps])
+        dst = np.concatenate([nodes[b] for _, b in maps])
+        graph = coo_matrix((np.ones(len(src)), (src, dst)), shape=(count, count))
+        _, component = csgraph.connected_components(graph, directed=False)
+        smallest = np.full(count, count)
+        np.minimum.at(smallest, component, nodes)
+        assert np.array_equal(_orbit_minima(count, maps), smallest[component]), trial
