@@ -5,7 +5,7 @@ subgroup lattices, decides semitopological (and n-step semitopological)
 identity maps between almost trivial topologies, classifies groups as
 Taimanov / totally Taimanov / Arnautov, and analyzes permutation actions
 for trivial centralizers.  Every closed-form decision is paired with an
-independent brute-force oracle.
+independent oracle.
 """
 
 # the one version string: pyproject.toml and report.TOOL_VERSION read it;

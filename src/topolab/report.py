@@ -63,11 +63,15 @@ def emit_lattice_dot(group: FiniteGroup) -> str:
     time.  Normal subgroups form a modular lattice, so by the Jordan-Dedekind
     chain condition every maximal chain between two members has the same
     length: L covers N iff N < L and L is one level above N, the level of a
-    member being the length of the longest chain up to it from {e}.  n is
-    the first term of the commutator chain [G, L], [G, [G, L]], ... (walked
-    on comm_index) that lies in N, as in semitop.min_steps; every chain is
-    walked at once, and each term is one gather of the containment matrix
-    at the block's pairs.
+    member being the length of the longest chain up to it from {e}.  Members
+    of equal order are never strictly nested, and members sort by order, so
+    the levels of one order are one masked max over the members before it.
+    n is the first term of the commutator chain [G, L], [G, [G, L]], ...
+    (walked on comm_index) that lies in N, as in semitop.min_steps; every
+    chain is walked at once, and each term is one gather of the containment
+    matrix at the block's pairs.  The edge text is joined from a table of
+    pieces: a head "  n{i} -> " per member and a tail per member and step
+    (0 for a solid edge), picked by index arrays.
     """
     lattice = normal_lattice(group)
     contains, count = lattice.contains, len(lattice.subgroups)
@@ -75,32 +79,37 @@ def emit_lattice_dot(group: FiniteGroup) -> str:
     chain = [comm]  # chain[t][j]: term t + 1 of the chain from N_j
     while not np.array_equal(comm[chain[-1]], chain[-1]):
         chain.append(comm[chain[-1]])
-    # members are sorted by order, so every strict subgroup of N_i comes
-    # before it: height[i] is final when row i lifts the members above it
-    height = np.zeros(count, dtype=np.int32)
-    for i in range(count):
-        above = height[i + 1 :]
-        np.maximum(above, height[i] + 1, out=above, where=contains[i, i + 1 :])
+    orders = [sub.order for sub in lattice.subgroups]
+    height = np.zeros(count, dtype=np.int8)  # at most log2 |G|
+    cuts = (np.flatnonzero(np.diff(orders)) + 1).tolist()  # the first member of each order past 1
+    for first, last in zip(cuts, cuts[1:] + [count]):
+        step = max(1, BLOCK_ENTRIES // first)
+        for lo in range(first, last, step):
+            hi = min(last, lo + step)
+            height[lo:hi] = np.where(contains[:first, lo:hi], height[:first, None], -1).max(axis=0) + 1
+    # a head per member, then a tail per step t (0 for solid) and member
+    pieces = [f"  n{i} -> " for i in range(count)] + [f"n{j};\n" for j in range(count)]
+    for t in range(1, len(chain) + 1):
+        pieces += [f'n{j} [style=dashed, label="semi:{t}"];\n' for j in range(count)]
+    pieces = np.array(pieces, dtype=object)
+
+    def edges(rows: np.ndarray, cols: np.ndarray, steps) -> str:
+        picks = np.stack([rows, (steps + 1) * count + cols], axis=1)  # head, tail of each edge
+        return "".join(pieces[picks.ravel()].tolist())
+
     step = max(1, BLOCK_ENTRIES // count)
     solid, dashed = [], []  # one string per block
     for lo in range(0, count, step):
-        rows, cols = np.nonzero(contains[lo : lo + step])
+        rows, cols = divmod(np.flatnonzero(contains[lo : lo + step]), count)
         rows += lo
         strict = rows != cols
         rows, cols = rows[strict], cols[strict]
         cover = height[cols] == height[rows] + 1
-        solid.append("".join(
-            f"  n{i} -> n{j};\n" for i, j in zip(rows[cover].tolist(), cols[cover].tolist())
-        ))
-        steps = np.zeros(len(rows), dtype=np.int8)
+        solid.append(edges(rows[cover], cols[cover], 0))
+        steps = np.zeros(len(rows), dtype=np.intp)
         for t, terms in enumerate(chain, 1):
             steps[(steps == 0) & contains[terms[cols], rows]] = t
         semi = steps > 0
-        dashed.append("".join(
-            f'  n{i} -> n{j} [style=dashed, label="semi:{n}"];\n'
-            for i, j, n in zip(rows[semi].tolist(), cols[semi].tolist(), steps[semi].tolist())
-        ))
-    nodes = "".join(
-        f'  n{k} [label="N#{k} (order {sub.order})"];\n' for k, sub in enumerate(lattice.subgroups)
-    )
+        dashed.append(edges(rows[semi], cols[semi], steps[semi]))
+    nodes = "".join(f'  n{k} [label="N#{k} (order {m})"];\n' for k, m in enumerate(orders))
     return "".join(["digraph lattice {\n  rankdir=BT;\n", nodes, *solid, *dashed, "}\n"])

@@ -61,6 +61,13 @@ class Subgroup:
         self.packed = np.packbits(mask).tobytes()
         self._normal = _normal
 
+    @classmethod
+    def _normal_row(cls, parent: FiniteGroup, mask: np.ndarray, order: int, packed: bytes) -> "Subgroup":
+        """A normal subgroup whose read-only mask, order and packed bytes are known."""
+        sub = cls.__new__(cls)
+        sub.parent, sub.mask, sub.order, sub.packed, sub._normal = parent, mask, order, packed, True
+        return sub
+
     @property
     def elements(self) -> tuple[int, ...]:
         """Member ids in increasing order."""
@@ -320,6 +327,8 @@ def normal_closure(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
 class NormalLattice:
     """Every normal subgroup of a group, with the arrays its consumers share.
 
+    Built from the packed bytes of the members' masks, sorted by one lexsort
+    and stacked by one np.unpackbits; each Subgroup takes its row and bytes.
     subgroups[k] is the k-th normal subgroup in (order, element set) order
     and masks[k] its membership row over the group's elements, of which
     subgroups[k].mask is a view.  holds[k, p] says subgroups[k] contains
@@ -333,18 +342,19 @@ class NormalLattice:
 
     __slots__ = ("group", "subgroups", "masks", "reps", "holds", "contains", "_position")
 
-    def __init__(self, group: FiniteGroup, masks: np.ndarray, reps: np.ndarray):
+    def __init__(self, group: FiniteGroup, packed: list[bytes], reps: np.ndarray):
         self.group = group
+        rows = np.frombuffer(b"".join(packed), dtype=np.uint8).reshape(len(packed), -1)
+        sizes = np.bitwise_count(rows).sum(axis=1)
         # among equal orders the smaller element tuple is the mask set at
         # the first position where two masks differ, so its complement's
         # packed bytes are the smaller ones
-        sizes = masks.sum(axis=1)
-        keys = [row.tobytes() for row in np.packbits(~masks, axis=1)]
-        order = sorted(range(len(masks)), key=lambda k: (sizes[k], keys[k]))
-        self.masks = masks[order]
+        order = np.lexsort(((~rows).view(np.dtype((np.void, rows.shape[1]))).ravel(), sizes))
+        self.masks = np.unpackbits(rows[order], axis=1, count=group.order).view(bool)
         self.masks.setflags(write=False)  # so that each subgroup shares its row
+        packed = [packed[k] for k in order.tolist()]
         self.subgroups: tuple[Subgroup, ...] = tuple(
-            Subgroup(group, row, _normal=True) for row in self.masks
+            Subgroup._normal_row(group, *row) for row in zip(self.masks, sizes[order].tolist(), packed)
         )
         self.reps = reps
         self.holds = self.masks[:, reps]
@@ -354,7 +364,7 @@ class NormalLattice:
             self.contains[lo : lo + len(block)] = block
         for array in (self.reps, self.holds, self.contains):
             array.setflags(write=False)
-        self._position = {sub.packed: k for k, sub in enumerate(self.subgroups)}
+        self._position = dict(zip(packed, range(len(packed))))
 
     def index(self, sub: Subgroup) -> int:
         """Position of a normal subgroup of the same group."""
@@ -425,20 +435,15 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
 
     def build() -> NormalLattice:
         order = group.order
-        rows: list[np.ndarray] = []
-        found: dict = {}
+        found: dict = {}  # the packed bytes of every member, which are all the lattice keeps
 
         def add(block: np.ndarray) -> tuple[list[int], np.ndarray]:
             new = fresh_rows(np.packbits(block, axis=1), found)
-            # the lattice keeps row views: of the block itself when every
-            # row is new, else of one copy of the new rows
-            kept = block if len(new) == len(block) else block[new]
-            rows.extend(kept)
-            if len(rows) > NORMAL_LATTICE_BOUND:
+            if len(found) > NORMAL_LATTICE_BOUND:
                 raise OrderCapExceeded(
                     f"normal subgroup lattice exceeds {NORMAL_LATTICE_BOUND} entries"
                 )
-            return new, kept
+            return new, block if len(new) == len(block) else block[new]
 
         add((np.arange(order) == 0)[None])
         closures, seeds = _principal_closures(group)
@@ -510,7 +515,7 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
                     new, joins = add(np.take(hit[s : s + span], spread))
                     own, by = own[new], [seeds[p] for p in with_p[s : s + span][new]]
                     enter(joins, lambda keep: _join_labels(group, own[keep], [by[k] for k in keep]))
-        return NormalLattice(group, np.array(rows), reps)
+        return NormalLattice(group, list(found), reps)
 
     return group._cached("normal_lattice", build)
 

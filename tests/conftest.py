@@ -42,6 +42,10 @@ def catalog24(catalog):
 # cyclic subgroup, beside the catalog in the normal-lattice reference checks
 LATTICE_SPECS = ("C2 x C2 x C2 x C2 x C2", "C2 x C2 x C2 x C4", "C4 x C4 x C2", "D2000", "C4000")
 
+# beside lattice_groups in the slower checks: wide lattices of odd order,
+# and a nonabelian one whose principal subgroups need two seeds
+EXTRA_LATTICE_SPECS = ("C3 x C3 x C3 x C3", "Heis(5) x C5")
+
 
 @pytest.fixture(scope="session")
 def lattice_groups(catalog):
@@ -523,6 +527,20 @@ def reference_comm_index(g, lattice):
 
     full = full_subgroup(g)
     return [lattice.index(commutator_subgroup(g, full, sub)) for sub in lattice.subgroups]
+
+
+def reference_semitop_oracle(tau, sigma):
+    """Whether every commutator [g, l], g in G and l in L = kernel(sigma),
+    lies in N = kernel(tau): the elementwise brute force that
+    is_semitopological_oracle ran before it read the criterion off the
+    generators and the cosets of N."""
+    g, small, large = tau.group, tau.kernel, sigma.kernel
+    every_g = np.arange(g.order)
+    commutators = (
+        g.mul_many(g.mul_many(g.mul_many(every_g, l), g.inverses[every_g]), g.inverses[l])
+        for l in large.elements
+    )
+    return all(small.mask[c].all() for c in commutators)
 
 
 def reference_lattice_dot(g):

@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 
+import pytest
 from conftest import c2_power_gens
 from topolab import DEFAULT_ORDER_CAP
 
@@ -152,6 +153,15 @@ def _run_bounded(*args, timeout=10):
         text=True,
         timeout=timeout,
     )
+
+
+@pytest.mark.parametrize("spec, lo, hi", [("S7", "1", "2"), ("Heis(13) x C8", "4", "67")])
+def test_semitop_true_pairs_decide_in_seconds(spec, lo, hi):
+    # the elementwise oracle took about 4 s and 45 s on these
+    result = _run_bounded("semitop", spec, "--from", lo, "--to", hi, timeout=20)
+    assert result.returncode == 0
+    assert "semitopological: true\noracle agrees: true\n" in result.stdout
+    assert "Traceback" not in result.stderr
 
 
 def test_huge_symmetric_and_alternating_degrees_hit_the_order_cap():

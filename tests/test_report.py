@@ -1,7 +1,7 @@
 import json
 import re
 
-from conftest import group
+from conftest import EXTRA_LATTICE_SPECS, group
 from topolab import classify, emit_lattice_dot, emit_report_json
 from topolab.report import emit_catalog_json
 
@@ -186,7 +186,7 @@ def test_comm_index_matches_commutator_subgroup_and_brute_force(catalog24):
 def test_dot_matches_the_dense_reference(lattice_groups):
     from conftest import reference_lattice_dot
 
-    for name, g in lattice_groups:
+    for name, g in lattice_groups + [(text, group(text)) for text in EXTRA_LATTICE_SPECS]:
         assert emit_lattice_dot(g) == reference_lattice_dot(g), name
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import group
+from conftest import group, reference_semitop_oracle
 from topolab import (
     NotComparable,
     all_normal_subgroups,
@@ -101,6 +101,45 @@ def test_oracle_specific_pairs():
     v4, a4 = normals[1], normals[2]
     assert is_semitopological_oracle(make_topology(s4, a4), indiscrete_topology(s4))
     assert not is_semitopological_oracle(discrete_topology(s4), make_topology(s4, v4))
+
+
+def test_oracle_matches_the_elementwise_reference_on_nested_catalog_pairs(catalog):
+    pairs = 0
+    for name, g in catalog:
+        tops = [make_topology(g, n) for n in all_normal_subgroups(g)[:40]]
+        for tau in tops:
+            for sigma in tops:
+                if tau.kernel.issubset(sigma.kernel):
+                    pairs += 1
+                    expected = reference_semitop_oracle(tau, sigma)
+                    assert is_semitopological_oracle(tau, sigma) == expected, (name, tau, sigma)
+    assert pairs == 1828
+
+
+def test_oracle_reads_no_class_labels_and_closes_nothing(monkeypatch):
+    import topolab.subgroups as subgroups_module
+
+    pairs = _nested_pairs(group("Heis(3) x C3"))
+    expected = [reference_semitop_oracle(tau, sigma) for tau, sigma in pairs]
+
+    def shared(*args, **kwargs):
+        raise AssertionError("the main route runs on this step")
+
+    monkeypatch.setattr(subgroups_module, "_class_labels", shared)
+    monkeypatch.setattr(subgroups_module, "_closure", shared)
+    assert [is_semitopological_oracle(tau, sigma) for tau, sigma in pairs] == expected
+
+
+def test_cli_reports_a_lying_oracle(monkeypatch, capsys):
+    import topolab.cli as cli_module
+
+    def lying(tau, sigma):
+        return not is_semitopological_oracle(tau, sigma)
+
+    monkeypatch.setattr(cli_module, "is_semitopological_oracle", lying)
+    for args in (("--from", "0", "--to", "3"), ("--from", "2", "--to", "3")):  # false, then true
+        assert cli_module.main(["semitop", "S4", *args]) == 0
+        assert "oracle agrees: false" in capsys.readouterr().out.splitlines()
 
 
 def test_not_comparable_raises():

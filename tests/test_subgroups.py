@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    EXTRA_LATTICE_SPECS,
     LATTICE_SPECS,
     _oracle_classes,
     brute_closure,
@@ -57,10 +58,6 @@ from topolab.subgroups import (
 # D2000 has long classes whose ids increase along conjugation, C4000 has
 # 4000 singleton classes
 CLASS_SPECS = ("S7", "SL(2,17)", "Heis(7) x C2", "A5 x A5", "D2000", "C4000")
-
-# beside lattice_groups: wide lattices of odd order, and a nonabelian one
-# whose principal subgroups need two seeds
-EXTRA_LATTICE_SPECS = ("C3 x C3 x C3 x C3", "Heis(5) x C5")
 
 
 def test_class_labels_match_the_oracle_classes(catalog):
@@ -454,12 +451,17 @@ def test_commutator_cache_is_shared_by_ids_and_mask_subgroups():
     assert again is first
 
 
-def test_lattice_subgroups_are_read_only_views_of_the_masks(catalog64):
-    for name, g in catalog64:
+def test_lattice_subgroups_are_read_only_views_of_the_masks(lattice_groups):
+    for name, g in lattice_groups + [(text, group(text)) for text in EXTRA_LATTICE_SPECS]:
         lattice = normal_lattice(g)
         for k, sub in enumerate(lattice.subgroups):
             assert np.shares_memory(sub.mask, lattice.masks[k]), (name, k)
             assert not sub.mask.flags.writeable, (name, k)
+            # built in bulk from its row, popcount and packed key, it equals
+            # the subgroup built from a copy of the row
+            built = Subgroup(g, lattice.masks[k].copy())
+            assert (sub.packed, sub.order) == (built.packed, built.order), (name, k)
+            assert sub == built and hash(sub) == hash(built) and sub.is_normal, (name, k)
 
 
 @pytest.mark.parametrize("text", ["Q8 x D8", "S4"])
@@ -650,6 +652,23 @@ def test_c2_power_6_lattice_makes_few_products(monkeypatch):
     # one labelling per principal and a few per level; the per-member
     # search made 7268 calls
     assert len(calls) <= 1000
+
+
+def test_lattice_masks_are_stacked_once():
+    # 335 members over 10000 elements, 3.2 MiB of masks
+    g = group("C2 x C2 x C2 x C2 x C625")
+    _class_labels(g)
+    tracemalloc.start()
+    try:
+        lattice = normal_lattice(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lattice.subgroups) == 335
+    # 13.0 MiB measured while the search kept row views of its blocks and
+    # the lattice sorted a stacked copy of them; 6.6 MiB with the masks
+    # unpacked once, in sorted order, from the packed keys
+    assert peak < 9 << 20
 
 
 def test_c2_power_6_lattice_memory_is_bounded():
