@@ -15,14 +15,7 @@ from typing import Optional, Sequence
 
 from .catalog import catalog_entries
 from .classify import ClassificationReport, classify
-from .errors import (
-    DegreeTooLarge,
-    InvalidSpec,
-    NotComparable,
-    OrderCapExceeded,
-    SpecSyntaxError,
-    TopolabError,
-)
+from .errors import InvalidSpec, NotComparable, OrderCapExceeded, SpecSyntaxError, TopolabError
 from .groups import DEFAULT_ORDER_CAP, build_group
 from .permaction import (
     MATERIALIZATION_CAP,
@@ -273,15 +266,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SpecSyntaxError, InvalidSpec) as exc:
+    except TopolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OrderCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NotComparable, DegreeTooLarge, TopolabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, (SpecSyntaxError, InvalidSpec)):
+            return 2
+        return 3 if isinstance(exc, OrderCapExceeded) else 1
 
 
 if __name__ == "__main__":

@@ -135,11 +135,12 @@ class FiniteGroup:
     """A finite group with elements 0..order-1 and identity 0.
 
     Instances are produced by :func:`build_group`, :func:`direct_product`,
-    from the parent's rows (subgroup materializations), or from a
-    multiplication table (quotients).  Rows, generators and order are frozen
+    from the parent's rows (subgroup materializations), or from the regular
+    action on the cosets (quotients).  Rows, generators and order are frozen
     at construction; the element lookup (checked by _smoke_check before its
-    first use when build_group passed a check seed), the table and other
-    caches are built on first use, invisible to callers, safe to share.
+    first use when the constructor was given a check seed, as build_group
+    and quotient_group do), the table and other caches are built on first
+    use, invisible to callers, safe to share.
     """
 
     __slots__ = (
@@ -162,7 +163,6 @@ class FiniteGroup:
         spec: Optional[GroupSpec],
         perms: np.ndarray,
         generator_ids: tuple[int, ...],
-        table: Optional[np.ndarray] = None,
         check_seed: Optional[int] = None,
     ):
         self.spec = spec
@@ -171,9 +171,7 @@ class FiniteGroup:
         self.order = int(perms.shape[0])
         self.degree = int(perms.shape[1])
         self.generator_ids = generator_ids
-        self._table = table
-        if table is not None:
-            self._table.setflags(write=False)
+        self._table: Optional[np.ndarray] = None
         self._checked = self._unchecked = None
         self._check_seed = check_seed
         self._cache: dict = {}
@@ -321,10 +319,6 @@ class FiniteGroup:
             mask &= self.perms[:, b] == pg.take(images[:, j])
         return mask
 
-    def conj_map(self, g: int) -> np.ndarray:
-        """Array m with m[x] = g x g^-1 for every x."""
-        return self.mul_many(self.mul_many(g, np.arange(self.order)), self.inv(g))
-
     # -- shared derived-data cache -------------------------------------------
 
     def _cached(self, key, builder: Callable[[], object]):
@@ -435,19 +429,9 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidSpec(msg)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+def _smallest_prime_factor(n: int) -> int:
+    """The smallest prime dividing n >= 2."""
+    return next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
 
 
 def _product(factors: Iterable[int], cap: Optional[int]) -> int:
@@ -814,7 +798,7 @@ def _check_field_size(name: str, p: int, order_cap: int) -> None:
     over it already."""
     if p > order_cap:
         raise OrderCapExceeded(f"{name} field size {p} is above the cap ({order_cap})")
-    _require(_is_prime(p), f"{name} field size {p} is not prime")
+    _require(_smallest_prime_factor(p) == p, f"{name} field size {p} is not prime")
 
 
 def _assemble_gen_dihedral(
@@ -862,22 +846,6 @@ def direct_product(
         return group
 
     return left._cached(("direct_product", id(right)), build)
-
-
-def group_from_table(
-    table: np.ndarray,
-    generator_ids: tuple[int, ...],
-    spec: Optional[GroupSpec] = None,
-) -> FiniteGroup:
-    """Wrap an explicit multiplication table (rows double as the regular action)."""
-    table = np.ascontiguousarray(table, dtype=np.int32)
-    n = table.shape[0]
-    if not np.array_equal(table[0], np.arange(n)):
-        raise InvalidSpec("table row 0 is not the identity")
-    group = FiniteGroup(spec, table.astype(_perm_dtype(n)), generator_ids, table)
-    if not (table[np.arange(n), group.inverses] == 0).all():
-        raise InvalidSpec("table has an element without an inverse")
-    return group
 
 
 # ---------------------------------------------------------------------------

@@ -283,14 +283,10 @@ def print_group_spec(spec: GroupSpec) -> str:
 
 
 def _print_perm_spec(spec: PermSpec) -> str:
-    max_moved = -1
-    rendered = []
-    for gen in spec.generators:
-        cycles = perm_cycles(gen)
-        max_moved = max(max_moved, max(pt for cyc in cycles for pt in cyc))
-        rendered.append("".join("(" + " ".join(map(str, cyc)) + ")" for cyc in cycles))
+    rendered = [format_perm(gen) for gen in spec.generators]
     pin = f"({spec.degree - 1})"
-    if max_moved < spec.degree - 1:
+    if all(gen[-1] == spec.degree - 1 for gen in spec.generators):
+        # no generator moves the last point (perm[(3)] has no generators):
         # a singleton cycle fixes nothing but records the degree
         if rendered:
             rendered[-1] += pin

@@ -14,19 +14,20 @@ The center of G/N is read off G itself: quotient_center returns its
 preimage, the x whose commutator with every generator of G lies in N, from
 one membership mask per generator.  upper_central_series and the
 classification's center route use it; quotient_group, which builds G/N as
-a group of its own with a dense table, is left to quotient topologies.
+a group of its own, the regular action on the cosets, is left to quotient
+topologies.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import NotNormal, OrderCapExceeded
-from .groups import BLOCK_ENTRIES, FiniteGroup, cayley_table, center, fresh_rows, group_from_table
+from .groups import BLOCK_ENTRIES, FiniteGroup, _perm_dtype, _smallest_prime_factor, cayley_table
+from .groups import center, fresh_rows
 
 # ceiling on the normal-lattice size; elementary-abelian inputs can have
 # astronomically many normal subgroups and must fail fast instead of hanging
@@ -123,7 +124,6 @@ class CentralSeries:
 
     kind: str
     terms: tuple[Subgroup, ...]
-    stabilized: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,11 +186,6 @@ def _closure(
                 squares = [] if mask[square] else squares + [square]
             fresh = _mark_new(mask, group.mul_many(fresh[:, None], gens + squares[1:]))
     return mask, gens
-
-
-def _smallest_prime_factor(n: int) -> int:
-    """The smallest prime dividing n >= 2."""
-    return next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
 
 
 def _mark_new(mask: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -276,7 +271,7 @@ def _class_labels(group: FiniteGroup) -> np.ndarray:
     orbit minima under conjugation by each generator."""
 
     def build() -> np.ndarray:
-        maps = [(slice(None), group.conj_map(g)) for g in group.generator_ids]
+        maps = [(slice(None), _conjugates(group, g, np.arange(group.order))) for g in group.generator_ids]
         labels = _orbit_minima(group.order, maps)
         labels.setflags(write=False)
         return labels
@@ -399,11 +394,11 @@ class NormalLattice:
 
 def _subset_blocks(rows: np.ndarray, cols: np.ndarray):
     """Yield (lo, block) with block[i, j] true iff every entry set in row
-    lo + i of rows is set in column j of cols, for 0/1 float32 matrices: a
-    product of row blocks of at most BLOCK_ENTRIES entries (exact, since
-    counts stay far below 2^24)."""
+    lo + i of rows is set in column j of cols, for 0/1 float32 matrices,
+    either of which may have no columns: a product of row blocks of at most
+    BLOCK_ENTRIES entries (exact, since counts stay far below 2^24)."""
     sizes = rows.sum(axis=1)
-    step = max(1, BLOCK_ENTRIES // cols.shape[1])
+    step = max(1, BLOCK_ENTRIES // max(1, cols.shape[1]))
     for lo in range(0, len(rows), step):
         yield lo, rows[lo : lo + step] @ cols == sizes[lo : lo + step, None]
 
@@ -419,18 +414,18 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
     of the N-cosets that meet P, so no join closes anything.  When P
     contains N the join is P itself, and when P lies in N it is N, so only
     the P apart from N, neither holding the other, count; a member without
-    one is not joined further.  |P n N| for every P is read as one
-    reduceat over the principals' members when N is found.  A level's
-    members are taken in blocks whose temporaries hold at most
-    BLOCK_ENTRIES >> 3 entries, BLOCK_ENTRIES bytes as int64 (most cosets
-    first, so a block's rows are alike), and each block is one
-    numpy pass: the cosets each apart P meets as one row over G/N, the
-    distinct rows of each N, and those rows spread back over G and keyed.
-    Cosets are labelled by _coset_labels only for principals, when their
-    block comes up; a new join inherits its labels from N's along the
-    seeds of P (_join_labels).
-    Raises OrderCapExceeded when the lattice grows past
-    NORMAL_LATTICE_BOUND.
+    one is not joined further.  As NormalLattice compares members, both
+    tests are read in principal space when N is found: N holds P iff it
+    holds P's class minimum in reps, and N, the join of the principals it
+    holds, lies in P iff P holds each of them.  A level's members are taken
+    in blocks whose temporaries hold at most BLOCK_ENTRIES >> 3 entries,
+    BLOCK_ENTRIES bytes as int64 (most cosets first, so a block's rows are
+    alike), and each block is one numpy pass: the cosets each apart P meets
+    as one row over G/N, the distinct rows of each N, and those rows spread
+    back over G and keyed.  Cosets are labelled by _coset_labels only for
+    principals, when their block comes up; a new join inherits its labels
+    from N's along the seeds of P (_join_labels).  Raises OrderCapExceeded
+    when the lattice grows past NORMAL_LATTICE_BOUND.
     """
 
     def build() -> NormalLattice:
@@ -451,9 +446,8 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
         del closures  # principals holds the distinct ones
         seeds = [seeds[k] for k in new]
         reps = np.array([kept[0] for kept in seeds], dtype=np.intp)  # class minima, kept first
-        sizes = principals.sum(axis=1)
         which, members = np.nonzero(principals)
-        starts = np.cumsum(sizes) - sizes
+        below = principals[:, reps].astype(np.float32)  # [P, Q]: Q <= P
         budget = BLOCK_ENTRIES >> 3  # entries of one temporary, which may be int64
         # (coset count, coset labels, principals apart from it) of each
         # member the last level found; a member is its coset of the identity.
@@ -465,16 +459,14 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
         def enter(masks: np.ndarray, label) -> None:
             # queue the members some principal is apart from, with the coset
             # labels label(positions) gives them
-            inner = masks.sum(axis=1)  # |N|
-            apart = np.empty((len(masks), len(sizes)), dtype=bool)
-            step = max(1, budget // max(1, len(members)))
-            for lo in range(0, len(masks), step):
-                held = masks[lo : lo + step, members]  # the principal members in N
-                meet = np.add.reduceat(held, starts, axis=1, dtype=np.int32)  # |P n N|
-                apart[lo : lo + step] = (meet < sizes) & (meet < inner[lo : lo + step, None])
+            held = masks[:, reps]  # [N, P]: P <= N
+            apart = ~held
+            for lo, block in _subset_blocks(held.astype(np.float32), below.T):  # [N, P]: N <= P
+                apart[lo : lo + len(block)] &= ~block
             keep = np.flatnonzero(apart.any(axis=1))
             if keep.size:
-                frontier.extend(zip((order // inner[keep]).tolist(), label(keep), apart[keep]))
+                cosets = order // np.count_nonzero(masks[keep], axis=1)
+                frontier.extend(zip(cosets.tolist(), label(keep), apart[keep]))
 
         def principal_labels(k: int) -> np.ndarray:
             labels, reps = _coset_labels(group, np.flatnonzero(principals[k]))
@@ -488,7 +480,7 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
             frontier = []
             while level:
                 cosets = level[-1][0]  # the most in the block
-                step = max(1, budget // max(order, len(members), len(sizes) * cosets))
+                step = max(1, budget // max(order, len(members), len(reps) * cosets))
                 _, labels, apart = zip(*level[-step:])
                 del level[-step:]
                 labels = np.array([principal_labels(x) if isinstance(x, int) else x for x in labels])
@@ -496,7 +488,7 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
                 met = labels[:, members]  # the coset of N holding each principal member
                 # row f * |principals| + p: the cosets of the f-th N that P meets
                 hit = np.zeros((apart.size, cosets), dtype=bool)
-                row = np.arange(len(labels))[:, None] * len(sizes) + which
+                row = np.arange(len(labels))[:, None] * len(reps) + which
                 hit.ravel()[row * cosets + met] = True
                 hit = hit[apart.ravel()]
                 on, with_p = np.nonzero(apart)
@@ -651,11 +643,11 @@ def _iterated_commutators(group: FiniteGroup, start: Subgroup) -> list[Subgroup]
 def lower_central_series(group: FiniteGroup) -> CentralSeries:
     full = full_subgroup(group)
     if full.order == 1:
-        return CentralSeries("lower", (full,), stabilized=True)
+        return CentralSeries("lower", (full,))
     terms = [full, *_iterated_commutators(group, full)]
     if terms[-1].order > 1 and terms[-1] != terms[-2]:
         terms.append(terms[-1])  # a stall shows as one repeated term
-    return CentralSeries("lower", tuple(terms), stabilized=True)
+    return CentralSeries("lower", tuple(terms))
 
 
 def upper_central_series(group: FiniteGroup) -> CentralSeries:
@@ -666,7 +658,7 @@ def upper_central_series(group: FiniteGroup) -> CentralSeries:
         terms.append(nxt)
         if nxt == terms[-2]:
             break
-    return CentralSeries("upper", tuple(terms), stabilized=True)
+    return CentralSeries("upper", tuple(terms))
 
 
 def nilpotency_class(group: FiniteGroup) -> Optional[int]:
@@ -683,8 +675,9 @@ def nilpotency_class(group: FiniteGroup) -> Optional[int]:
 
 
 def quotient_group(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
-    """Quotient by a normal subgroup; the target shares the source's
-    element numbering discipline (coset id = rank of its smallest member).
+    """Quotient by a normal subgroup; the target is the regular action on
+    the cosets, coset id = rank of its smallest member, checked on first
+    use as build_group's groups are.
 
     Quotients are cached per kernel; the quotient by the trivial subgroup is
     the group itself (shared, since groups are immutable).
@@ -703,7 +696,8 @@ def quotient_group(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
                 gen_images[img] = g
         # left multiplication by each generator image, on coset numbers
         lmul = [proj[group.mul_many(g, reps)] for g in gen_images.values()]
-        target = group_from_table(cayley_table(len(reps), lmul), tuple(gen_images))
+        rows = cayley_table(len(reps), lmul).astype(_perm_dtype(len(reps)))
+        target = FiniteGroup(None, rows, tuple(gen_images), check_seed=0)
         return QuotientMap(group, target, kernel, proj)
 
     return group._cached(("quotient", kernel.packed), build)

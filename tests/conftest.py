@@ -112,7 +112,8 @@ def _frontier_closure(g, seed_ids):
 
 
 def _oracle_classes(g):
-    cmaps = [g.conj_map(s) for s in g.generator_ids]
+    ids = np.arange(g.order)
+    cmaps = [g.mul_many(g.mul_many(s, ids), g.inv(s)) for s in g.generator_ids]
     seen, classes = set(), []
     for x in g.elements():
         if x in seen:

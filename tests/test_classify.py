@@ -211,14 +211,14 @@ def test_center_route_is_cross_checked(monkeypatch):
 
 
 def test_classify_builds_no_quotient_group(monkeypatch):
-    group_from_table = subgroups.group_from_table
+    cayley_table = subgroups.cayley_table
     built = []
 
     def counting(*args, **kwargs):
         built.append(args)
-        return group_from_table(*args, **kwargs)
+        return cayley_table(*args, **kwargs)
 
-    monkeypatch.setattr(subgroups, "group_from_table", counting)
+    monkeypatch.setattr(subgroups, "cayley_table", counting)
     g = group("SL(2,17)")
     tracemalloc.start()
     try:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 from conftest import c2_power_gens
-from topolab import DEFAULT_ORDER_CAP
+from topolab import DEFAULT_ORDER_CAP, errors
 
 
 def run_cli(*args, env_extra=None):
@@ -313,3 +313,30 @@ def test_main_called_again_in_process_prints_what_a_fresh_process_prints(capsys)
         fresh = run_cli(*second)
         assert fresh.returncode == 0
         assert again == fresh.stdout, second
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.SpecSyntaxError(0, ("group atom",)), 2),
+        (errors.InvalidSpec("bad spec"), 2),
+        (errors.OrderCapExceeded("too big"), 3),
+        (errors.NotNormal("not normal"), 1),
+        (errors.GroupMismatch("other group"), 1),
+        (errors.NotComparable("not nested"), 1),
+        (errors.DegreeTooLarge("too many points"), 1),
+        (errors.InternalInconsistency("routes disagree"), 1),
+        (errors.TopolabError("cannot write"), 1),
+    ],
+)
+def test_every_error_is_one_line_and_its_documented_exit_code(error, code, monkeypatch, capsys):
+    from topolab import cli
+
+    def failing(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", failing)
+    assert cli.main(["classify", "C2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"

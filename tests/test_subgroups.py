@@ -24,6 +24,7 @@ from conftest import (
     reference_small_generating_set,
 )
 from topolab import (
+    InvalidSpec,
     NotNormal,
     all_normal_subgroups,
     are_conjugate,
@@ -259,6 +260,30 @@ def test_quotient_projection_is_homomorphism(catalog):
             assert np.array_equal(lhs, rhs), name
 
 
+@pytest.mark.parametrize("text", ["Q8 x D8", "C2 x C256"])
+def test_quotient_checks_catch_two_swapped_entries(text, monkeypatch):
+    # the target is checked as every built group is: exhaustively up to
+    # order 128 (Q8 x D8 modulo an order-2 kernel has order 32), by samples
+    # above it (C2 x C256 modulo one has order 256)
+    import topolab.subgroups as subgroups_module
+
+    g = group(text)
+    kernel = all_normal_subgroups(g)[1]
+    honest = subgroups_module.cayley_table
+
+    def swapped(n, lmul):
+        # two entries of one row trade ids: every row is still a permutation
+        rows = honest(n, lmul)
+        rows[3, [5, 6]] = rows[3, [6, 5]]
+        return rows
+
+    monkeypatch.setattr(subgroups_module, "cayley_table", swapped)
+    target = quotient_group(g, kernel).target
+    assert kernel.order == 2 and target.order == g.order // 2
+    with pytest.raises(InvalidSpec):
+        target.mul(1, 2)
+
+
 # groups beyond the catalog with large orders, wide lattices or both
 QUOTIENT_CENTER_SPECS = ("S7", "SL(2,17)", "Heis(7) x C2", "A5 x A5", "Q8 x D8")
 
@@ -331,7 +356,7 @@ def test_are_conjugate_examples():
     stab0 = Subgroup(s4, [x for x in s4.elements() if s4.element_perm(x)[0] == 0])
     ok, witness = are_conjugate(ambient, stab3, stab0)
     assert ok
-    conj = set(s4.conj_map(witness)[list(stab3.elements)].tolist())
+    conj = {s4.mul(s4.mul(witness, x), s4.inv(witness)) for x in stab3.elements}
     assert conj == stab0.element_set
 
     dbl = find_element(s4, (1, 0, 3, 2))
