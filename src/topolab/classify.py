@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InternalInconsistency
 from .groups import BLOCK_ENTRIES, FiniteGroup, GroupSpec, center
-from .subgroups import Subgroup, _generator_commutators, center_subgroup, derived_subgroup, normal_lattice
+from .subgroups import Subgroup, _central_preimages, center_subgroup, derived_subgroup, normal_lattice
 from .topology import AlmostTrivialTopology, make_topology
 
 
@@ -94,21 +94,17 @@ def is_a_complete(tau: AlmostTrivialTopology) -> bool:
 
 
 def _centerless_quotients(group: FiniteGroup) -> np.ndarray:
-    """For every lattice member N, whether G/N has trivial center.
-
-    xN is central in G/N iff [x, s] lies in N for every generator s of G,
-    so the preimage of Z(G/N) is the AND over generators of N's mask read
-    at those commutators; the center is trivial iff the preimage has the
-    order of N.  Read in row blocks of at most BLOCK_ENTRIES entries.
+    """For every lattice member N, whether G/N has trivial center: whether
+    the preimage of Z(G/N) has the order of N, read in row blocks of at
+    most BLOCK_ENTRIES entries.
     """
 
     def build() -> np.ndarray:
         masks = normal_lattice(group).masks
-        comms = _generator_commutators(group)
         central = np.empty(len(masks), dtype=np.int64)  # |preimage of Z(G/N)|
-        step = max(1, BLOCK_ENTRIES // max(1, comms.size))
+        step = max(1, BLOCK_ENTRIES // max(1, len(group.generator_ids) * group.order))
         for lo in range(0, len(masks), step):
-            central[lo : lo + step] = masks[lo : lo + step][:, comms].all(axis=1).sum(axis=1)
+            central[lo : lo + step] = _central_preimages(group, masks[lo : lo + step]).sum(axis=1)
         out = central == masks.sum(axis=1)
         out.setflags(write=False)
         return out

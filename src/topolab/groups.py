@@ -250,10 +250,6 @@ class FiniteGroup:
     def inv(self, x: int) -> int:
         return int(self.inverses[x])
 
-    def commutator(self, x: int, y: int) -> int:
-        """[x, y] = x y x^-1 y^-1."""
-        return self.mul(self.mul(x, y), self.mul(self.inv(x), self.inv(y)))
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -864,7 +860,17 @@ def invert(group: FiniteGroup, x: int) -> int:
 
 def commutator(group: FiniteGroup, x: int, y: int) -> int:
     """[x, y] = x y x^-1 y^-1."""
-    return group.commutator(x, y)
+    return int(_commutators(group, x, y))
+
+
+def _conjugates(group: FiniteGroup, hs, xs) -> np.ndarray:
+    """h x h^-1, broadcast over id arrays hs and xs."""
+    return group.mul_many(group.mul_many(hs, xs), group.inverses[hs])
+
+
+def _commutators(group: FiniteGroup, gs, ls) -> np.ndarray:
+    """[g, l] = (g l g^-1) l^-1, broadcast over id arrays gs and ls."""
+    return group.mul_many(_conjugates(group, gs, ls), group.inverses[ls])
 
 
 def center(group: FiniteGroup) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegreeTooLarge, InternalInconsistency
 from .groups import FiniteGroup, PermSpec, build_group, row_keys
-from .subgroups import Subgroup
+from .subgroups import Subgroup, _split_by_label
 
 # above groups.DEFAULT_ORDER_CAP: S8 (order 40320) is a supported action
 MATERIALIZATION_CAP = 100_000
@@ -119,10 +119,7 @@ class LemmaFailure:
 def _orbit_partition(action: PermAction) -> tuple[tuple[int, ...], ...]:
     """Orbits in order of their smallest points.  The orbit of x is the set
     of images h(x), so its smallest point is the minimum of column x."""
-    smallest = action.group.perms.min(axis=0)
-    points = np.argsort(smallest, kind="stable")
-    cuts = np.flatnonzero(np.diff(smallest[points])) + 1
-    return tuple(tuple(orbit.tolist()) for orbit in np.split(points, cuts))
+    return _split_by_label(action.group.perms.min(axis=0))
 
 
 def orbit_data(action: PermAction) -> OrbitData:

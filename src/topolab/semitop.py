@@ -5,7 +5,8 @@ For kernels N <= L the identity map (G, zeta_N) -> (G, zeta_L) is
 semitopological exactly when [G, L] <= N; iterating the commutator gives
 the n-step version: the map factors through n semitopological identity
 maps iff the n-fold iterate [G,[G,...[G,L]]] lands inside N.  The first
-is cross-checked by an oracle on the generators of G and the cosets of N.
+is cross-checked by an oracle that reads it as L/N <= Z(G/N), off the
+preimage of Z(G/N) that quotient_center builds from the generators of G.
 
 The general characterization of semitopological maps adds a thinness
 requirement on preimages of neighborhoods.  It is not implemented here
@@ -22,16 +23,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import GroupMismatch, NotComparable
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _commutators
 from .subgroups import (
     Subgroup,
-    _commutators,
-    _conjugates,
-    _coset_labels,
     _iterated_commutators,
     commutator_subgroup,
     full_subgroup,
     generated_subgroup,
+    quotient_center,
 )
 from .topology import AlmostTrivialTopology
 
@@ -87,14 +86,12 @@ def is_semitopological(
 def is_semitopological_oracle(
     tau: AlmostTrivialTopology, sigma: AlmostTrivialTopology
 ) -> bool:
-    """Whether conjugation by every generator of G fixes each coset lN, l in
-    L, read off N's coset labels: [g, l] lies in N iff g l g^-1 lies in lN,
-    and if s and t fix every lN so does st, N being normal.  It reads no
-    class labels and closes nothing, unlike commutator_subgroup."""
+    """Whether L lies in the preimage of Z(G/N): [G, L] <= N iff every lN
+    is central in G/N, that is iff [l, s] lies in N for every l in L and
+    generator s of G.  It reads no class labels and closes nothing, unlike
+    commutator_subgroup."""
     group, small, large = _check_pair(tau, sigma)
-    coset = _coset_labels(group, np.flatnonzero(small.mask))[0]
-    ls = np.flatnonzero(large.mask)
-    return all(np.array_equal(coset[_conjugates(group, s, ls)], coset[ls]) for s in group.generator_ids)
+    return large.issubset(quotient_center(group, small))
 
 
 def is_n_step(

@@ -10,12 +10,12 @@ keyed by those bytes where it depends on a subgroup.
 Conjugacy classes are one label array, the smallest member of each
 element's class; every other view of the classes is read off it.
 
-The center of G/N is read off G itself: quotient_center returns its
-preimage, the x whose commutator with every generator of G lies in N, from
-one membership mask per generator.  upper_central_series and the
-classification's center route use it; quotient_group, which builds G/N as
-a group of its own, the regular action on the cosets, is left to quotient
-topologies.
+The center of G/N is read off G itself: _central_preimages returns its
+preimage, the x whose commutator with every generator of G lies in N, for
+a stack of kernel masks at once.  quotient_center (one kernel),
+upper_central_series, the classification's center route and the semitop
+oracle use it; quotient_group, which builds G/N as a group of its own, the
+regular action on the cosets, is left to quotient topologies.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import NotNormal, OrderCapExceeded
-from .groups import BLOCK_ENTRIES, FiniteGroup, _perm_dtype, _smallest_prime_factor, cayley_table
-from .groups import center, fresh_rows
+from .groups import BLOCK_ENTRIES, FiniteGroup, _commutators, _conjugates, _perm_dtype, _smallest_prime_factor
+from .groups import cayley_table, center, fresh_rows
 
 # ceiling on the normal-lattice size; elementary-abelian inputs can have
 # astronomically many normal subgroups and must fail fast instead of hanging
@@ -87,7 +87,9 @@ class Subgroup:
     @property
     def is_normal(self) -> bool:
         if self._normal is None:
-            self._normal = _closed_under_conjugation(self.parent, self.mask)
+            gens = np.asarray(self.parent.generator_ids, dtype=np.intp)
+            blocks = _conjugating(self.parent, gens, np.flatnonzero(self.mask), self.mask)
+            self._normal = all(block.all() for _, block in blocks)
         return self._normal
 
     def __eq__(self, other: object) -> bool:
@@ -219,20 +221,15 @@ def _coset_labels(group: FiniteGroup, kernel: np.ndarray) -> tuple[np.ndarray, n
     return number[first], reps
 
 
-def _commutators(group: FiniteGroup, gs, ls) -> np.ndarray:
-    """[g, l] = (g l g^-1) l^-1, broadcast over id arrays gs and ls."""
-    gl = group.mul_many(gs, ls)
-    return group.mul_many(group.mul_many(gl, group.inverses[gs]), group.inverses[ls])
-
-
-def _conjugates(group: FiniteGroup, h: int, elems) -> np.ndarray:
-    """h x h^-1 for every x in elems."""
-    return group.mul_many(group.mul_many(h, elems), group.inv(h))
-
-
-def _closed_under_conjugation(group: FiniteGroup, mask: np.ndarray) -> bool:
-    elements = np.flatnonzero(mask)
-    return all(mask[_conjugates(group, g, elements)].all() for g in group.generator_ids)
+def _conjugating(group: FiniteGroup, hs: np.ndarray, source: np.ndarray, target: np.ndarray):
+    """Yield (lo, block) with block[i] true iff h source h^-1 lies in target
+    (a mask) for h = hs[lo + i], source being an id array.  Blocks double
+    from one row up to BLOCK_ENTRIES products, so a caller that stops at
+    the first hit pays about as much as the rows before it."""
+    lo, step, cap = 0, 1, max(1, BLOCK_ENTRIES // max(1, len(source)))
+    while lo < len(hs):
+        yield lo, target[_conjugates(group, hs[lo : lo + step, None], source)].all(axis=1)
+        lo, step = lo + step, min(2 * step, cap)
 
 
 def subgroup(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
@@ -271,8 +268,9 @@ def _class_labels(group: FiniteGroup) -> np.ndarray:
     orbit minima under conjugation by each generator."""
 
     def build() -> np.ndarray:
-        maps = [(slice(None), _conjugates(group, g, np.arange(group.order))) for g in group.generator_ids]
-        labels = _orbit_minima(group.order, maps)
+        gens = np.asarray(group.generator_ids, dtype=np.intp)
+        images = _conjugates(group, gens[:, None], np.arange(group.order))
+        labels = _orbit_minima(group.order, [(slice(None), row) for row in images])
         labels.setflags(write=False)
         return labels
 
@@ -304,10 +302,14 @@ def _orbit_minima(count: int, maps) -> np.ndarray:
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes as sorted tuples, ordered by smallest member;
     read off the class labels, which are what is cached."""
-    labels = _class_labels(group)
+    return _split_by_label(_class_labels(group))
+
+
+def _split_by_label(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The ids 0..len(labels)-1 grouped by label, in label order."""
     ids = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.diff(labels[ids])) + 1
-    return tuple(tuple(cls.tolist()) for cls in np.split(ids, cuts))
+    return tuple(tuple(part.tolist()) for part in np.split(ids, cuts))
 
 
 def normal_closure(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
@@ -459,10 +461,7 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
         def enter(masks: np.ndarray, label) -> None:
             # queue the members some principal is apart from, with the coset
             # labels label(positions) gives them
-            held = masks[:, reps]  # [N, P]: P <= N
-            apart = ~held
-            for lo, block in _subset_blocks(held.astype(np.float32), below.T):  # [N, P]: N <= P
-                apart[lo : lo + len(block)] &= ~block
+            apart = _apart(masks[:, reps], below)
             keep = np.flatnonzero(apart.any(axis=1))
             if keep.size:
                 cosets = order // np.count_nonzero(masks[keep], axis=1)
@@ -510,6 +509,16 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
         return NormalLattice(group, list(found), reps)
 
     return group._cached("normal_lattice", build)
+
+
+def _apart(held: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """apart[n, p]: neither the n-th member N nor the p-th principal P holds
+    the other, from held[n, p] (P <= N) and the float32 below[p, q] (Q <= P).
+    N, the join of the principals it holds, lies in P iff P holds each."""
+    apart = ~held
+    for lo, block in _subset_blocks(held.astype(np.float32), below.T):  # [N, P]: N <= P
+        apart[lo : lo + len(block)] &= ~block
+    return apart
 
 
 def _join_labels(group: FiniteGroup, labels: np.ndarray, seeds: list[list[int]]) -> np.ndarray:
@@ -611,10 +620,10 @@ def commutator_subgroup(group: FiniteGroup, left: Subgroup, right: Subgroup) -> 
                 _, gens = _closure(group, np.flatnonzero(left.mask))
             values = _commutators(group, np.asarray(gens)[:, None], ks[None, :])
             return normal_closure(group, np.unique(values))
-        seeds: set[int] = set()
-        for h in np.flatnonzero(left.mask):
-            seeds.update(np.unique(_commutators(group, h, ks)).tolist())
-        return Subgroup(group, _closure(group, seeds)[0])
+        hs = np.flatnonzero(left.mask)
+        step = max(1, BLOCK_ENTRIES // len(ks))
+        blocks = (_commutators(group, hs[lo : lo + step, None], ks) for lo in range(0, len(hs), step))
+        return Subgroup(group, _closure(group, np.concatenate([np.unique(b) for b in blocks]))[0])
 
     if left.order == group.order:
         # [G, N] is asked for over and over by the topology layers
@@ -704,35 +713,32 @@ def quotient_group(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
 
 
 def quotient_center(group: FiniteGroup, kernel: Subgroup) -> Subgroup:
-    """Preimage of Z(G/N) for a normal kernel N, without building G/N.
-
-    xN is central in G/N iff [x, s] lies in N for every generator s of G,
-    so the preimage is the AND over generators of N's membership mask read
-    at [x, s].  Z(G/N) is trivial iff the result has the order of N.
+    """Preimage of Z(G/N) for a normal kernel N, without building G/N; see
+    _central_preimages.  Z(G/N) is trivial iff it has the order of N.
     Cached per kernel.
     """
     if not kernel.is_normal:
         raise NotNormal("quotient kernel must be a normal subgroup")
 
     def build() -> Subgroup:
-        central = kernel.mask[_generator_commutators(group)].all(axis=0)
-        return Subgroup(group, central, _normal=True)
+        return Subgroup(group, _central_preimages(group, kernel.mask[None])[0], _normal=True)
 
     return group._cached(("quotient_center", kernel.packed), build)
 
 
-def _generator_commutators(group: FiniteGroup) -> np.ndarray:
-    """Row i holds [x, s_i] = (x s_i)(s_i x)^-1 for every x, where s_i is
-    the i-th generator of the group."""
+def _central_preimages(group: FiniteGroup, masks: np.ndarray) -> np.ndarray:
+    """Row k: the preimage of Z(G/N) for the normal N of mask row k.  xN is
+    central in G/N iff [x, s] lies in N for every generator s of G, so the
+    row is the AND over generators of N's mask read at [x, s], one cached
+    row of commutators per generator."""
 
     def build() -> np.ndarray:
-        xs = np.arange(group.order)[None, :]
-        gens = np.asarray(group.generator_ids, dtype=np.int64).reshape(-1, 1)
-        rows = _commutators(group, xs, gens)
+        gens = np.asarray(group.generator_ids, dtype=np.intp)
+        rows = _commutators(group, np.arange(group.order), gens[:, None])
         rows.setflags(write=False)
         return rows
 
-    return group._cached("generator_commutators", build)
+    return masks[:, group._cached("generator_commutators", build)].all(axis=1)
 
 
 def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
@@ -761,12 +767,9 @@ def normalizer(ambient: Subgroup, sub: Subgroup) -> Subgroup:
     if not sub.issubset(ambient):
         raise ValueError("sub must be contained in ambient")
     # conjugation is injective, so h sub h^-1 lies in sub iff it equals sub
-    sarr = np.flatnonzero(sub.mask)
-    keep = [
-        h for h in np.flatnonzero(ambient.mask).tolist()
-        if sub.mask[_conjugates(group, h, sarr)].all()
-    ]
-    return Subgroup(group, keep)
+    hs = np.flatnonzero(ambient.mask)
+    blocks = _conjugating(group, hs, np.flatnonzero(sub.mask), sub.mask)
+    return Subgroup(group, hs[np.concatenate([block for _, block in blocks])])
 
 
 def are_conjugate(
@@ -778,8 +781,8 @@ def are_conjugate(
         raise ValueError("subgroups must be contained in ambient")
     if first.order != second.order:
         return False, None
-    sarr = np.flatnonzero(first.mask)
-    for h in np.flatnonzero(ambient.mask).tolist():
-        if second.mask[_conjugates(group, h, sarr)].all():
-            return True, h
+    hs = np.flatnonzero(ambient.mask)
+    for lo, block in _conjugating(group, hs, np.flatnonzero(first.mask), second.mask):
+        if block.any():
+            return True, int(hs[lo + block.argmax()])
     return False, None

@@ -85,8 +85,26 @@ def brute_is_subgroup(g, elems):
 
 
 def brute_commutator_subgroup(g, hs, ks):
-    values = {g.commutator(h, k) for h in hs for k in ks}
+    values = {g.mul(g.mul(h, k), g.mul(g.inv(h), g.inv(k))) for h in hs for k in ks}
     return brute_closure(g, values)
+
+
+def reference_normalizer(ambient, sub):
+    """Ids of the h in ambient with h x h^-1 in sub for every x in sub."""
+    g = ambient.parent
+    return tuple(
+        h for h in ambient.elements if all(g.mul(g.mul(h, x), g.inv(h)) in sub for x in sub.elements)
+    )
+
+
+def reference_are_conjugate(ambient, first, second):
+    """(True, the first h in ambient with h first h^-1 = second) or (False, None)."""
+    g = ambient.parent
+    if first.order == second.order:
+        for h in ambient.elements:
+            if all(g.mul(g.mul(h, x), g.inv(h)) in second for x in first.elements):
+                return True, h
+    return False, None
 
 
 def find_element(g, perm):

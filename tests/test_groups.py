@@ -120,6 +120,18 @@ def test_commutator_examples():
     assert comm_perm in {(1, 2, 0), (2, 0, 1)}  # a 3-cycle
 
 
+def test_commutator_matches_the_inline_definition():
+    import random
+
+    s4, s7 = group("S4"), group("S7")
+    assert s4.table is not None and s7.table is None  # S7 multiplies through the lookup
+    pairs = [(s4, x, y) for x in s4.elements() for y in s4.elements()]
+    rng = random.Random(20)
+    pairs += [(s7, rng.randrange(s7.order), rng.randrange(s7.order)) for _ in range(200)]
+    for g, x, y in pairs:
+        assert commutator(g, x, y) == g.mul(g.mul(x, y), g.mul(g.inv(x), g.inv(y))), (g, x, y)
+
+
 @pytest.mark.parametrize(
     "spec_text, center_size",
     [("C6", 6), ("S3", 1), ("Q8", 2), ("Heis(3)", 3), ("Dih(C9)", 1)],

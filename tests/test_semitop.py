@@ -45,7 +45,7 @@ def test_discrete_to_indiscrete_iff_abelian():
         assert verdict.is_semitopological == expected
         if not expected:
             gg, ll = verdict.violating_pair
-            assert g.commutator(gg, ll) != 0
+            assert g.mul(g.mul(gg, ll), g.mul(g.inv(gg), g.inv(ll))) != 0
 
 
 def test_heisenberg_discrete_to_central_kernel():
@@ -60,14 +60,14 @@ def test_violating_pair_is_first_in_id_order():
     gg, ll = verdict.violating_pair
     for g2 in range(gg + 1):
         for l2 in range(ll if g2 == gg else s3.order):
-            assert s3.commutator(g2, l2) == 0
+            assert s3.mul(s3.mul(g2, l2), s3.mul(s3.inv(g2), s3.inv(l2))) == 0
 
 
 def _first_violating_pair(g, small, large):
     """Reference scan: g in id order, then l in L."""
     for g2 in g.elements():
         for l2 in large.elements:
-            if g.commutator(g2, l2) not in small:
+            if g.mul(g.mul(g2, l2), g.mul(g.inv(g2), g.inv(l2))) not in small:
                 return (g2, l2)
     return None
 

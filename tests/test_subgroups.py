@@ -18,7 +18,9 @@ from conftest import (
     oracle_normal_subgroups,
     reference_coset_labels,
     reference_normal_lattice_masks,
+    reference_are_conjugate,
     reference_comm_index,
+    reference_normalizer,
     reference_principal_closures,
     reference_quotient_center,
     reference_small_generating_set,
@@ -362,6 +364,67 @@ def test_are_conjugate_examples():
     dbl = find_element(s4, (1, 0, 3, 2))
     ok, witness = are_conjugate(ambient, sub, generated_subgroup(s4, [dbl]))
     assert not ok and witness is None
+
+
+def _cyclic_and_normal_subgroups(g):
+    """The normal subgroups, then the non-normal cyclic ones by order."""
+    cyclic = {generated_subgroup(g, [x]) for x in g.elements()}
+    apart = sorted((c for c in cyclic if not c.is_normal), key=lambda c: (c.order, c.elements))
+    return list(all_normal_subgroups(g)) + apart
+
+
+@pytest.mark.parametrize("text", ["S4", "A5", "Q8 x C2"])
+def test_conjugation_kernel_matches_elementwise_references(monkeypatch, text):
+    import topolab.subgroups as subgroups_module
+
+    monkeypatch.setattr(subgroups_module, "BLOCK_ENTRIES", 16)  # several row blocks per call
+    g = group(text)
+    subs = _cyclic_and_normal_subgroups(g)
+    full = full_subgroup(g)
+    for sub in subs:
+        # a fresh Subgroup: the lattice members come with _normal set
+        assert Subgroup(g, sub.elements).is_normal == (len(reference_normalizer(full, sub)) == g.order)
+    for ambient in all_normal_subgroups(g):
+        inside = [sub for sub in subs if sub.issubset(ambient)]
+        for sub in inside:
+            assert normalizer(ambient, sub).elements == reference_normalizer(ambient, sub), (text, sub)
+        for first, second in itertools.product(inside, repeat=2):
+            expected = reference_are_conjugate(ambient, first, second)
+            assert are_conjugate(ambient, first, second) == expected, (text, first, second)
+
+
+def test_commutator_subgroup_of_non_normal_subgroups_matches_all_pairs(monkeypatch):
+    import topolab.subgroups as subgroups_module
+
+    monkeypatch.setattr(subgroups_module, "BLOCK_ENTRIES", 16)
+    s4 = group("S4")
+    stabilizers = [Subgroup(s4, [x for x in s4.elements() if s4.element_perm(x)[k] == k]) for k in (0, 3)]
+    subs = [sub for sub in _cyclic_and_normal_subgroups(s4) if not sub.is_normal] + stabilizers
+    for left, right in itertools.product(subs, repeat=2):
+        expected = brute_commutator_subgroup(s4, left.elements, right.elements)
+        assert list(commutator_subgroup(s4, left, right).elements) == expected, (left, right)
+
+
+def test_the_trivial_group_is_normal_in_itself():
+    c1 = group("C1")
+    assert c1.generator_ids == ()
+    assert trivial_subgroup(c1).is_normal
+    assert Subgroup(c1, [0]).is_normal  # decided over no generators
+
+
+def test_apart_matches_the_element_space_definition(lattice_groups):
+    from topolab.subgroups import _apart
+
+    for name, g in lattice_groups + [(text, group(text)) for text in EXTRA_LATTICE_SPECS]:
+        masks, reps = normal_lattice(g).masks, normal_lattice(g).reps
+        principals = np.zeros((len(reps), g.order), dtype=bool)
+        for p, rep in enumerate(reps):
+            principals[p] = normal_closure(g, [rep]).mask
+        got = _apart(masks[:, reps], principals[:, reps].astype(np.float32))
+        for n, mask in enumerate(masks):
+            p_in_n = ~(principals & ~mask).any(axis=1)
+            n_in_p = ~(mask & ~principals).any(axis=1)
+            assert np.array_equal(got[n], ~p_in_n & ~n_in_p), (name, n)
 
 
 def test_subgroup_as_group_is_faithful():
