@@ -136,8 +136,9 @@ def orbit_data(action: PermAction) -> OrbitData:
     return OrbitData(orbits, reps, stabilizers)
 
 
-def full_symmetric_centralizer(action: PermAction) -> tuple[Perm, ...]:
-    """Exhaustive centralizer of H inside the full S(X), degree <= 8, in
+def full_symmetric_centralizer(action: PermAction) -> np.ndarray:
+    """Exhaustive centralizer of H inside the full S(X), degree <= 8, as an
+    int8 array with one row t per map, t[x] the image of x, in
     lexicographic order, by propagation from the generators alone.  Rows t
     grow an orbit at a time: each unused image of its smallest point in
     increasing order, the rest by t(g x) = g t(x) along a spanning tree,
@@ -168,7 +169,7 @@ def full_symmetric_centralizer(action: PermAction) -> tuple[Perm, ...]:
             keep &= (rows[:, g[orbit]] == g[rows[:, orbit]]).all(axis=1)
         if not keep.all():
             rows, free = rows[keep], free[keep]
-    return tuple(zip(*rows.T.tolist()))
+    return rows
 
 
 def _first_mapping(action: PermAction, src: int, dst: int) -> Perm:

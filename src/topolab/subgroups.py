@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NotNormal, OrderCapExceeded
 from .groups import BLOCK_ENTRIES, FiniteGroup, _commutators, _conjugates, _perm_dtype, _smallest_prime_factor
-from .groups import cayley_table, center, fresh_rows
+from .groups import cayley_table, center, row_keys
 
 # ceiling on the normal-lattice size; elementary-abelian inputs can have
 # astronomically many normal subgroups and must fail fast instead of hanging
@@ -330,7 +330,8 @@ class NormalLattice:
     and masks[k] its membership row over the group's elements, of which
     subgroups[k].mask is a view.  holds[k, p] says subgroups[k] contains
     reps[p], the smallest member of a class whose normal closure is the
-    p-th distinct principal member.  Each member is the join of the
+    p-th distinct principal member, so row k is the principal set that
+    normal_lattice searches over.  Each member is the union of the
     principals it holds, so contains[i, j], subgroups[i] <= subgroups[j]
     (the diagonal is set), compares rows of holds.  comm_index[k], built
     on first use, is the position of [G, subgroups[k]].  Nothing here is
@@ -408,166 +409,154 @@ def _subset_blocks(rows: np.ndarray, cols: np.ndarray):
 def normal_lattice(group: FiniteGroup) -> NormalLattice:
     """The normal subgroup lattice, built once per group.
 
-    Every normal subgroup is a product of principal ones, the normal
-    closures of single conjugacy classes; _principal_closures finds them
-    with one closure per cyclic subgroup.  The search then runs a level at
-    a time: each member N found by the last level is joined with every
-    principal P apart from it.  The join is the product set NP, the union
-    of the N-cosets that meet P, so no join closes anything.  When P
-    contains N the join is P itself, and when P lies in N it is N, so only
-    the P apart from N, neither holding the other, count; a member without
-    one is not joined further.  As NormalLattice compares members, both
-    tests are read in principal space when N is found: N holds P iff it
-    holds P's class minimum in reps, and N, the join of the principals it
-    holds, lies in P iff P holds each of them.  A level's members are taken
-    in blocks whose temporaries hold at most BLOCK_ENTRIES >> 3 entries,
-    BLOCK_ENTRIES bytes as int64 (most cosets first, so a block's rows are
-    alike), and each block is one numpy pass: the cosets each apart P meets
-    as one row over G/N, the distinct rows of each N, and those rows spread
-    back over G and keyed.  Cosets are labelled by _coset_labels only for
-    principals, when their block comes up; a new join inherits its labels
-    from N's along the seeds of P (_join_labels).  Raises OrderCapExceeded
-    when the lattice grows past NORMAL_LATTICE_BOUND.
+    Every normal subgroup N is the union of the principal members it holds,
+    the normal closures of its elements, so it is known by X(N), the set of
+    distinct principals P_0, ..., P_{n-1} (_principal_closures) that it
+    holds: its row of holds.  A join with a principal is one OR: X(N P_p)
+    is the union of J[i, p] = X(P_i P_p) over the i in X(N), since an
+    element ab of N P_p, with a in some P_i <= N and b in P_p, has its
+    normal closure inside the normal P_i P_p (_JoinTable).
+
+    The search is Close-by-One (S. O. Kuznetsov, 1993), which finds each
+    closed set once, so no member is deduplicated.  A member B whose last
+    principal added is y extends by each p > y outside B to D, the union
+    of J[i, p] over B and p, and D is kept, with last principal p, iff it
+    holds no principal below p that B does not.  Taken one p at a time,
+    every member with y < p is known when p comes up, so column p of J is
+    formed once.  A block of joins is one float32 product of the members'
+    rows with the column, which is expanded to float32 only at the
+    principals some member holds, and the member count is checked after
+    each block.  Each member's mask comes out at the end, as the OR of its
+    principals' packed masks (_member_keys).  Raises OrderCapExceeded once
+    the lattice grows past NORMAL_LATTICE_BOUND.
     """
 
     def build() -> NormalLattice:
-        order = group.order
-        found: dict = {}  # the packed bytes of every member, which are all the lattice keeps
-
-        def add(block: np.ndarray) -> tuple[list[int], np.ndarray]:
-            new = fresh_rows(np.packbits(block, axis=1), found)
-            if len(found) > NORMAL_LATTICE_BOUND:
-                raise OrderCapExceeded(
-                    f"normal subgroup lattice exceeds {NORMAL_LATTICE_BOUND} entries"
-                )
-            return new, block if len(new) == len(block) else block[new]
-
-        add((np.arange(order) == 0)[None])
-        closures, seeds = _principal_closures(group)
-        new, principals = add(closures)
-        del closures  # principals holds the distinct ones
-        seeds = [seeds[k] for k in new]
+        principals, seeds = _principal_closures(group)
         reps = np.array([kept[0] for kept in seeds], dtype=np.intp)  # class minima, kept first
-        which, members = np.nonzero(principals)
-        below = principals[:, reps].astype(np.float32)  # [P, Q]: Q <= P
-        budget = BLOCK_ENTRIES >> 3  # entries of one temporary, which may be int64
-        # (coset count, coset labels, principals apart from it) of each
-        # member the last level found; a member is its coset of the identity.
-        # A principal holds its position instead, and is labelled when its
-        # block comes up, so a lattice past the bound fails before the rest
-        # are labelled
-        frontier = []
+        n = len(reps)
+        table = _JoinTable(group, principals, reps)
+        found = np.zeros((16, n), dtype=bool)  # row 0 is the trivial member
+        count = 1
+        ever = np.zeros(n, dtype=bool)  # the principals some member holds
 
-        def enter(masks: np.ndarray, label) -> None:
-            # queue the members some principal is apart from, with the coset
-            # labels label(positions) gives them
-            apart = _apart(masks[:, reps], below)
-            keep = np.flatnonzero(apart.any(axis=1))
-            if keep.size:
-                cosets = order // np.count_nonzero(masks[keep], axis=1)
-                frontier.extend(zip(cosets.tolist(), label(keep), apart[keep]))
+        def add(joins: np.ndarray) -> None:
+            nonlocal found, count, ever
+            _check_lattice_size(count + len(joins))
+            if count + len(joins) > len(found):
+                found = np.concatenate([found, np.zeros((max(len(found), len(joins)), n), dtype=bool)])
+            found[count : count + len(joins)] = joins
+            ever |= joins.any(axis=0)
+            count += len(joins)
 
-        def principal_labels(k: int) -> np.ndarray:
-            labels, reps = _coset_labels(group, np.flatnonzero(principals[k]))
-            return labels.astype(np.min_scalar_type(len(reps) - 1))
-
-        enter(principals, lambda keep: keep.tolist())
-        span = max(1, budget // max(order, len(members)))  # joins spread over G at once
-        while frontier:
-            # taken from the end, most cosets first, so a block's members are alike
-            level = sorted(frontier, key=lambda member: member[0])
-            frontier = []
-            while level:
-                cosets = level[-1][0]  # the most in the block
-                step = max(1, budget // max(order, len(members), len(reps) * cosets))
-                _, labels, apart = zip(*level[-step:])
-                del level[-step:]
-                labels = np.array([principal_labels(x) if isinstance(x, int) else x for x in labels])
-                apart = np.array(apart)
-                met = labels[:, members]  # the coset of N holding each principal member
-                # row f * |principals| + p: the cosets of the f-th N that P meets
-                hit = np.zeros((apart.size, cosets), dtype=bool)
-                row = np.arange(len(labels))[:, None] * len(reps) + which
-                hit.ravel()[row * cosets + met] = True
-                hit = hit[apart.ravel()]
-                on, with_p = np.nonzero(apart)
-                # equal rows of one N give equal joins: keep the first row of
-                # each (N, row) key, found by a sort, which makes no Python
-                # object per row as a dict of keys would
-                tags = on.astype(np.int32).reshape(-1, 1).view(np.uint8)
-                keyed = np.concatenate([np.packbits(hit, axis=1), tags], axis=1)
-                _, first = np.unique(keyed.view(np.dtype((np.void, keyed.shape[1]))), return_index=True)
-                distinct = np.sort(first)
-                hit, on, with_p = hit[distinct], on[distinct], with_p[distinct]
-                for s in range(0, len(hit), span):
-                    own = labels[on[s : s + span]]
-                    # row r of the chunk read at own[r]: the join as a mask over G
-                    spread = np.arange(len(own))[:, None] * cosets + own
-                    new, joins = add(np.take(hit[s : s + span], spread))
-                    own, by = own[new], [seeds[p] for p in with_p[s : s + span][new]]
-                    enter(joins, lambda keep: _join_labels(group, own[keep], [by[k] for k in keep]))
-        return NormalLattice(group, list(found), reps)
+        step = max(1, (BLOCK_ENTRIES >> 2) // max(1, n))
+        for p in range(n):
+            ever[p] = True
+            if not table.labelled[p]:
+                # every principal is comparable with P_p, so each join with it
+                # is P_p, canonical from the B that agrees with it below p
+                if (~found[:count, p] & (found[:count, :p] == table.below[p, :p]).all(axis=1)).any():
+                    add(table.below[p, None])
+                continue
+            reads = slice(None) if ever.all() else np.flatnonzero(ever)  # the rows of J a join reads
+            weights = table.column(p, reads).astype(np.float32)
+            todo = np.flatnonzero(~found[:count, p])
+            for lo in range(0, len(todo), step):
+                held = found[todo[lo : lo + step]]
+                held[:, p] = True
+                joins = held[:, reads].astype(np.float32) @ weights > 0
+                # canonical: no principal below p that B lacks
+                add(joins[~(joins[:, :p] > held[:, :p]).any(axis=1)])
+        return NormalLattice(group, _member_keys(group, principals, found[:count]), reps)
 
     return group._cached("normal_lattice", build)
 
 
-def _apart(held: np.ndarray, below: np.ndarray) -> np.ndarray:
-    """apart[n, p]: neither the n-th member N nor the p-th principal P holds
-    the other, from held[n, p] (P <= N) and the float32 below[p, q] (Q <= P).
-    N, the join of the principals it holds, lies in P iff P holds each."""
-    apart = ~held
-    for lo, block in _subset_blocks(held.astype(np.float32), below.T):  # [N, P]: N <= P
-        apart[lo : lo + len(block)] &= ~block
-    return apart
+def _check_lattice_size(count: int) -> None:
+    if count > NORMAL_LATTICE_BOUND:
+        raise OrderCapExceeded(f"normal subgroup lattice exceeds {NORMAL_LATTICE_BOUND} entries")
 
 
-def _join_labels(group: FiniteGroup, labels: np.ndarray, seeds: list[list[int]]) -> np.ndarray:
-    """Coset labels of joins NP, one per row of labels, from the coset labels
-    of N (that row, numbered by smallest member) and the seeds that
-    generate P.
+class _JoinTable:
+    """The join table J of the distinct principals P_0, ..., P_{n-1}, given
+    by their masks and class minima reps: J[i, p] = X(P_i P_p), X(P) being
+    the principals P holds, its mask read at reps.  below[p] is X(P_p), and
+    labelled[p] says some principal is apart from P_p, neither holding the
+    other.
 
-    Right multiplication by a seed s permutes the cosets of N (xN s = xsN),
-    and the cosets of NP are the orbits of the cosets of N under the seeds,
-    found by _orbit_minima from one product per coset and seed.  An orbit's
-    smallest coset number is the coset holding its smallest member, so
-    numbering the orbits by it numbers the cosets of NP by smallest member,
-    as _coset_labels does.  Returned in the narrowest integer dtype that
-    holds every coset number.
+    When P_p lies in P_i the join is P_i, and when P_i lies in P_p it is
+    P_p.  For P_i apart from P_p, reps[k] lies in P_i P_p iff its coset
+    modulo P_p meets P_i, read off one _coset_labels of P_p per column.
     """
-    top = np.maximum.accumulate(labels, axis=1)
-    first = np.ones(labels.shape, dtype=bool)  # the smallest member of its coset
-    first[:, 1:] = top[:, 1:] != top[:, :-1]
-    row, reps = np.nonzero(first)  # coset n is in row row[n], its smallest member reps[n]
-    start = np.searchsorted(row, np.arange(len(labels)))  # coset 0 of each row
-    maps = []
-    for t in range(max(map(len, seeds))):
-        seed = np.array([kept[t] if t < len(kept) else -1 for kept in seeds])[row]
-        cosets = np.flatnonzero(seed >= 0)
-        images = labels[row[cosets], group.mul_many(reps[cosets], seed[cosets])]
-        maps.append((cosets, start[row[cosets]] + images))
-    orbit = _orbit_minima(len(row), maps)
-    rank = np.cumsum(orbit == np.arange(len(row))) - 1
-    number = rank[orbit] - rank[start[row]]
-    return number[start[:, None] + labels].astype(np.min_scalar_type(number.max()))
+
+    def __init__(self, group: FiniteGroup, principals: np.ndarray, reps: np.ndarray):
+        self.group, self.principals, self.reps = group, principals, reps
+        self.below = principals[:, reps]  # [p, q]: P_q <= P_p
+        self.apart = ~self.below & ~self.below.T
+        self.labelled = self.apart.any(axis=1).tolist()
+        self.which, self.members = np.nonzero(principals)
+
+    def column(self, p: int, rows=slice(None)) -> np.ndarray:
+        """The bool rows J[i, p] for the i in rows, an index array or slice."""
+        below, n = self.below, len(self.reps)
+        column = np.where(below[rows, p, None], below[rows], below[p])
+        if self.labelled[p]:
+            labels, cosets = _coset_labels(self.group, np.flatnonzero(self.principals[p]))
+            # a slot per coset holding some rep, named by one of its reps,
+            # and slot n for the cosets holding none
+            slot = np.full(len(cosets), n)
+            slot[labels[self.reps]] = np.arange(n)
+            wanted = np.zeros(n, dtype=bool)  # the apart P_i asked for
+            wanted[rows] = True
+            wanted &= self.apart[p]
+            meets = np.zeros((np.count_nonzero(wanted), n + 1), dtype=bool)  # [i, s]: P_i meets slot s
+            pick = wanted[self.which]
+            meets[(np.cumsum(wanted) - 1)[self.which[pick]], slot[labels[self.members[pick]]]] = True
+            column[wanted[rows]] = meets[:, slot[labels[self.reps]]]
+        return column
+
+
+def _member_keys(group: FiniteGroup, principals: np.ndarray, held: np.ndarray) -> list[bytes]:
+    """The packed mask bytes of every member, row k of held naming the
+    principals it holds (row 0, holding none, is the trivial member): the
+    OR of their np.packbits rows, as uint64 words, reduced over blocks of
+    members that gather at most BLOCK_ENTRIES bytes."""
+    size = (group.order + 7) // 8
+    words = np.zeros((len(principals) + 1, -(-size // 8) * 8), dtype=np.uint8)
+    words[:-1, :size] = np.packbits(principals, axis=1)
+    words[-1, 0] = 0x80  # the identity, the trivial member's only element
+    masks = words.view(np.uint64)
+    row, col = np.nonzero(np.column_stack([held, ~held.any(axis=1)]))
+    starts = np.searchsorted(row, np.arange(len(held) + 1))  # row k's first gathered mask
+    step = max(1, BLOCK_ENTRIES // words.shape[1])  # masks gathered at once
+    out, lo = [], 0
+    while lo < len(held):
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + step, side="right")) - 1)
+        out.append(np.bitwise_or.reduceat(masks[col[starts[lo] : starts[hi]]], starts[lo:hi] - starts[lo], axis=0))
+        lo = hi
+    return row_keys(np.concatenate(out).view(np.uint8)[:, :size])
 
 
 def _principal_closures(group: FiniteGroup) -> tuple[np.ndarray, list[list[int]]]:
-    """Rows holding the normal closure of every nontrivial conjugacy class,
-    one _closure per cyclic subgroup, and the seeds each closure kept as
-    its generators.
+    """Rows holding the distinct normal closures of the nontrivial conjugacy
+    classes, in the order of their first class, one _closure per cyclic
+    subgroup, and the seeds each closure kept as its generators.
 
     x and x^k with gcd(k, ord x) = 1 generate the same cyclic subgroup, so
     their classes have the same normal closure: after closing the class of
     x, the classes of those powers, read off the class labels, are done.
     Each closure runs within the smallest normal subgroup found so far that
     holds the class (G if none), so it stops at Lagrange's bound there.
+    Each distinct closure is a member of the normal lattice, so this raises
+    OrderCapExceeded as soon as they and the trivial member pass
+    NORMAL_LATTICE_BOUND.
     """
     labels = _class_labels(group)
     done = np.zeros(group.order, dtype=bool)
     bounds = [np.ones(group.order, dtype=bool)]  # G, then each closure
     holder = np.zeros(group.order, dtype=np.intp)  # the smallest bound holding each element
     held = np.full(group.order, group.order)  # its order
-    seeds = []
+    distinct: dict = {}  # packed row -> its row and seeds
     for cls in conjugacy_classes(group)[1:]:  # the first class is {e}
         if done[cls[0]]:
             continue
@@ -579,8 +568,10 @@ def _principal_closures(group: FiniteGroup) -> tuple[np.ndarray, list[list[int]]
         smaller = mask & (held > size)
         holder[smaller], held[smaller] = len(bounds), size
         bounds.append(mask)
-        seeds.append(kept)
-    return np.array(bounds[1:], dtype=bool).reshape(-1, group.order), seeds
+        distinct.setdefault(np.packbits(mask).tobytes(), (mask, kept))
+        _check_lattice_size(len(distinct) + 1)
+    rows = [mask for mask, _ in distinct.values()]
+    return np.array(rows, dtype=bool).reshape(-1, group.order), [kept for _, kept in distinct.values()]
 
 
 def _powers(group: FiniteGroup, x: int) -> np.ndarray:

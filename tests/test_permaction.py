@@ -54,15 +54,20 @@ def test_orbit_data_natural_symmetric():
     assert data.stabilizers[0].order == math.factorial(4)
 
 
+def as_maps(rows):
+    """The centralizer's rows as tuples of Python ints, one per map."""
+    return tuple(map(tuple, rows.tolist()))
+
+
 def test_full_symmetric_centralizer_examples():
     trivial = PermAction(4, [])
     assert len(full_symmetric_centralizer(trivial)) == 24
 
     all_of_s4 = PermAction(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
-    assert full_symmetric_centralizer(all_of_s4) == ((0, 1, 2, 3),)
+    assert full_symmetric_centralizer(all_of_s4).tolist() == [[0, 1, 2, 3]]
 
     single_swap = PermAction(4, [(1, 0, 2, 3)])
-    cent = full_symmetric_centralizer(single_swap)
+    cent = as_maps(full_symmetric_centralizer(single_swap))
     assert set(cent) == {
         (0, 1, 2, 3),
         (0, 1, 3, 2),
@@ -118,7 +123,7 @@ def test_lemma_matches_oracle_on_seeded_samples():
             assert ok == oracle
             if failure is not None:
                 witness = build_centralizing_witness(act, failure)
-                assert witness in full_symmetric_centralizer(act)
+                assert witness in as_maps(full_symmetric_centralizer(act))
 
 
 def test_orbit_stabilizer_arithmetic_on_random_actions():
@@ -134,7 +139,7 @@ def test_centralizer_elements_transport_stabilizers():
         fixed = act.fixed_points()
         stabs = [np.flatnonzero(fixed[:, x]).tolist() for x in range(5)]
         elements = act.elements
-        cent = full_symmetric_centralizer(act)
+        cent = as_maps(full_symmetric_centralizer(act))
         for tau in cent[:6]:
             tau_inv = tuple(sorted(range(5), key=lambda i: tau[i]))
             for x in range(5):
@@ -226,7 +231,7 @@ def test_full_symmetric_centralizer_matches_the_itertools_scan():
     actions.append(PermAction(8, [tuple(range(8))]))
     actions.append(PermAction(8, []))  # every one of the 40320 permutations survives
     for act in actions:
-        assert full_symmetric_centralizer(act) == reference_full_symmetric_centralizer(act)
+        assert as_maps(full_symmetric_centralizer(act)) == reference_full_symmetric_centralizer(act)
     assert len(full_symmetric_centralizer(actions[-1])) == math.factorial(8)
 
 
@@ -278,7 +283,7 @@ def test_oracle_reads_only_the_generators(monkeypatch):
         raise AssertionError("the oracle closed the group")
 
     monkeypatch.setattr(PermAction, "group", property(no_closure))
-    assert [full_symmetric_centralizer(act) for act in actions] == expected
+    assert [as_maps(full_symmetric_centralizer(act)) for act in actions] == expected
 
 
 def test_perm_command_builds_no_element_lookup(monkeypatch, capsys):

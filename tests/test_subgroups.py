@@ -50,7 +50,7 @@ from topolab.subgroups import (
     _class_labels,
     _closure,
     _coset_labels,
-    _join_labels,
+    _JoinTable,
     _orbit_minima,
     _principal_closures,
     normal_lattice,
@@ -412,21 +412,6 @@ def test_the_trivial_group_is_normal_in_itself():
     assert Subgroup(c1, [0]).is_normal  # decided over no generators
 
 
-def test_apart_matches_the_element_space_definition(lattice_groups):
-    from topolab.subgroups import _apart
-
-    for name, g in lattice_groups + [(text, group(text)) for text in EXTRA_LATTICE_SPECS]:
-        masks, reps = normal_lattice(g).masks, normal_lattice(g).reps
-        principals = np.zeros((len(reps), g.order), dtype=bool)
-        for p, rep in enumerate(reps):
-            principals[p] = normal_closure(g, [rep]).mask
-        got = _apart(masks[:, reps], principals[:, reps].astype(np.float32))
-        for n, mask in enumerate(masks):
-            p_in_n = ~(principals & ~mask).any(axis=1)
-            n_in_p = ~(mask & ~principals).any(axis=1)
-            assert np.array_equal(got[n], ~p_in_n & ~n_in_p), (name, n)
-
-
 def test_subgroup_as_group_is_faithful():
     s4 = group("S4")
     a4 = all_normal_subgroups(s4)[2]
@@ -607,7 +592,8 @@ def test_principal_closures_of_s7_close_little_more_than_two_subgroups(monkeypat
 
     monkeypatch.setattr(FiniteGroup, "mul_many", counting)
     rows, _ = _principal_closures(g)
-    assert sorted(rows.sum(axis=1).tolist()) == [2520] * 7 + [5040] * 7
+    # the 14 closures, one per cyclic subgroup, give A7 and S7
+    assert sorted(rows.sum(axis=1).tolist()) == [2520, 5040]
     # each of the 14 closures ran to the end before: 181688 products
     assert sum(served) <= 100_000
 
@@ -667,61 +653,96 @@ def test_lattice_relations_scale_with_the_principals_not_the_classes():
 
 
 def test_lattice_masks_match_the_per_member_search(lattice_groups):
-    for name, g in lattice_groups + [(text, group(text)) for text in EXTRA_LATTICE_SPECS]:
+    # C2^6 and C3^5 are the widest lattices under the bound (2825 and 2664
+    # members over 63 and 121 principals)
+    wide = EXTRA_LATTICE_SPECS + ("C2 x C2 x C2 x C2 x C2 x C2", "C3 x C3 x C3 x C3 x C3")
+    for name, g in lattice_groups + [(text, group(text)) for text in wide]:
         got = {np.packbits(row).tobytes() for row in normal_lattice(g).masks}
         assert got == reference_normal_lattice_masks(g), name
 
 
-def test_inherited_coset_labels_match_a_fresh_labelling(monkeypatch, catalog):
-    """Every member a join adds, and that the search joins further, carries
-    the labels _coset_labels gives it; the member is its coset of the
-    identity, label 0."""
+def test_join_table_matches_the_closure_of_each_pair(catalog64):
+    """J[i, p], the principals of P_i P_p, against the subgroup generated by
+    the elements of both, read at the class minima; also read at a subset
+    of the rows, as the search asks for it."""
+    for name, g in catalog64 + [(text, group(text)) for text in LATTICE_SPECS[:2]]:
+        rows, seeds = _principal_closures(g)
+        reps = np.array([kept[0] for kept in seeds], dtype=np.intp)
+        table = _JoinTable(g, rows, reps)
+        odd = np.arange(1, len(reps), 2)
+        for p in range(len(reps)):
+            column = table.column(p)
+            expected = [_closure(g, np.flatnonzero(rows[i] | rows[p]))[0][reps] for i in range(len(reps))]
+            assert np.array_equal(column, np.array(expected).reshape(column.shape)), (name, p)
+            assert np.array_equal(table.column(p, odd), column[odd]), (name, p)
+
+
+@pytest.mark.parametrize(
+    "text, labelled",
+    [("C2 x C2 x C2 x C2 x C2 x C2", 63), ("Q8 x D8", 24), ("C128", 0), ("S7", 0), ("SL(2,17)", 0)],
+)
+def test_lattice_labels_cosets_once_per_principal_with_one_apart(monkeypatch, text, labelled):
+    """The search labels the cosets of P_p once, when some principal is
+    apart from P_p (neither holds the other), and a chain of principals,
+    as in C128, S7 and SL(2,17), labels nothing."""
     import topolab.subgroups as subgroups_module
 
-    inherit = subgroups_module._join_labels
-    carried = []
+    g = group(text)
+    _class_labels(g)
+    kernels = []
+    label = subgroups_module._coset_labels
 
-    def recording(g, labels, seeds):
-        out = inherit(g, labels, seeds)
-        carried.extend(out)
-        return out
+    def recording(g, kernel):
+        kernels.append(np.packbits(np.isin(np.arange(g.order), kernel)).tobytes())
+        return label(g, kernel)
 
-    monkeypatch.setattr(subgroups_module, "_join_labels", recording)
-    texts = [name for name, _ in catalog] + list(LATTICE_SPECS[:2] + EXTRA_LATTICE_SPECS)
-    for text in texts:
-        g = group(text)
-        carried.clear()
-        lattice = normal_lattice(g)
-        joined = set()
-        for labels in carried:
-            kernel = np.flatnonzero(labels == 0)
-            assert np.array_equal(labels, _coset_labels(g, kernel)[0]), (text, len(kernel))
-            joined.add(np.packbits(labels == 0).tobytes())
-        rows = _principal_closures(g)[0]
-        principals = {np.packbits(row).tobytes() for row in rows}
-        # a member is joined further when some principal is apart from it,
-        # neither holding the other
-        masks = lattice.masks[:, None]
-        apart = (rows[None] & ~masks).any(axis=2) & (masks & ~rows[None]).any(axis=2)
-        joinable = {sub.packed for sub, row in zip(lattice.subgroups, apart) if row.any()}
-        # each such member that is not principal is labelled once
-        assert len(joined) == len(carried), text
-        assert joined == joinable - principals, text
+    monkeypatch.setattr(subgroups_module, "_coset_labels", recording)
+    normal_lattice(g)
+    rows = _principal_closures(g)[0]
+    inside = ~(rows[:, None] & ~rows[None]).any(axis=2)  # [i, p]: P_i <= P_p
+    apart = ~inside & ~inside.T
+    expected = {np.packbits(row).tobytes() for row, some in zip(rows, apart.any(axis=0)) if some}
+    assert len(kernels) == len(set(kernels)) == labelled
+    assert set(kernels) == expected
 
 
-def test_join_labels_match_a_fresh_labelling_of_every_join(catalog64):
-    """N's labels merged along the seeds of each principal P, all in one
-    call, are the labels of NP; the closures there keep up to three seeds."""
-    for name, g in catalog64:
-        rows, seeds = _principal_closures(g)
-        if not len(rows):
-            continue
-        for sub in normal_lattice(g).subgroups:
-            labels = _coset_labels(g, np.flatnonzero(sub.mask))[0]
-            joined = _join_labels(g, np.repeat(labels[None], len(rows), axis=0), seeds)
-            for row, got in zip(rows, joined):
-                join = _closure(g, np.flatnonzero(sub.mask | row))[0]
-                assert np.array_equal(got, _coset_labels(g, np.flatnonzero(join))[0]), (name, sub.order)
+def test_principals_past_the_bound_refuse_before_the_rest_are_closed(monkeypatch):
+    import topolab.subgroups as subgroups_module
+    from topolab import OrderCapExceeded
+
+    g = group("C2 x C2 x C2 x C2 x C2 x C2")  # 63 principals
+    _class_labels(g)
+    close = subgroups_module._closure
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return close(*args)
+
+    monkeypatch.setattr(subgroups_module, "NORMAL_LATTICE_BOUND", 40)
+    monkeypatch.setattr(subgroups_module, "_closure", counting)
+    with pytest.raises(OrderCapExceeded, match="exceeds 40 entries"):
+        normal_lattice(g)
+    assert len(calls) <= 41
+
+
+def test_lattice_past_the_bound_over_many_principals_refuses_in_bounded_memory():
+    from topolab import OrderCapExceeded
+
+    # C2^9 as Dih(C2^8): 511 principals, far more normal subgroups than the bound
+    g = group("Dih(C2 x C2 x C2 x C2 x C2 x C2 x C2 x C2)")
+    g.table
+    _class_labels(g)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapExceeded):
+            normal_lattice(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 10.4 MiB measured for the element-space search; the join table in
+    # full, 511^3 bools, would be 127 MiB
+    assert peak < 24 << 20
 
 
 def test_c2_power_6_lattice_makes_few_products(monkeypatch):
