@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalInconsistency
-from .groups import BLOCK_ENTRIES, FiniteGroup, GroupSpec, center
+from .groups import FiniteGroup, GroupSpec, center, row_blocks
 from .subgroups import Subgroup, _central_preimages, center_subgroup, derived_subgroup, normal_lattice
 from .topology import AlmostTrivialTopology, make_topology
 
@@ -95,16 +95,14 @@ def is_a_complete(tau: AlmostTrivialTopology) -> bool:
 
 def _centerless_quotients(group: FiniteGroup) -> np.ndarray:
     """For every lattice member N, whether G/N has trivial center: whether
-    the preimage of Z(G/N) has the order of N, read in row blocks of at
-    most BLOCK_ENTRIES entries.
+    the preimage of Z(G/N) has the order of N, read in row_blocks.
     """
 
     def build() -> np.ndarray:
         masks = normal_lattice(group).masks
         central = np.empty(len(masks), dtype=np.int64)  # |preimage of Z(G/N)|
-        step = max(1, BLOCK_ENTRIES // max(1, len(group.generator_ids) * group.order))
-        for lo in range(0, len(masks), step):
-            central[lo : lo + step] = _central_preimages(group, masks[lo : lo + step]).sum(axis=1)
+        for block in row_blocks(len(masks), len(group.generator_ids) * group.order):
+            central[block] = _central_preimages(group, masks[block]).sum(axis=1)
         out = central == masks.sum(axis=1)
         out.setflags(write=False)
         return out
@@ -124,13 +122,12 @@ def _a_complete_both_routes(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]
         count = len(contains)
         by_center = _centerless_quotients(group)
         violator = np.full(count, -1)
-        step = max(1, BLOCK_ENTRIES // count)
-        for lo in range(0, count, step):
-            # above[i, j]: N_j strictly above N_lo+i with [G, N_j] <= N_lo+i
-            above = contains[lo : lo + step] & contains[lattice.comm_index, lo : lo + step].T
-            above[np.arange(len(above)), np.arange(lo, lo + len(above))] = False
+        for block in row_blocks(count, count):
+            # above[i, j]: N_j strictly above N_k with [G, N_j] <= N_k, k = block.start + i
+            above = contains[block] & contains[lattice.comm_index, block].T
+            above[np.arange(len(above)), np.arange(block.start, block.stop)] = False
             hits = above.any(axis=1)
-            violator[lo : lo + step][hits] = above[hits].argmax(axis=1)
+            violator[block][hits] = above[hits].argmax(axis=1)
         if not np.array_equal(by_center, violator < 0):
             raise InternalInconsistency(
                 "center route and commutator route disagree on A-completeness"

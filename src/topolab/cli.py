@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 spec rejected (syntax or validation), 3 order cap
-exceeded, 1 other domain errors.  The order cap of a spec defaults to 20000
-and can be overridden with TOPOLAB_ORDER_CAP; a perm action's order and
-degree are capped at 100000 (permaction.MATERIALIZATION_CAP).
+exceeded or out of memory, 1 other domain errors.  The order cap of a spec
+defaults to 20000 and can be overridden with TOPOLAB_ORDER_CAP; a perm
+action's order and degree are capped at 100000
+(permaction.MATERIALIZATION_CAP).
 """
 
 from __future__ import annotations
@@ -271,6 +272,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if isinstance(exc, (SpecSyntaxError, InvalidSpec)):
             return 2
         return 3 if isinstance(exc, OrderCapExceeded) else 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

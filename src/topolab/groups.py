@@ -39,6 +39,13 @@ _ASSOC_SAMPLES = 10_000
 BLOCK_ENTRIES = 1 << 20
 
 
+def row_blocks(count: int, width: int, start: int = 0) -> Iterator[slice]:
+    """Slices over rows start..count-1 of width entries each, a block
+    holding at most BLOCK_ENTRIES entries and at least one row."""
+    step = max(1, BLOCK_ENTRIES // max(1, width))
+    return (slice(lo, min(lo + step, count)) for lo in range(start, count, step))
+
+
 # ---------------------------------------------------------------------------
 # Group specs (abstract syntax of the construction language)
 
@@ -199,10 +206,9 @@ class FiniteGroup:
             self._unchecked = (base, levels, images)
             # x^-1(b) is the point that row x sends to b: base only, in row blocks
             inverse_images = np.empty((self.order, len(base)), dtype=np.intp)
-            step = max(1, BLOCK_ENTRIES // self.degree)
-            for lo in range(0, self.order, step):
+            for block in row_blocks(self.order, self.degree):
                 for j, b in enumerate(base):
-                    inverse_images[lo : lo + step, j] = (self.perms[lo : lo + step] == b).argmax(axis=1)
+                    inverse_images[block, j] = (self.perms[block] == b).argmax(axis=1)
             self._unchecked += (self._ids(inverse_images),)
             self._unchecked[3].setflags(write=False)
             if self._check_seed is not None:
@@ -591,10 +597,9 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
     if not np.array_equal(np.sort(group.inverses), np.arange(n)):
         raise InvalidSpec("inverse map is not a bijection")
     # x x^-1 on full rows, a block at a time: no whole copy of perms
-    step = max(1, BLOCK_ENTRIES // group.degree)
-    for lo in range(0, n, step):
-        inverse_rows = group.perms[group.inverses[lo : lo + step]]
-        composed = np.take_along_axis(group.perms[lo : lo + step], inverse_rows, axis=1)
+    for block in row_blocks(n, group.degree):
+        inverse_rows = group.perms[group.inverses[block]]
+        composed = np.take_along_axis(group.perms[block], inverse_rows, axis=1)
         if not (composed == group.perms[0]).all():
             raise InvalidSpec("inverse law fails on permutations")
     if n <= _ASSOC_EXHAUSTIVE_LIMIT:
@@ -655,26 +660,9 @@ def _alternating_action(n: int) -> tuple[int, list[np.ndarray]]:
 
 
 def _quaternion_action() -> tuple[int, list[np.ndarray]]:
-    # Left-regular action on the 8 unit labels {1,i,j,k,-1,-i,-j,-k};
-    # generators i and j.
-    def unit_mul(a: int, b: int) -> int:
-        sa, ua = divmod(a, 4)
-        sb, ub = divmod(b, 4)
-        sign = sa ^ sb
-        if ua == 0:
-            unit = ub
-        elif ub == 0:
-            unit = ua
-        elif ua == ub:
-            unit, sign = 0, sign ^ 1
-        else:
-            unit = 6 - ua - ub
-            if (ua, ub) not in ((1, 2), (2, 3), (3, 1)):
-                sign ^= 1
-        return 4 * sign + unit
-
-    rows = [np.array([unit_mul(a, b) for b in range(8)]) for a in range(8)]
-    return 8, [rows[1], rows[2]]
+    # Left-regular action on the 8 unit labels {1,i,j,k,-1,-i,-j,-k}:
+    # left multiplication by the generators i and j.
+    return 8, [np.array([1, 4, 3, 6, 5, 0, 7, 2]), np.array([2, 7, 4, 1, 6, 3, 0, 5])]
 
 
 def _heisenberg_action(m: int) -> tuple[int, list[np.ndarray]]:

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from .classify import ClassificationReport
-from .groups import BLOCK_ENTRIES, FiniteGroup
+from .groups import FiniteGroup, row_blocks
 from .specparse import print_group_spec
 from .subgroups import normal_lattice
 
@@ -83,10 +83,8 @@ def emit_lattice_dot(group: FiniteGroup) -> str:
     height = np.zeros(count, dtype=np.int8)  # at most log2 |G|
     cuts = (np.flatnonzero(np.diff(orders)) + 1).tolist()  # the first member of each order past 1
     for first, last in zip(cuts, cuts[1:] + [count]):
-        step = max(1, BLOCK_ENTRIES // first)
-        for lo in range(first, last, step):
-            hi = min(last, lo + step)
-            height[lo:hi] = np.where(contains[:first, lo:hi], height[:first, None], -1).max(axis=0) + 1
+        for block in row_blocks(last, first, start=first):
+            height[block] = np.where(contains[:first, block], height[:first, None], -1).max(axis=0) + 1
     # a head per member, then a tail per step t (0 for solid) and member
     pieces = [f"  n{i} -> " for i in range(count)] + [f"n{j};\n" for j in range(count)]
     for t in range(1, len(chain) + 1):
@@ -97,11 +95,10 @@ def emit_lattice_dot(group: FiniteGroup) -> str:
         picks = np.stack([rows, (steps + 1) * count + cols], axis=1)  # head, tail of each edge
         return "".join(pieces[picks.ravel()].tolist())
 
-    step = max(1, BLOCK_ENTRIES // count)
     solid, dashed = [], []  # one string per block
-    for lo in range(0, count, step):
-        rows, cols = divmod(np.flatnonzero(contains[lo : lo + step]), count)
-        rows += lo
+    for block in row_blocks(count, count):
+        rows, cols = divmod(np.flatnonzero(contains[block]), count)
+        rows += block.start
         strict = rows != cols
         rows, cols = rows[strict], cols[strict]
         cover = height[cols] == height[rows] + 1

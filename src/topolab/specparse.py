@@ -106,20 +106,14 @@ def _parse_spec(scanner: _Scanner) -> GroupSpec:
 
 def _parse_term(scanner: _Scanner) -> GroupSpec:
     # longest keywords first so "ASL(" is never read as "A" of a 5-term
-    if scanner.try_literal("ASL"):
-        scanner.expect_literal("(")
-        n = scanner.expect_int()
-        scanner.expect_literal(",")
-        p = scanner.expect_int()
-        scanner.expect_literal(")")
-        return AffineSpecialLinear(n, p)
-    if scanner.try_literal("SL"):
-        scanner.expect_literal("(")
-        n = scanner.expect_int()
-        scanner.expect_literal(",")
-        p = scanner.expect_int()
-        scanner.expect_literal(")")
-        return SpecialLinear(n, p)
+    for keyword, node in (("ASL", AffineSpecialLinear), ("SL", SpecialLinear)):
+        if scanner.try_literal(keyword):
+            scanner.expect_literal("(")
+            n = scanner.expect_int()
+            scanner.expect_literal(",")
+            p = scanner.expect_int()
+            scanner.expect_literal(")")
+            return node(n, p)
     if scanner.try_literal("Heis"):
         scanner.expect_literal("(")
         m = scanner.expect_int()

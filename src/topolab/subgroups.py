@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NotNormal, OrderCapExceeded
 from .groups import BLOCK_ENTRIES, FiniteGroup, _commutators, _conjugates, _perm_dtype, _smallest_prime_factor
-from .groups import cayley_table, center, row_keys
+from .groups import cayley_table, center, row_blocks, row_keys
 
 # ceiling on the normal-lattice size; elementary-abelian inputs can have
 # astronomically many normal subgroups and must fail fast instead of hanging
@@ -324,8 +324,9 @@ def normal_closure(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
 class NormalLattice:
     """Every normal subgroup of a group, with the arrays its consumers share.
 
-    Built from the packed bytes of the members' masks, sorted by one lexsort
-    and stacked by one np.unpackbits; each Subgroup takes its row and bytes.
+    Built from the members' masks as packed uint8 rows, sorted by one
+    lexsort and unpacked by one np.unpackbits; each Subgroup takes its mask
+    row and the bytes of its packed row.
     subgroups[k] is the k-th normal subgroup in (order, element set) order
     and masks[k] its membership row over the group's elements, of which
     subgroups[k].mask is a view.  holds[k, p] says subgroups[k] contains
@@ -340,17 +341,17 @@ class NormalLattice:
 
     __slots__ = ("group", "subgroups", "masks", "reps", "holds", "contains", "_position")
 
-    def __init__(self, group: FiniteGroup, packed: list[bytes], reps: np.ndarray):
+    def __init__(self, group: FiniteGroup, rows: np.ndarray, reps: np.ndarray):
         self.group = group
-        rows = np.frombuffer(b"".join(packed), dtype=np.uint8).reshape(len(packed), -1)
         sizes = np.bitwise_count(rows).sum(axis=1)
         # among equal orders the smaller element tuple is the mask set at
         # the first position where two masks differ, so its complement's
         # packed bytes are the smaller ones
         order = np.lexsort(((~rows).view(np.dtype((np.void, rows.shape[1]))).ravel(), sizes))
-        self.masks = np.unpackbits(rows[order], axis=1, count=group.order).view(bool)
+        rows = rows[order]
+        self.masks = np.unpackbits(rows, axis=1, count=group.order).view(bool)
         self.masks.setflags(write=False)  # so that each subgroup shares its row
-        packed = [packed[k] for k in order.tolist()]
+        packed = row_keys(rows)
         self.subgroups: tuple[Subgroup, ...] = tuple(
             Subgroup._normal_row(group, *row) for row in zip(self.masks, sizes[order].tolist(), packed)
         )
@@ -358,8 +359,8 @@ class NormalLattice:
         self.holds = self.masks[:, reps]
         rows = self.holds.astype(np.float32)
         self.contains = np.empty((len(rows), len(rows)), dtype=bool)
-        for lo, block in _subset_blocks(rows, rows.T):
-            self.contains[lo : lo + len(block)] = block
+        for block, subset in _subset_blocks(rows, rows.T):
+            self.contains[block] = subset
         for array in (self.reps, self.holds, self.contains):
             array.setflags(write=False)
         self._position = dict(zip(packed, range(len(packed))))
@@ -388,7 +389,7 @@ class NormalLattice:
             below = self.holds.astype(np.float32)  # [N, P]: P <= N
             inside = self.contains[comms].astype(np.float32)  # [P, M]: [G, P] <= M
             # members sort by order, so the first one holding them all is their join
-            out = np.concatenate([block.argmax(axis=1) for _, block in _subset_blocks(below, inside)])
+            out = np.concatenate([subset.argmax(axis=1) for _, subset in _subset_blocks(below, inside)])
             out.setflags(write=False)
             return out
 
@@ -396,14 +397,14 @@ class NormalLattice:
 
 
 def _subset_blocks(rows: np.ndarray, cols: np.ndarray):
-    """Yield (lo, block) with block[i, j] true iff every entry set in row
-    lo + i of rows is set in column j of cols, for 0/1 float32 matrices,
-    either of which may have no columns: a product of row blocks of at most
-    BLOCK_ENTRIES entries (exact, since counts stay far below 2^24)."""
+    """Yield (block, subset), block a slice of the rows of rows and
+    subset[i, j] true iff every entry set in row i of rows[block] is set in
+    column j of cols, for 0/1 float32 matrices, either of which may have no
+    columns: a product per row_blocks block (exact, since counts stay far
+    below 2^24)."""
     sizes = rows.sum(axis=1)
-    step = max(1, BLOCK_ENTRIES // max(1, cols.shape[1]))
-    for lo in range(0, len(rows), step):
-        yield lo, rows[lo : lo + step] @ cols == sizes[lo : lo + step, None]
+    for block in row_blocks(len(rows), cols.shape[1]):
+        yield block, rows[block] @ cols == sizes[block, None]
 
 
 def normal_lattice(group: FiniteGroup) -> NormalLattice:
@@ -423,7 +424,9 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
     of J[i, p] over B and p, and D is kept, with last principal p, iff it
     holds no principal below p that B does not.  Taken one p at a time,
     every member with y < p is known when p comes up, so column p of J is
-    formed once.  A block of joins is one float32 product of the members'
+    formed once.  When every principal is comparable with P_p, the column
+    is read off below alone, each join is P_p, and the test keeps it once.
+    A block of joins is one float32 product of the members'
     rows with the column, which is expanded to float32 only at the
     principals some member holds, and the member count is checked after
     each block.  Each member's mask comes out at the end, as the OR of its
@@ -432,8 +435,7 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
     """
 
     def build() -> NormalLattice:
-        principals, seeds = _principal_closures(group)
-        reps = np.array([kept[0] for kept in seeds], dtype=np.intp)  # class minima, kept first
+        principals, reps = _principal_closures(group)
         n = len(reps)
         table = _JoinTable(group, principals, reps)
         found = np.zeros((16, n), dtype=bool)  # row 0 is the trivial member
@@ -449,20 +451,13 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
             ever |= joins.any(axis=0)
             count += len(joins)
 
-        step = max(1, (BLOCK_ENTRIES >> 2) // max(1, n))
         for p in range(n):
             ever[p] = True
-            if not table.labelled[p]:
-                # every principal is comparable with P_p, so each join with it
-                # is P_p, canonical from the B that agrees with it below p
-                if (~found[:count, p] & (found[:count, :p] == table.below[p, :p]).all(axis=1)).any():
-                    add(table.below[p, None])
-                continue
             reads = slice(None) if ever.all() else np.flatnonzero(ever)  # the rows of J a join reads
             weights = table.column(p, reads).astype(np.float32)
             todo = np.flatnonzero(~found[:count, p])
-            for lo in range(0, len(todo), step):
-                held = found[todo[lo : lo + step]]
+            for block in row_blocks(len(todo), 4 * n):  # float32 products
+                held = found[todo[block]]
                 held[:, p] = True
                 joins = held[:, reads].astype(np.float32) @ weights > 0
                 # canonical: no principal below p that B lacks
@@ -480,27 +475,26 @@ def _check_lattice_size(count: int) -> None:
 class _JoinTable:
     """The join table J of the distinct principals P_0, ..., P_{n-1}, given
     by their masks and class minima reps: J[i, p] = X(P_i P_p), X(P) being
-    the principals P holds, its mask read at reps.  below[p] is X(P_p), and
-    labelled[p] says some principal is apart from P_p, neither holding the
-    other.
+    the principals P holds, its mask read at reps.  below[p] is X(P_p), the
+    only array over pairs of principals it keeps.
 
     When P_p lies in P_i the join is P_i, and when P_i lies in P_p it is
-    P_p.  For P_i apart from P_p, reps[k] lies in P_i P_p iff its coset
-    modulo P_p meets P_i, read off one _coset_labels of P_p per column.
+    P_p.  For P_i apart from P_p, neither holding the other, reps[k] lies in
+    P_i P_p iff its coset modulo P_p meets P_i, read off one _coset_labels
+    of P_p per column, made only when some principal is apart from P_p.
     """
 
     def __init__(self, group: FiniteGroup, principals: np.ndarray, reps: np.ndarray):
         self.group, self.principals, self.reps = group, principals, reps
         self.below = principals[:, reps]  # [p, q]: P_q <= P_p
-        self.apart = ~self.below & ~self.below.T
-        self.labelled = self.apart.any(axis=1).tolist()
         self.which, self.members = np.nonzero(principals)
 
     def column(self, p: int, rows=slice(None)) -> np.ndarray:
         """The bool rows J[i, p] for the i in rows, an index array or slice."""
         below, n = self.below, len(self.reps)
         column = np.where(below[rows, p, None], below[rows], below[p])
-        if self.labelled[p]:
+        apart = ~(below[p] | below[:, p])  # neither holds the other
+        if apart.any():
             labels, cosets = _coset_labels(self.group, np.flatnonzero(self.principals[p]))
             # a slot per coset holding some rep, named by one of its reps,
             # and slot n for the cosets holding none
@@ -508,7 +502,7 @@ class _JoinTable:
             slot[labels[self.reps]] = np.arange(n)
             wanted = np.zeros(n, dtype=bool)  # the apart P_i asked for
             wanted[rows] = True
-            wanted &= self.apart[p]
+            wanted &= apart
             meets = np.zeros((np.count_nonzero(wanted), n + 1), dtype=bool)  # [i, s]: P_i meets slot s
             pick = wanted[self.which]
             meets[(np.cumsum(wanted) - 1)[self.which[pick]], slot[labels[self.members[pick]]]] = True
@@ -516,11 +510,11 @@ class _JoinTable:
         return column
 
 
-def _member_keys(group: FiniteGroup, principals: np.ndarray, held: np.ndarray) -> list[bytes]:
-    """The packed mask bytes of every member, row k of held naming the
-    principals it holds (row 0, holding none, is the trivial member): the
-    OR of their np.packbits rows, as uint64 words, reduced over blocks of
-    members that gather at most BLOCK_ENTRIES bytes."""
+def _member_keys(group: FiniteGroup, principals: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """The packed masks of every member as uint8 rows, row k of held naming
+    the principals it holds (row 0, holding none, is the trivial member):
+    the OR of their np.packbits rows, as uint64 words, reduced over blocks
+    of members that gather at most BLOCK_ENTRIES bytes."""
     size = (group.order + 7) // 8
     words = np.zeros((len(principals) + 1, -(-size // 8) * 8), dtype=np.uint8)
     words[:-1, :size] = np.packbits(principals, axis=1)
@@ -534,13 +528,13 @@ def _member_keys(group: FiniteGroup, principals: np.ndarray, held: np.ndarray) -
         hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + step, side="right")) - 1)
         out.append(np.bitwise_or.reduceat(masks[col[starts[lo] : starts[hi]]], starts[lo:hi] - starts[lo], axis=0))
         lo = hi
-    return row_keys(np.concatenate(out).view(np.uint8)[:, :size])
+    return np.concatenate(out).view(np.uint8)[:, :size]
 
 
-def _principal_closures(group: FiniteGroup) -> tuple[np.ndarray, list[list[int]]]:
+def _principal_closures(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     """Rows holding the distinct normal closures of the nontrivial conjugacy
     classes, in the order of their first class, one _closure per cyclic
-    subgroup, and the seeds each closure kept as its generators.
+    subgroup, and reps, the smallest member of each one's first class.
 
     x and x^k with gcd(k, ord x) = 1 generate the same cyclic subgroup, so
     their classes have the same normal closure: after closing the class of
@@ -556,22 +550,22 @@ def _principal_closures(group: FiniteGroup) -> tuple[np.ndarray, list[list[int]]
     bounds = [np.ones(group.order, dtype=bool)]  # G, then each closure
     holder = np.zeros(group.order, dtype=np.intp)  # the smallest bound holding each element
     held = np.full(group.order, group.order)  # its order
-    distinct: dict = {}  # packed row -> its row and seeds
+    distinct: dict = {}  # packed row -> its row and class minimum
     for cls in conjugacy_classes(group)[1:]:  # the first class is {e}
         if done[cls[0]]:
             continue
         powers = _powers(group, cls[0])
         m = len(powers)
         done[labels[powers[np.gcd(np.arange(m), m) == 1]]] = True
-        mask, kept = _closure(group, cls, bounds[holder[cls[0]]])
+        mask = _closure(group, cls, bounds[holder[cls[0]]])[0]
         size = np.count_nonzero(mask)
         smaller = mask & (held > size)
         holder[smaller], held[smaller] = len(bounds), size
         bounds.append(mask)
-        distinct.setdefault(np.packbits(mask).tobytes(), (mask, kept))
+        distinct.setdefault(np.packbits(mask).tobytes(), (mask, cls[0]))
         _check_lattice_size(len(distinct) + 1)
-    rows = [mask for mask, _ in distinct.values()]
-    return np.array(rows, dtype=bool).reshape(-1, group.order), [kept for _, kept in distinct.values()]
+    rows = np.array([mask for mask, _ in distinct.values()], dtype=bool).reshape(-1, group.order)
+    return rows, np.array([x for _, x in distinct.values()], dtype=np.intp)
 
 
 def _powers(group: FiniteGroup, x: int) -> np.ndarray:
@@ -612,8 +606,7 @@ def commutator_subgroup(group: FiniteGroup, left: Subgroup, right: Subgroup) -> 
             values = _commutators(group, np.asarray(gens)[:, None], ks[None, :])
             return normal_closure(group, np.unique(values))
         hs = np.flatnonzero(left.mask)
-        step = max(1, BLOCK_ENTRIES // len(ks))
-        blocks = (_commutators(group, hs[lo : lo + step, None], ks) for lo in range(0, len(hs), step))
+        blocks = (_commutators(group, hs[block, None], ks) for block in row_blocks(len(hs), len(ks)))
         return Subgroup(group, _closure(group, np.concatenate([np.unique(b) for b in blocks]))[0])
 
     if left.order == group.order:

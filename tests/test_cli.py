@@ -250,6 +250,16 @@ def test_perm_stabilizers_fit_in_1gb():
         assert sum(line.startswith("stabilizer at ") for line in lines) == orbits
 
 
+def test_running_out_of_memory_exits_3_with_one_line():
+    # the order is at the cap, and the regular action on 20000 points does
+    # not fit in 1 GB
+    result = _run_in_1gb("classify", "C20000", timeout=60)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: out of memory\n"
+    assert "Traceback" not in result.stderr
+
+
 def test_huge_point_in_perm_generators_is_rejected_before_building():
     result = _run_in_1gb("perm", "--degree", "5", "--gens", "(99999999 1)")
     assert result.returncode == 2

@@ -704,3 +704,19 @@ def test_lookup_checks_run_on_the_first_product_of_a_bent_group(monkeypatch):
             bent.mul_many(1, 2)
     with pytest.raises(InvalidSpec, match="inverse law"):
         bent.inverses
+
+
+@pytest.mark.parametrize(
+    "count, width, start",
+    [(0, 5, 0), (1, 0, 0), (10, 0, 0), (100, 3, 0), (100, 7, 40), (5, 40, 0), (9, 40, 3), (17, 16, 17)],
+)
+def test_row_blocks_cover_every_row_once_in_order(monkeypatch, count, width, start):
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 16)  # width 40 is above it
+    blocks = list(groups.row_blocks(count, width, start))
+    covered = [row for block in blocks for row in range(count)[block]]
+    assert covered == list(range(start, count))
+    for block in blocks:
+        rows = block.stop - block.start
+        assert rows >= 1 and (rows == 1 or rows * width <= 16), block
+    # as many rows per block as fit, so no more blocks than needed
+    assert len(blocks) == -(-(count - start) // max(1, 16 // max(1, width)))

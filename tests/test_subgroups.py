@@ -394,9 +394,11 @@ def test_conjugation_kernel_matches_elementwise_references(monkeypatch, text):
 
 
 def test_commutator_subgroup_of_non_normal_subgroups_matches_all_pairs(monkeypatch):
+    import topolab.groups as groups_module
     import topolab.subgroups as subgroups_module
 
     monkeypatch.setattr(subgroups_module, "BLOCK_ENTRIES", 16)
+    monkeypatch.setattr(groups_module, "BLOCK_ENTRIES", 16)  # several row_blocks per call
     s4 = group("S4")
     stabilizers = [Subgroup(s4, [x for x in s4.elements() if s4.element_perm(x)[k] == k]) for k in (0, 3)]
     subs = [sub for sub in _cyclic_and_normal_subgroups(s4) if not sub.is_normal] + stabilizers
@@ -554,12 +556,13 @@ def test_cache_keys_hold_no_element_tuples(text):
 
 def test_principal_closures_match_one_closure_per_class(lattice_groups):
     for name, g in lattice_groups:
-        rows, seeds = _principal_closures(g)
+        rows, reps = _principal_closures(g)
         got = {np.packbits(row).tobytes() for row in rows}
         assert got == reference_principal_closures(g), name
-        # the seeds each closure kept generate it
-        for row, kept in zip(rows, seeds):
-            assert np.array_equal(_closure(g, kept)[0], row), name
+        # each row is the normal closure of its class minimum
+        assert np.array_equal(_class_labels(g)[reps], reps), name
+        for row, x in zip(rows, reps.tolist()):
+            assert np.array_equal(normal_closure(g, [x]).mask, row), (name, x)
 
 
 def test_closure_stops_at_lagranges_bound_and_not_before():
@@ -666,8 +669,7 @@ def test_join_table_matches_the_closure_of_each_pair(catalog64):
     the elements of both, read at the class minima; also read at a subset
     of the rows, as the search asks for it."""
     for name, g in catalog64 + [(text, group(text)) for text in LATTICE_SPECS[:2]]:
-        rows, seeds = _principal_closures(g)
-        reps = np.array([kept[0] for kept in seeds], dtype=np.intp)
+        rows, reps = _principal_closures(g)
         table = _JoinTable(g, rows, reps)
         odd = np.arange(1, len(reps), 2)
         for p in range(len(reps)):
