@@ -334,9 +334,10 @@ class NormalLattice:
     p-th distinct principal member, so row k is the principal set that
     normal_lattice searches over.  Each member is the union of the
     principals it holds, so contains[i, j], subgroups[i] <= subgroups[j]
-    (the diagonal is set), compares rows of holds.  comm_index[k], built
-    on first use, is the position of [G, subgroups[k]].  Nothing here is
-    writable.
+    (the diagonal is set), compares rows of holds, a row block only with
+    the members of order above its first row's, since two members of one
+    order are never nested.  comm_index[k], built on first use, is the
+    position of [G, subgroups[k]].  Nothing here is writable.
     """
 
     __slots__ = ("group", "subgroups", "masks", "reps", "holds", "contains", "_position")
@@ -348,19 +349,19 @@ class NormalLattice:
         # the first position where two masks differ, so its complement's
         # packed bytes are the smaller ones
         order = np.lexsort(((~rows).view(np.dtype((np.void, rows.shape[1]))).ravel(), sizes))
-        rows = rows[order]
+        rows, sizes = rows[order], sizes[order]
         self.masks = np.unpackbits(rows, axis=1, count=group.order).view(bool)
         self.masks.setflags(write=False)  # so that each subgroup shares its row
         packed = row_keys(rows)
         self.subgroups: tuple[Subgroup, ...] = tuple(
-            Subgroup._normal_row(group, *row) for row in zip(self.masks, sizes[order].tolist(), packed)
+            Subgroup._normal_row(group, *row) for row in zip(self.masks, sizes.tolist(), packed)
         )
         self.reps = reps
         self.holds = self.masks[:, reps]
         rows = self.holds.astype(np.float32)
-        self.contains = np.empty((len(rows), len(rows)), dtype=bool)
-        for block, subset in _subset_blocks(rows, rows.T):
-            self.contains[block] = subset
+        self.contains = np.eye(len(rows), dtype=bool)
+        for block, lo, subset in _subset_blocks(rows, rows.T, sizes):
+            self.contains[block, lo:] = subset
         for array in (self.reps, self.holds, self.contains):
             array.setflags(write=False)
         self._position = dict(zip(packed, range(len(packed))))
@@ -375,10 +376,14 @@ class NormalLattice:
 
         [G, AB] = [G, A][G, B] for normal A and B, and every N is the
         product of the principal members inside it, so [G, N] is the
-        smallest member containing [G, P] for each principal P <= N.  The
-        first member holding reps[p] is the p-th principal, and
-        commutator_subgroup runs on the principals only; the rest is a
-        row-blocked float32 product of holds against contains.
+        first member M whose principal set holds U(N), the union of the
+        principal sets of the [G, P] over the principals P <= N: M contains
+        [G, P] iff it holds the principals of [G, P], as both are unions of
+        the principals they hold.  The first member holding reps[p] is the
+        p-th principal, and commutator_subgroup runs on the principals
+        only.  U is one float32 product of holds with the rows of holds at
+        the [G, P], and the subset test against holds runs once per
+        distinct union, of which there are few (one on C2^6).
         """
 
         def build() -> np.ndarray:
@@ -387,24 +392,33 @@ class NormalLattice:
             principals = self.holds.argmax(axis=0)
             comms = [self.index(commutator_subgroup(group, full, self.subgroups[p])) for p in principals]
             below = self.holds.astype(np.float32)  # [N, P]: P <= N
-            inside = self.contains[comms].astype(np.float32)  # [P, M]: [G, P] <= M
-            # members sort by order, so the first one holding them all is their join
-            out = np.concatenate([subset.argmax(axis=1) for _, subset in _subset_blocks(below, inside)])
+            unions = below @ self.holds[comms].astype(np.float32) > 0  # [N, Q]: Q <= [G, P] for some P <= N
+            # a set bit past the principals, so that no key is empty (C1 has no principals)
+            keys = np.packbits(np.concatenate([unions, np.ones((len(unions), 1), dtype=bool)], axis=1), axis=1)
+            keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+            _, picks, which = np.unique(keys, return_index=True, return_inverse=True)
+            # members sort by order, so the first one holding a union is its join
+            tests = _subset_blocks(unions[picks].astype(np.float32), below.T)
+            out = np.concatenate([subset.argmax(axis=1) for _, _, subset in tests])[which]
             out.setflags(write=False)
             return out
 
         return self.group._cached("lattice_comm_index", build)
 
 
-def _subset_blocks(rows: np.ndarray, cols: np.ndarray):
-    """Yield (block, subset), block a slice of the rows of rows and
+def _subset_blocks(rows: np.ndarray, cols: np.ndarray, orders: np.ndarray | None = None):
+    """Yield (block, lo, subset), block a slice of the rows of rows and
     subset[i, j] true iff every entry set in row i of rows[block] is set in
-    column j of cols, for 0/1 float32 matrices, either of which may have no
-    columns: a product per row_blocks block (exact, since counts stay far
-    below 2^24)."""
+    column lo + j of cols, for 0/1 float32 matrices, either of which may
+    have no columns: a product per row_blocks block (exact, since counts
+    stay far below 2^24).  lo is 0 unless orders is given: then the rows
+    and columns are the same members sorted by order, and lo is the first
+    of order above the block's first row, since a member lies in no other
+    member of its own order or below (the caller sets the diagonal)."""
     sizes = rows.sum(axis=1)
     for block in row_blocks(len(rows), cols.shape[1]):
-        yield block, rows[block] @ cols == sizes[block, None]
+        lo = 0 if orders is None else int(np.searchsorted(orders, orders[block.start], side="right"))
+        yield block, lo, rows[block] @ cols[:, lo:] == sizes[block, None]
 
 
 def normal_lattice(group: FiniteGroup) -> NormalLattice:

@@ -538,6 +538,13 @@ def reference_coset_labels(g, kernel):
     return labels, reps
 
 
+def reference_contains(lattice):
+    """contains[i, j], N_i <= N_j, read off the element masks: N_i lies in
+    N_j iff the two share all |N_i| elements of N_i."""
+    masks = lattice.masks.astype(np.float32)
+    return masks @ masks.T == masks.sum(axis=1)[:, None]
+
+
 def reference_comm_index(g, lattice):
     """Position of [G, N] for every lattice member N, with one
     commutator_subgroup call per member, as NormalLattice.comm_index was

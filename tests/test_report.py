@@ -195,8 +195,9 @@ def test_comm_index_and_dot_keep_their_temporaries_blocked():
 
     from topolab.subgroups import normal_lattice
 
-    # C2^6 has 2825 normal subgroups: one dense 2825 x 2825 float32 product
-    # takes 32 MB, and the DOT text itself about 5 MB
+    # C2^6 has 2825 normal subgroups: one unblocked 2825 x 2825 float32
+    # product would take 32 MB, and the DOT text itself takes about 5 MB;
+    # comm_index tests only its distinct unions against the members
     g = group("C2 x C2 x C2 x C2 x C2 x C2")
     lattice = normal_lattice(g)
     tracemalloc.start()

@@ -20,6 +20,7 @@ from conftest import (
     reference_normal_lattice_masks,
     reference_are_conjugate,
     reference_comm_index,
+    reference_contains,
     reference_normalizer,
     reference_principal_closures,
     reference_quotient_center,
@@ -46,6 +47,7 @@ from topolab import (
     upper_central_series,
 )
 from topolab.subgroups import (
+    NormalLattice,
     Subgroup,
     _class_labels,
     _closure,
@@ -614,9 +616,56 @@ def test_coset_labels_match_the_per_coset_loop(lattice_groups):
 
 
 def test_comm_index_matches_one_commutator_subgroup_per_member(lattice_groups):
-    for name, g in lattice_groups:
+    wide = EXTRA_LATTICE_SPECS + ("C3 x C3 x C3 x C3 x C3",)
+    for name, g in lattice_groups + [(text, group(text)) for text in wide]:
         lattice = normal_lattice(g)
         assert lattice.comm_index.tolist() == reference_comm_index(g, lattice), name
+
+
+def test_lattice_relations_of_the_trivial_and_a_prime_order_group():
+    # C1 has no principals, so its one member's union of [G, P] is empty
+    trivial = normal_lattice(group("C1"))
+    assert trivial.holds.shape == (1, 0)
+    assert trivial.contains.tolist() == [[True]]
+    assert trivial.comm_index.tolist() == [0]
+    prime = normal_lattice(group("C7"))
+    assert prime.contains.tolist() == [[True, True], [False, True]]
+    assert prime.comm_index.tolist() == [0, 0]
+
+
+def test_contains_matches_the_element_subset_test_across_row_blocks(lattice_groups, monkeypatch):
+    """C2^6 and C3^5 take 8 and 7 row blocks; the other lattices are built
+    again with 16-entry blocks, so that blocks start inside an order."""
+    import topolab.groups as groups_module
+
+    for text in ("C2 x C2 x C2 x C2 x C2 x C2", "C3 x C3 x C3 x C3 x C3"):
+        lattice = normal_lattice(group(text))
+        count = len(lattice.subgroups)
+        assert len(list(groups_module.row_blocks(count, count))) >= 7, text
+        assert np.array_equal(lattice.contains, reference_contains(lattice)), text
+    extra = [(text, group(text)) for text in EXTRA_LATTICE_SPECS]
+    lattices = [(name, g, normal_lattice(g)) for name, g in lattice_groups + extra]
+    monkeypatch.setattr(groups_module, "BLOCK_ENTRIES", 16)  # 16 // |L| rows a block, at least one
+    for name, g, lattice in lattices:
+        rebuilt = NormalLattice(g, np.packbits(lattice.masks, axis=1), lattice.reps)
+        assert np.array_equal(rebuilt.contains, reference_contains(lattice)), name
+
+
+def test_comm_index_tests_one_row_per_distinct_union(monkeypatch):
+    import topolab.subgroups as subgroups_module
+
+    lattice = normal_lattice(group("C2 x C2 x C2 x C2 x C2 x C2"))
+    subset_blocks = subgroups_module._subset_blocks
+    tested = []
+
+    def recording(rows, cols, *orders):
+        tested.append(rows.shape)
+        return subset_blocks(rows, cols, *orders)
+
+    monkeypatch.setattr(subgroups_module, "_subset_blocks", recording)
+    # every [G, N] is trivial, so every union of the [G, P] is empty
+    assert lattice.comm_index.tolist() == [0] * 2825
+    assert tested == [(1, 63)]
 
 
 def test_holds_reads_one_class_minimum_per_principal(lattice_groups):
