@@ -399,24 +399,34 @@ def _base_index(perms: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 
 def cayley_table(n: int, lmul: Sequence[np.ndarray]) -> np.ndarray:
     """Dense table of a group of order n from left multiplication by each
-    generator (lmul[i][x] = g_i * x).  Rows are filled along a
-    breadth-first tree over generator words: if y = g_i * p, row y is
-    lmul[i] applied to row p."""
+    generator (lmul[i][x] = g_i * x, which is row g_i).  Rows are filled
+    along a breadth-first search that multiplies each level on the left by
+    a step set: the generators, then the elements found first, up to
+    isqrt(n) of them (baby steps, giant steps).  A cycle of length n takes
+    about sqrt(n) levels, not n, and each element meets at most isqrt(n)
+    steps beside the generators, so the candidate reads stay near n^1.5,
+    below the n^2 fill.  If y = t * f, row y is row t read at row f, one
+    flat take per block of rows."""
     table = np.empty((n, n), dtype=np.int32)
     table[0] = np.arange(n, dtype=np.int32)
     done = np.zeros(n, dtype=bool)
     done[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
+    for row in lmul:
+        table[row[0]] = row
+        done[row[0]] = True
+    steps = frontier = np.flatnonzero(done)[1:]
     while frontier.size:
-        grown = []
-        for left in lmul:
-            images = left[frontier]
-            fresh = ~done[images]
-            ys, first = np.unique(images[fresh], return_index=True)
-            done[ys] = True
-            table[ys] = left[table[frontier[fresh][first]]]
-            grown.append(ys)
-        frontier = np.concatenate(grown) if grown else frontier[:0]
+        found = table[steps[:, None], frontier].ravel()
+        fresh = np.flatnonzero(~done[found])
+        ys, first = np.unique(found[fresh], return_index=True)
+        done[ys] = True
+        t, f = np.divmod(fresh[first], frontier.size)
+        t, f = steps[t, None] * n, frontier[f]
+        # int64 index, row read and take: 16 bytes an entry, BLOCK_ENTRIES a block
+        for block in row_blocks(len(ys), n << 4):
+            table[ys[block]] = table.take(t[block] + table[f[block]])
+        steps = np.concatenate((steps, ys[: max(0, math.isqrt(n) - steps.size)]))
+        frontier = ys
     if not done.all():
         raise InvalidSpec("generators do not generate the group")
     return table

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import sys
 import time
 import tracemalloc
@@ -673,6 +674,61 @@ def test_row_fill_of_the_table_matches_the_column_fill(lattice_groups):
         rmul = [proj[g.mul_many(reps, s)] for s in g.generator_ids]
         expected = reference_cayley_table(len(reps), rmul)
         assert np.array_equal(quotient.target.table, expected), text
+
+
+@pytest.mark.parametrize("text", ["C2 x C256", "Heis(13)"])
+def test_row_fill_matches_the_column_fill_past_the_step_set_bound(text):
+    # in C2 x C256 the step set reaches isqrt(n) = 22 partway through a
+    # level of 16; Heis(13) is nonabelian, and its third level already
+    # holds 215 elements against isqrt(n) = 46
+    g = group(text)
+    ids = np.arange(g.order)
+    rmul = [g._product_ids(ids, s) for s in g.generator_ids]
+    assert np.array_equal(g.table, reference_cayley_table(g.order, rmul))
+
+
+def _left_rows(g):
+    ids = np.arange(g.order)
+    return [g._product_ids(s, ids) for s in g.generator_ids]
+
+
+def test_table_of_a_proper_subgroup_is_refused():
+    c4000 = group("C4000")
+    (row,) = _left_rows(c4000)
+    square = row[row]  # left multiplication by the generator squared
+    with pytest.raises(InvalidSpec, match="generators do not generate the group"):
+        groups.cayley_table(c4000.order, [square])
+    with pytest.raises(InvalidSpec, match="generators do not generate the group"):
+        groups.cayley_table(2, [])
+
+
+def test_table_of_c4000_takes_about_sqrt_n_levels(monkeypatch):
+    c4000 = group("C4000")
+    lmul = _left_rows(c4000)
+    levels = []
+    honest = np.unique
+    monkeypatch.setattr(groups.np, "unique", lambda *a, **k: levels.append(1) or honest(*a, **k))
+    table = groups.cayley_table(c4000.order, lmul)
+    monkeypatch.undo()
+    assert np.array_equal(table[:, 0], np.arange(c4000.order))
+    # one np.unique per level; a fill one generator level at a time takes 4000
+    n = c4000.order
+    assert len(levels) <= 2 * math.isqrt(n) + math.ceil(math.log2(n))
+
+
+@pytest.mark.parametrize("text", ["C4000", "D2000", "ASL(3,2)"])
+def test_table_fill_keeps_its_temporaries_in_row_blocks(text):
+    g = group(text)
+    lmul = _left_rows(g)
+    tracemalloc.start()
+    try:
+        groups.cayley_table(g.order, lmul)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table's own int32 entries, plus about 1 MiB of block temporaries;
+    # with one level-wide index C4000 took 3 MiB above it and ASL(3,2) 13 MiB
+    assert peak < 4 * g.order**2 + (2 << 20)
 
 
 @pytest.mark.parametrize("text", ["C128", "Q8 x D8", "ASL(3,2)"])
