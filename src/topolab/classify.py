@@ -94,16 +94,20 @@ def is_a_complete(tau: AlmostTrivialTopology) -> bool:
 
 
 def _centerless_quotients(group: FiniteGroup) -> np.ndarray:
-    """For every lattice member N, whether G/N has trivial center: whether
-    the preimage of Z(G/N) has the order of N, read in row_blocks.
+    """For every lattice member N, whether G/N has trivial center, read at
+    the principals' class minima reps.
+
+    The preimage Z of Z(G/N) is normal, so it is the union of the
+    principals it holds, and it holds P_p = <reps[p]>^G iff it holds
+    reps[p], that is iff [reps[p], s] lies in N for every generator s.
+    Since N <= Z, Z(G/N) is trivial iff every principal whose commutators
+    all lie in N is held by N: |reps| x |S| products, not |G| x |S|.
     """
 
     def build() -> np.ndarray:
-        masks = normal_lattice(group).masks
-        central = np.empty(len(masks), dtype=np.int64)  # |preimage of Z(G/N)|
-        for block in row_blocks(len(masks), len(group.generator_ids) * group.order):
-            central[block] = _central_preimages(group, masks[block]).sum(axis=1)
-        out = central == masks.sum(axis=1)
+        lattice = normal_lattice(group)
+        central = _central_preimages(group, lattice.masks, lattice.reps)  # [N, p]: P_p <= Z
+        out = ~(central & ~lattice.holds).any(axis=1)
         out.setflags(write=False)
         return out
 

@@ -29,7 +29,7 @@ from .subgroups import (
     _iterated_commutators,
     commutator_subgroup,
     full_subgroup,
-    generated_subgroup,
+    normal_closure,
     quotient_center,
 )
 from .topology import AlmostTrivialTopology
@@ -110,8 +110,9 @@ def min_steps(
 ) -> StepCount:
     """Least n making the identity map n-step semitopological.
 
-    The realizing chain joins each commutator iterate with N so that all
-    intermediate kernels sit between N and L; consecutive links then each
+    The realizing chain joins each commutator iterate with N, a product of
+    two normal subgroups and so the normal closure of their union, so that
+    all intermediate kernels sit between N and L; consecutive links then each
     satisfy the one-step criterion.  The iterates strictly decrease until
     they stabilize, so this terminates after at most log2|G| rounds.
     """
@@ -126,5 +127,5 @@ def min_steps(
         return StepCount(None, None)
     chain: list[Subgroup] = [large]
     for term in iterates[: steps - 1]:
-        chain.append(generated_subgroup(group, np.flatnonzero(term.mask | small.mask)))
+        chain.append(normal_closure(group, np.flatnonzero(term.mask | small.mask)))
     return StepCount(steps, tuple(chain))

@@ -8,14 +8,20 @@ quotient centers) is cached on the parent group behind its internal lock,
 keyed by those bytes where it depends on a subgroup.
 
 Conjugacy classes are one label array, the smallest member of each
-element's class; every other view of the classes is read off it.
+element's class; every other view of the classes, their members grouped
+by class (_class_members) among them, is read off it.  A normal subgroup
+is a union of classes, so normal closures and [G, N] read one element per
+class.
 
 The center of G/N is read off G itself: _central_preimages returns its
 preimage, the x whose commutator with every generator of G lies in N, for
-a stack of kernel masks at once.  quotient_center (one kernel),
-upper_central_series, the classification's center route and the semitop
-oracle use it; quotient_group, which builds G/N as a group of its own, the
-regular action on the cosets, is left to quotient topologies.
+a stack of kernel masks at once, read at every element or at given ones.
+quotient_center (one kernel), upper_central_series and the semitop oracle
+read it at every element.  The classification's center route reads it at
+the principals' class minima only: the preimage is normal, so it is the
+union of the principals it holds.  quotient_group, which builds G/N as a
+group of its own, the regular action on the cosets, is left to quotient
+topologies.
 """
 
 from __future__ import annotations
@@ -143,7 +149,7 @@ class QuotientMap:
 
 
 def _closure(
-    group: FiniteGroup, seed_ids: Iterable[int], within: Optional[np.ndarray] = None
+    group: FiniteGroup, seed_ids: Iterable[int], within: Optional[np.ndarray] = None, by_class: bool = False
 ) -> tuple[np.ndarray, list[int]]:
     """Membership mask of the smallest subgroup containing seed_ids, and
     the seeds it kept as generators.
@@ -164,13 +170,26 @@ def _closure(
     is below p, so it is M (Lagrange): the closure returns a copy of M
     there.  Every later seed would have been skipped, so the kept seeds
     are the same and generate M.
+
+    by_class says that the seeds are a union of conjugacy classes, so the
+    span is normal and a union of classes: it is kept as its class minima,
+    and only those are multiplied, each by every member of the kept seed
+    classes (_class_members) and the squares, with each product read as
+    its class minimum.  That is enough: for m in the span, c in a seed
+    class C and g in G, (g m g^-1) c = g (m c') g^-1 with c' = g^-1 c g in
+    C, so the classes of m C cover those of K C for the class K of m.  The
+    seeds are read one per class, in order of their class minima, which
+    are the kept seeds; Lagrange's bound counts class sizes.  When every
+    class is a singleton (abelian groups) the element path runs.
     """
-    mask = np.zeros(group.order, dtype=bool)
-    mask[0] = True
     found, enough = 1, group.order + 1
     if within is not None:
         size = int(np.count_nonzero(within))
         enough = size // _smallest_prime_factor(size) + 1
+    if by_class and len(center(group)) < group.order:
+        return _class_closure(group, seed_ids, within, enough)
+    mask = np.zeros(group.order, dtype=bool)
+    mask[0] = True
     gens: list[int] = []
     for s in sorted({int(x) for x in seed_ids} - {0}):
         if mask[s]:
@@ -188,6 +207,38 @@ def _closure(
                 squares = [] if mask[square] else squares + [square]
             fresh = _mark_new(mask, group.mul_many(fresh[:, None], gens + squares[1:]))
     return mask, gens
+
+
+def _class_closure(
+    group: FiniteGroup, seed_ids: Iterable[int], within: Optional[np.ndarray], enough: int
+) -> tuple[np.ndarray, list[int]]:
+    """_closure's class mode: its loop with every element read as its class
+    minimum, the span held at the class minima."""
+    labels = _class_labels(group)
+    starts, ids = _class_members(group)
+    held = np.zeros(group.order, dtype=bool)
+    held[0] = True
+    found, gens, members = 1, [], np.zeros(0, dtype=np.intp)  # members: of the kept seed classes
+    for m in sorted(set(labels[np.asarray(seed_ids, dtype=np.intp)].tolist()) - {0}):
+        if held[m]:
+            continue
+        gens.append(m)
+        cls = ids[starts[m] : starts[m + 1]]
+        # the old span is normal: only its products with the class can be new
+        fresh = _mark_new(held, labels[group.mul_many(np.flatnonzero(held)[:, None], cls)])
+        members = np.concatenate([members, cls])
+        squares = [m]
+        while fresh.size:
+            if within is not None:  # else the bound is out of reach
+                found += int((starts[fresh + 1] - starts[fresh]).sum())
+                if found >= enough:
+                    return within.copy(), gens
+            if squares:
+                square = group.mul(squares[-1], squares[-1])
+                squares = [] if held[labels[square]] else squares + [square]
+            factors = np.concatenate([members, squares[1:]]) if len(squares) > 1 else members
+            fresh = _mark_new(held, labels[group.mul_many(fresh[:, None], factors)])
+    return held[labels], gens
 
 
 def _mark_new(mask: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -299,6 +350,22 @@ def _orbit_minima(count: int, maps) -> np.ndarray:
             return labels
 
 
+def _class_members(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The members of every conjugacy class, as a CSR over the class labels:
+    the class whose smallest member is m is ids[starts[m] : starts[m + 1]],
+    in increasing order (empty for an m that is no class minimum)."""
+
+    def build() -> tuple[np.ndarray, np.ndarray]:
+        labels = _class_labels(group)
+        starts = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=group.order))])
+        ids = np.argsort(labels, kind="stable")
+        for array in (starts, ids):
+            array.setflags(write=False)
+        return starts, ids
+
+    return group._cached("class_members", build)
+
+
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes as sorted tuples, ordered by smallest member;
     read off the class labels, which are what is cached."""
@@ -313,12 +380,11 @@ def _split_by_label(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 
 def normal_closure(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    """Smallest normal subgroup containing the given elements; raises
-    ValueError for an id outside 0..order-1."""
-    labels = _class_labels(group)
-    hit = np.zeros(group.order, dtype=bool)
-    hit[labels[_checked_ids(group, elements)]] = True
-    return Subgroup(group, _closure(group, np.flatnonzero(hit[labels]))[0], _normal=True)
+    """Smallest normal subgroup containing the given elements, the subgroup
+    generated by their classes: one _closure in class mode, which reads
+    one element per class.  Raises ValueError for an id outside
+    0..order-1."""
+    return Subgroup(group, _closure(group, _checked_ids(group, elements), by_class=True)[0], _normal=True)
 
 
 class NormalLattice:
@@ -553,8 +619,9 @@ def _principal_closures(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     x and x^k with gcd(k, ord x) = 1 generate the same cyclic subgroup, so
     their classes have the same normal closure: after closing the class of
     x, the classes of those powers, read off the class labels, are done.
-    Each closure runs within the smallest normal subgroup found so far that
-    holds the class (G if none), so it stops at Lagrange's bound there.
+    Each closure runs in _closure's class mode, within the smallest normal
+    subgroup found so far that holds the class (G if none), so it stops at
+    Lagrange's bound there.
     Each distinct closure is a member of the normal lattice, so this raises
     OrderCapExceeded as soon as they and the trivial member pass
     NORMAL_LATTICE_BOUND.
@@ -565,18 +632,18 @@ def _principal_closures(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     holder = np.zeros(group.order, dtype=np.intp)  # the smallest bound holding each element
     held = np.full(group.order, group.order)  # its order
     distinct: dict = {}  # packed row -> its row and class minimum
-    for cls in conjugacy_classes(group)[1:]:  # the first class is {e}
-        if done[cls[0]]:
+    for x in np.flatnonzero(labels == np.arange(group.order))[1:].tolist():  # class minima but e
+        if done[x]:
             continue
-        powers = _powers(group, cls[0])
+        powers = _powers(group, x)
         m = len(powers)
         done[labels[powers[np.gcd(np.arange(m), m) == 1]]] = True
-        mask = _closure(group, cls, bounds[holder[cls[0]]])[0]
+        mask = _closure(group, [x], bounds[holder[x]], True)[0]
         size = np.count_nonzero(mask)
         smaller = mask & (held > size)
         holder[smaller], held[smaller] = len(bounds), size
         bounds.append(mask)
-        distinct.setdefault(np.packbits(mask).tobytes(), (mask, cls[0]))
+        distinct.setdefault(np.packbits(mask).tobytes(), (mask, x))
         _check_lattice_size(len(distinct) + 1)
     rows = np.array([mask for mask, _ in distinct.values()], dtype=bool).reshape(-1, group.order)
     return rows, np.array([x for _, x in distinct.values()], dtype=np.intp)
@@ -600,10 +667,16 @@ def all_normal_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
 def commutator_subgroup(group: FiniteGroup, left: Subgroup, right: Subgroup) -> Subgroup:
     """Subgroup generated by every [h, k] with h in left, k in right.
 
-    When both arguments are normal, [left, right] is the normal closure of
-    the commutators of the generators of left with every element of right
-    (peel words off with [xy, k] = x[y,k]x^-1 [x,k]), which avoids the
-    quadratic sweep; otherwise all pairs are enumerated.
+    When both arguments are normal, [left, right] is the normal closure M
+    of the commutators [s, y] of the generators s of left with the
+    smallest members y of the classes in right, which avoids the quadratic
+    sweep.  M lies in [left, right], which is normal.  Conversely, the x
+    with [h, x] in M for every h in left form a normal subgroup C, since
+    [h, xz] = [h, x] x[h, z]x^-1 and [h, g x g^-1] = g[g^-1 h g, x]g^-1;
+    and x lies in C once [s, x] lies in M for every generator s, by
+    [ab, x] = a[b, x]a^-1 [a, x].  So every y lies in C, hence so does
+    right, the normal closure of the y, and [left, right] <= M.
+    Otherwise all pairs are enumerated.
     """
     if left.parent is not group or right.parent is not group:
         raise ValueError("subgroups must belong to the given group")
@@ -611,14 +684,15 @@ def commutator_subgroup(group: FiniteGroup, left: Subgroup, right: Subgroup) -> 
         return trivial_subgroup(group)
 
     def build() -> Subgroup:
-        ks = np.flatnonzero(right.mask)
         if left.is_normal and right.is_normal:
             if left.order == group.order:
                 gens = group.generator_ids
             else:
                 _, gens = _closure(group, np.flatnonzero(left.mask))
-            values = _commutators(group, np.asarray(gens)[:, None], ks[None, :])
+            minima = np.flatnonzero(right.mask & (_class_labels(group) == np.arange(group.order)))
+            values = _commutators(group, np.asarray(gens)[:, None], minima[None, :])
             return normal_closure(group, np.unique(values))
+        ks = np.flatnonzero(right.mask)
         hs = np.flatnonzero(left.mask)
         blocks = (_commutators(group, hs[block, None], ks) for block in row_blocks(len(hs), len(ks)))
         return Subgroup(group, _closure(group, np.concatenate([np.unique(b) for b in blocks]))[0])
@@ -724,19 +798,24 @@ def quotient_center(group: FiniteGroup, kernel: Subgroup) -> Subgroup:
     return group._cached(("quotient_center", kernel.packed), build)
 
 
-def _central_preimages(group: FiniteGroup, masks: np.ndarray) -> np.ndarray:
-    """Row k: the preimage of Z(G/N) for the normal N of mask row k.  xN is
+def _central_preimages(group: FiniteGroup, masks: np.ndarray, xs: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row k: the preimage of Z(G/N) for the normal N of mask row k, read
+    at the ids xs if given, else at every element, in row_blocks.  xN is
     central in G/N iff [x, s] lies in N for every generator s of G, so the
-    row is the AND over generators of N's mask read at [x, s], one cached
-    row of commutators per generator."""
+    row is the AND over generators of N's mask read at [x, s]; over every
+    element that is one cached row of commutators per generator."""
 
     def build() -> np.ndarray:
-        gens = np.asarray(group.generator_ids, dtype=np.intp)
         rows = _commutators(group, np.arange(group.order), gens[:, None])
         rows.setflags(write=False)
         return rows
 
-    return masks[:, group._cached("generator_commutators", build)].all(axis=1)
+    gens = np.asarray(group.generator_ids, dtype=np.intp)
+    rows = group._cached("generator_commutators", build) if xs is None else _commutators(group, xs, gens[:, None])
+    out = np.empty((len(masks), rows.shape[1]), dtype=bool)
+    for block in row_blocks(len(masks), rows.size):
+        out[block] = masks[block][:, rows].all(axis=1)
+    return out
 
 
 def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, np.ndarray]:

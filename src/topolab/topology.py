@@ -20,7 +20,7 @@ from .subgroups import (
     Subgroup,
     _class_labels,
     center_subgroup,
-    generated_subgroup,
+    normal_closure,
     quotient_group,
     subgroup_as_group,
     trivial_subgroup,
@@ -139,7 +139,7 @@ def quotient_topology(
     if not modulus.is_normal:
         raise NotNormal("quotient modulus must be normal")
     quo = quotient_group(tau.group, modulus)
-    join = generated_subgroup(tau.group, np.flatnonzero(modulus.mask | tau.kernel.mask))
+    join = normal_closure(tau.group, np.flatnonzero(modulus.mask | tau.kernel.mask))
     image = quo.projection[join.mask]
     return make_topology(quo.target, Subgroup(quo.target, image, _normal=True))
 

@@ -47,6 +47,13 @@ LATTICE_SPECS = ("C2 x C2 x C2 x C2 x C2", "C2 x C2 x C2 x C4", "C4 x C4 x C2", 
 EXTRA_LATTICE_SPECS = ("C3 x C3 x C3 x C3", "Heis(5) x C5")
 
 
+# beside lattice_groups and EXTRA_LATTICE_SPECS where normal closures, [G, N]
+# and quotient centres read one element per class: non-abelian groups with
+# large classes, on both sides of the dense-table limit, and A4, which has
+# a normal Sylow subgroup but is not nilpotent
+CLASS_ROUTE_SPECS = ("S7", "SL(2,17)", "ASL(3,2)", "A5 x C7", "A4")
+
+
 @pytest.fixture(scope="session")
 def lattice_groups(catalog):
     return list(catalog) + [(text, group(text)) for text in LATTICE_SPECS]
@@ -553,6 +560,21 @@ def reference_comm_index(g, lattice):
 
     full = full_subgroup(g)
     return [lattice.index(commutator_subgroup(g, full, sub)) for sub in lattice.subgroups]
+
+
+def reference_commutator_with_g(g, sub):
+    """[G, N] for a normal N as the subgroup generated by every [x, n], x in
+    G and n in N.  Since y [x, n] y^-1 = [y x y^-1, y n y^-1], those are the
+    members of the classes of the [x, m] over every x in G and the smallest
+    member m of each class of N; the closure is the element path's."""
+    from topolab.groups import _commutators
+    from topolab.subgroups import _class_labels, _closure
+
+    labels = _class_labels(g)
+    minima = np.flatnonzero(sub.mask & (labels == np.arange(g.order)))
+    hit = np.zeros(g.order, dtype=bool)
+    hit[labels[_commutators(g, np.arange(g.order)[:, None], minima[None, :])]] = True
+    return _closure(g, np.flatnonzero(hit[labels]))[0]
 
 
 def reference_semitop_oracle(tau, sigma):

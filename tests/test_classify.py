@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import group
+from conftest import CLASS_ROUTE_SPECS, EXTRA_LATTICE_SPECS, group
 from topolab import (
     InternalInconsistency,
     all_normal_subgroups,
@@ -24,7 +24,8 @@ from topolab import (
     quotient_group,
     subgroups,
 )
-from topolab.subgroups import full_subgroup
+from topolab.classify import _centerless_quotients
+from topolab.subgroups import _central_preimages, full_subgroup, normal_lattice
 
 
 def test_is_taimanov_examples():
@@ -188,6 +189,15 @@ def test_totally_taimanov_witness_is_smallest(catalog24):
             if (n.order, n.elements) < (witness.order, witness.elements):
                 quo = quotient_group(g, n)
                 assert len(center(quo.target)) == 1, name
+
+
+def test_centerless_quotients_at_the_principals_match_every_element(lattice_groups):
+    """The center route read at the principals' class minima against the
+    preimage of Z(G/N) read at every element: trivial iff it is N."""
+    for name, g in lattice_groups + [(text, group(text)) for text in EXTRA_LATTICE_SPECS + CLASS_ROUTE_SPECS]:
+        masks = normal_lattice(g).masks
+        expected = _central_preimages(g, masks).sum(axis=1) == masks.sum(axis=1)
+        assert np.array_equal(_centerless_quotients(g), expected), name
 
 
 def test_center_route_is_cross_checked(monkeypatch):

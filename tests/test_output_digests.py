@@ -35,6 +35,16 @@ CLASSIFY_JSON = {
     "Heis(7) x C2": "b5d5ef6e08a145d74b6239f0242276d3b02267f98c6c5a67881825b2d6397f00",
 }
 
+# non-abelian groups of order above 128, whose normal closures, [G, N] and
+# quotient centres read one element per conjugacy class; recorded while
+# those were still computed one element at a time
+CLASSIFY_JSON_BY_CLASS = {
+    "S7": "c1a0bfb04795e44dd701f89077a7781ebe419215583791a4b39587000f64b74b",
+    "SL(2,17)": "9c8ff8a24adafe19ff4fe56078d2497701520744cf3256b05b7e003be99ba997",
+    "ASL(3,2)": "fc68fc1dadb413c60c943351233e696f35217c07f8620c53a9abad2585fb99a6",
+    "A5 x C7": "6d17677c92509f06efb887a1d376eca0a294788fe33a2f9b4d48eb6ce5519acd",
+}
+
 # `perm --check-lemma --oracle` on degree-8 actions: S8, A8 and PGL(2,7) on
 # the projective line over F_7 (point 7 is infinity), the regular C8 and Q8,
 # the octagon's dihedral group (condition (a) fails), S3 on two orbits
@@ -83,6 +93,12 @@ def test_lattice_dot_bytes_are_unchanged(spec, tmp_path, capsys):
 def test_classify_json_bytes_are_unchanged(spec, capsys):
     assert main(["classify", spec, "--json"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == CLASSIFY_JSON[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(CLASSIFY_JSON_BY_CLASS))
+def test_classify_json_bytes_of_large_nonabelian_groups_are_unchanged(spec, capsys):
+    assert main(["classify", spec, "--json"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == CLASSIFY_JSON_BY_CLASS[spec]
 
 
 @pytest.mark.parametrize("name", sorted(PERM_STDOUT))

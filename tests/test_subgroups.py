@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    CLASS_ROUTE_SPECS,
     EXTRA_LATTICE_SPECS,
     LATTICE_SPECS,
     _oracle_classes,
@@ -16,6 +17,7 @@ from conftest import (
     find_element,
     group,
     oracle_normal_subgroups,
+    reference_commutator_with_g,
     reference_coset_labels,
     reference_normal_lattice_masks,
     reference_are_conjugate,
@@ -50,6 +52,7 @@ from topolab.subgroups import (
     NormalLattice,
     Subgroup,
     _class_labels,
+    _class_members,
     _closure,
     _coset_labels,
     _JoinTable,
@@ -470,6 +473,75 @@ def test_elementary_abelian_lattice_blowup_fails_fast():
     g = group("C2 x C2 x C2 x C2 x C2 x C2 x C2 x C2 x C2")  # 2^9
     with pytest.raises(OrderCapExceeded):
         all_normal_subgroups(g)
+
+
+def _class_route_groups(lattice_groups):
+    return lattice_groups + [(text, group(text)) for text in EXTRA_LATTICE_SPECS + CLASS_ROUTE_SPECS]
+
+
+def _class_union_seeds(g):
+    """Seeds that are unions of conjugacy classes: single classes, evenly
+    spaced when there are more than 48, each of those with the class after
+    it, and the classes of every normal subgroup."""
+    classes = conjugacy_classes(g)
+    picked = list(range(1, len(classes), max(1, len(classes) // 48)))
+    seeds = [np.array(classes[c]) for c in picked]
+    seeds += [np.array(classes[c] + classes[(c + 1) % len(classes)]) for c in picked]
+    return seeds + [np.flatnonzero(n.mask) for n in all_normal_subgroups(g)]
+
+
+def test_class_members_list_every_class_in_order(lattice_groups):
+    for name, g in _class_route_groups(lattice_groups):
+        starts, ids = _class_members(g)
+        classes = conjugacy_classes(g)
+        assert all(tuple(ids[starts[cls[0]] : starts[cls[0] + 1]].tolist()) == cls for cls in classes), name
+        assert np.count_nonzero(np.diff(starts)) == len(classes), name
+
+
+def test_class_mode_closure_matches_the_element_path(lattice_groups):
+    """Over every seed that is a union of classes, with and without G as
+    the bound, class mode gives the element path's mask and keeps the
+    smallest members of the classes it multiplied by, increasing."""
+    for name, g in _class_route_groups(lattice_groups):
+        labels = _class_labels(g)
+        full = np.ones(g.order, dtype=bool)
+        for seed in _class_union_seeds(g):
+            expected = _closure(g, seed)[0]
+            for within in (None, full):
+                mask, kept = _closure(g, seed, within, True)
+                assert np.array_equal(mask, expected), (name, len(seed))
+                assert kept == sorted(kept) and np.array_equal(labels[kept], kept), (name, len(seed))
+                assert set(kept) <= set(labels[seed].tolist()), (name, len(seed))
+
+
+def test_commutator_with_g_matches_all_pairs_on_every_member(lattice_groups):
+    """[G, N] from G's generators and N's class minima, for every lattice
+    member N, against every [x, n] with x in G and n in N."""
+    for name, g in _class_route_groups(lattice_groups):
+        full = full_subgroup(g)
+        for n in all_normal_subgroups(g):
+            got = commutator_subgroup(g, full, n)
+            assert np.array_equal(got.mask, reference_commutator_with_g(g, n)), (name, n.order)
+
+
+def test_principal_closures_of_s7_read_one_element_per_class(monkeypatch):
+    from topolab.groups import FiniteGroup
+
+    g = group("S7")
+    _class_members(g)
+    multiply = FiniteGroup.mul_many
+    served = []
+
+    def counting(self, xs, ys):
+        got = multiply(self, xs, ys)
+        served.append(np.size(got))
+        return got
+
+    monkeypatch.setattr(FiniteGroup, "mul_many", counting)
+    rows, _ = _principal_closures(g)
+    assert sorted(rows.sum(axis=1).tolist()) == [2520, 5040]
+    # 72457 products one element at a time, 16690 one element per class
+    assert sum(served) <= 25_000
 
 
 def test_commutator_fast_path_matches_all_pairs():

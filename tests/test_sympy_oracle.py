@@ -14,6 +14,7 @@ from topolab import (
     build_centralizing_witness,
     build_group,
     center,
+    parse_group_spec,
     commutator_subgroup,
     conjugacy_classes,
     derived_subgroup,
@@ -62,6 +63,32 @@ def test_principal_normal_subgroups_and_commutators_match_sympy(spec):
         expected = g_sym.commutator(g_sym, sub_sym).order()
         assert commutator_subgroup(g, full, sub).order == expected
         assert lattice.subgroups[lattice.comm_index[k]].order == expected
+
+
+@pytest.mark.parametrize("spec", ["S7", "ASL(3,2)", "A5 x C7"])
+def test_class_normal_closures_and_commutators_match_sympy(spec):
+    """Groups whose classes the random generators above rarely reach: every
+    class's normal closure and every lattice member's [G, N], as element
+    sets, against sympy's normal_closure and commutator."""
+    g = build_group(parse_group_spec(spec))
+    g_sym = PermutationGroup([Permutation(list(g.element_perm(s))) for s in g.generator_ids])
+    assert g_sym.order() == g.order
+    ids = {g.element_perm(x): x for x in g.elements()}
+
+    def sym(x):
+        return Permutation(list(g.element_perm(x)))
+
+    def members(sub_sym):
+        return sorted(ids[tuple(p.array_form)] for p in sub_sym.generate())
+
+    for cls in conjugacy_classes(g)[1:]:
+        assert normal_closure(g, cls).elements == tuple(members(g_sym.normal_closure(sym(cls[0])))), cls[0]
+    full = full_subgroup(g)
+    for sub in normal_lattice(g).subgroups[1:]:
+        sub_sym = g_sym.normal_closure(PermutationGroup([sym(cls[0]) for cls in conjugacy_classes(g) if cls[0] in sub]))
+        assert tuple(members(sub_sym)) == sub.elements, sub.order
+        expected = tuple(members(g_sym.commutator(g_sym, sub_sym)))
+        assert commutator_subgroup(g, full, sub).elements == expected, sub.order
 
 
 @st.composite
