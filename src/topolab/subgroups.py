@@ -39,6 +39,11 @@ from .groups import cayley_table, center, row_blocks, row_keys
 # astronomically many normal subgroups and must fail fast instead of hanging
 NORMAL_LATTICE_BOUND = 4096
 
+# member rows x principals past which normal_lattice screens its candidates
+# with the packed witness test: below it the float32 product over every
+# candidate costs less than the test's dozen numpy calls
+WITNESS_ENTRIES = 1 << 14
+
 
 class Subgroup:
     """A subset of a parent group closed under product and inverse, held as
@@ -400,16 +405,19 @@ class NormalLattice:
     p-th distinct principal member, so row k is the principal set that
     normal_lattice searches over.  Each member is the union of the
     principals it holds, so contains[i, j], subgroups[i] <= subgroups[j]
-    (the diagonal is set), compares rows of holds, a row block only with
-    the members of order above its first row's, since two members of one
-    order are never nested.  comm_index[k], built on first use, is the
-    position of [G, subgroups[k]].  Nothing here is writable.
+    (the diagonal is set), compares rows of holds, the rows of one order
+    only with the members of larger order, since two members of one order
+    are never nested; the trivial member's row and G's column need no
+    product.  comm_index[k], built on first use, is the position of
+    [G, subgroups[k]].  joins is the number of joins normal_lattice formed
+    (0 when built from given rows).  Nothing here is writable.
     """
 
-    __slots__ = ("group", "subgroups", "masks", "reps", "holds", "contains", "_position")
+    __slots__ = ("group", "subgroups", "masks", "reps", "holds", "contains", "_position", "_joins")
 
-    def __init__(self, group: FiniteGroup, rows: np.ndarray, reps: np.ndarray):
+    def __init__(self, group: FiniteGroup, rows: np.ndarray, reps: np.ndarray, joins: int = 0):
         self.group = group
+        self._joins = joins
         sizes = np.bitwise_count(rows).sum(axis=1)
         # among equal orders the smaller element tuple is the mask set at
         # the first position where two masks differ, so its complement's
@@ -425,12 +433,23 @@ class NormalLattice:
         self.reps = reps
         self.holds = self.masks[:, reps]
         rows = self.holds.astype(np.float32)
+        counts = rows.sum(axis=1)
+        top = len(rows) - 1  # G
         self.contains = np.eye(len(rows), dtype=bool)
-        for block, lo, subset in _subset_blocks(rows, rows.T, sizes):
-            self.contains[block, lo:] = subset
+        self.contains[0] = self.contains[:, top] = True
+        # the rows of each order against the members of larger order below G
+        levels = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
+        for start, stop in zip(levels, levels[1:-1]):
+            for block in row_blocks(stop, top - stop, start):
+                subset = self.contains[block, stop:top]
+                np.equal(rows[block] @ rows.T[:, stop:top], counts[block, None], out=subset)
         for array in (self.reps, self.holds, self.contains):
             array.setflags(write=False)
         self._position = dict(zip(packed, range(len(packed))))
+
+    @property
+    def joins(self) -> int:
+        return self._joins
 
     def index(self, sub: Subgroup) -> int:
         """Position of a normal subgroup of the same group."""
@@ -465,26 +484,22 @@ class NormalLattice:
             _, picks, which = np.unique(keys, return_index=True, return_inverse=True)
             # members sort by order, so the first one holding a union is its join
             tests = _subset_blocks(unions[picks].astype(np.float32), below.T)
-            out = np.concatenate([subset.argmax(axis=1) for _, _, subset in tests])[which]
+            out = np.concatenate([subset.argmax(axis=1) for _, subset in tests])[which]
             out.setflags(write=False)
             return out
 
         return self.group._cached("lattice_comm_index", build)
 
 
-def _subset_blocks(rows: np.ndarray, cols: np.ndarray, orders: np.ndarray | None = None):
-    """Yield (block, lo, subset), block a slice of the rows of rows and
+def _subset_blocks(rows: np.ndarray, cols: np.ndarray):
+    """Yield (block, subset), block a slice of the rows of rows and
     subset[i, j] true iff every entry set in row i of rows[block] is set in
-    column lo + j of cols, for 0/1 float32 matrices, either of which may
-    have no columns: a product per row_blocks block (exact, since counts
-    stay far below 2^24).  lo is 0 unless orders is given: then the rows
-    and columns are the same members sorted by order, and lo is the first
-    of order above the block's first row, since a member lies in no other
-    member of its own order or below (the caller sets the diagonal)."""
+    column j of cols, for 0/1 float32 matrices, either of which may have no
+    columns: a product per row_blocks block (exact, since counts stay far
+    below 2^24)."""
     sizes = rows.sum(axis=1)
     for block in row_blocks(len(rows), cols.shape[1]):
-        lo = 0 if orders is None else int(np.searchsorted(orders, orders[block.start], side="right"))
-        yield block, lo, rows[block] @ cols[:, lo:] == sizes[block, None]
+        yield block, rows[block] @ cols == sizes[block, None]
 
 
 def normal_lattice(group: FiniteGroup) -> NormalLattice:
@@ -506,6 +521,20 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
     every member with y < p is known when p comes up, so column p of J is
     formed once.  When every principal is comparable with P_p, the column
     is read off below alone, each join is P_p, and the test keeps it once.
+
+    Most joins fail that test, so a member is dropped before its join is
+    formed when a witness shows it must fail.  The witness of principal i
+    at column p is the first q < p in J[i, p] outside X(P_i): a member B
+    that holds i but lacks q fails, since D contains P_i P_p, which holds
+    q.  So does a B that lacks some q < p in X(P_p).  The test runs on
+    bits, row i holding the members that hold i packed into words, and
+    costs O(n |L| / 64) word operations for a column, |L| the member
+    count.  One witness per principal may let a doomed join through, so
+    the canonicity test still runs on the members that pass: the members,
+    their order and the point where the bound refuses are unchanged.
+    Until the members' rows hold WITNESS_ENTRIES entries the test is not
+    run and every candidate's join is formed.
+
     A block of joins is one float32 product of the members'
     rows with the column, which is expanded to float32 only at the
     principals some member holds, and the member count is checked after
@@ -518,15 +547,18 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
         principals, reps = _principal_closures(group)
         n = len(reps)
         table = _JoinTable(group, principals, reps)
-        found = np.zeros((16, n), dtype=bool)  # row 0 is the trivial member
-        count = 1
+        found = np.zeros((64, n), dtype=bool)  # row 0 is the trivial member; rows in words of 64
+        bits = np.zeros((n, 8), dtype=np.uint8)  # [i]: the members holding i, packed little-endian
+        count, packed, joined = 1, 0, 0  # packed: the members written to bits
         ever = np.zeros(n, dtype=bool)  # the principals some member holds
 
         def add(joins: np.ndarray) -> None:
-            nonlocal found, count, ever
+            nonlocal found, bits, count, ever
             _check_lattice_size(count + len(joins))
             if count + len(joins) > len(found):
-                found = np.concatenate([found, np.zeros((max(len(found), len(joins)), n), dtype=bool)])
+                more = -(-max(len(found), len(joins)) // 64) * 64
+                found = np.concatenate([found, np.zeros((more, n), dtype=bool)])
+                bits = np.concatenate([bits, np.zeros((n, more // 8), dtype=np.uint8)], axis=1)
             found[count : count + len(joins)] = joins
             ever |= joins.any(axis=0)
             count += len(joins)
@@ -534,15 +566,31 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
         for p in range(n):
             ever[p] = True
             reads = slice(None) if ever.all() else np.flatnonzero(ever)  # the rows of J a join reads
-            weights = table.column(p, reads).astype(np.float32)
-            todo = np.flatnonzero(~found[:count, p])
+            column = table.column(p, reads)
+            if not p or count * n <= WITNESS_ENTRIES:  # no principal lies below the first
+                todo = np.flatnonzero(~found[:count, p])
+            else:
+                start = packed & -8  # the members from packed on, from a whole byte
+                bits[:, start // 8 : -(-count // 8)] = np.packbits(found[start:count], 0, bitorder="little").T
+                packed = count
+                words = bits.view(np.uint64)
+                # a witness per principal i: the first q < p in J[i, p] outside X(P_i)
+                outside = column[:, :p] > table.below[reads, :p]
+                has = outside.any(axis=1)
+                holders, witness = np.arange(n)[reads][has], outside.argmax(axis=1)[has]
+                drop = np.bitwise_or.reduce(words[holders] & ~words[witness], axis=0)
+                # and the members holding p, or lacking some q < p in X(P_p)
+                drop |= words[p] | ~np.bitwise_and.reduce(words[np.flatnonzero(table.below[p, :p])], axis=0)
+                todo = np.flatnonzero(np.unpackbits(~drop.view(np.uint8), count=count, bitorder="little"))
+            joined += len(todo)
+            weights = column.astype(np.float32)
             for block in row_blocks(len(todo), 4 * n):  # float32 products
                 held = found[todo[block]]
                 held[:, p] = True
                 joins = held[:, reads].astype(np.float32) @ weights > 0
                 # canonical: no principal below p that B lacks
                 add(joins[~(joins[:, :p] > held[:, :p]).any(axis=1)])
-        return NormalLattice(group, _member_keys(group, principals, found[:count]), reps)
+        return NormalLattice(group, _member_keys(group, principals, found[:count]), reps, joined)
 
     return group._cached("normal_lattice", build)
 

@@ -192,6 +192,14 @@ def test_lattice_above_the_bound_exits_3(tmp_path):
     assert not out.exists()
 
 
+def test_wide_lattice_past_the_bound_exits_3_in_seconds():
+    # C7^5: 2801 principals; the search refuses once it passes the bound,
+    # after 33 columns of the join table
+    result = _run_bounded("classify", "C7 x C7 x C7 x C7 x C7", timeout=60)
+    assert result.returncode == 3
+    assert result.stderr == "error: normal subgroup lattice exceeds 4096 entries\n"
+
+
 def test_huge_perm_degree_hits_the_cap_before_parsing():
     # parsing would pad every generator to the full degree
     result = _run_bounded("perm", "--degree", "100000000", "--gens", "(0 1)")

@@ -106,3 +106,30 @@ def test_perm_stdout_bytes_are_unchanged(name, capsys):
     degree, gens, digest = PERM_STDOUT[name]
     assert main(["perm", "--degree", str(degree), "--gens", gens, "--check-lemma", "--oracle"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == digest
+
+
+# wide elementary abelian lattices, recorded while the lattice search still
+# formed the join of every member with every principal it lacked
+CLASSIFY_JSON_WIDE = {
+    "C3 x C3 x C3 x C3 x C3": "59f6d1df192705b72f0cd3d35a897372693fd485d78bf2d571e859225b5b4118",
+    "C5 x C5 x C5 x C5": "68a273e40f1a62fc7b571d67f5c28f9c81ef7200aa06a3654d4500e59213e8b9",
+    "C7 x C7 x C7 x C7": "11ba881e44ef9843ffa51f0aed2fbe0093f8085ffb2e17fe43cfbd8c021d74e4",
+}
+
+LATTICE_DOT_WIDE = {
+    "C3 x C3 x C3 x C3 x C3": "981a0b790c34798c6318c4c12edfc6990d96b186e7835c459bc16720bba5a7d7",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CLASSIFY_JSON_WIDE))
+def test_classify_json_bytes_of_wide_lattices_are_unchanged(spec, capsys):
+    assert main(["classify", spec, "--json"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == CLASSIFY_JSON_WIDE[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(LATTICE_DOT_WIDE))
+def test_lattice_dot_bytes_of_wide_lattices_are_unchanged(spec, tmp_path, capsys):
+    out = tmp_path / "lattice.dot"
+    assert main(["lattice", spec, "--dot", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out.read_bytes()) == LATTICE_DOT_WIDE[spec]

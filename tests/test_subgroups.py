@@ -785,6 +785,48 @@ def test_lattice_masks_match_the_per_member_search(lattice_groups):
         assert got == reference_normal_lattice_masks(g), name
 
 
+# joins of a member with a principal formed by the search as it runs, and
+# with the witness test in every column; plain Close-by-One formed 86258,
+# 194271, 114950 and 919 (on both groups of order 64)
+JOINS_FORMED = {
+    "C2 x C2 x C2 x C2 x C2 x C2": (3115, 2824),
+    "C3 x C3 x C3 x C3 x C3": (2889, 2663),
+    "C5 x C5 x C5 x C5": (1347, 1119),
+    "Q8 x D8": (919, 122),
+    "D8 x D8": (919, 122),
+}
+
+
+def test_lattice_search_drops_most_joins_before_forming_them(monkeypatch):
+    """With the witness test in every column, each member but the trivial
+    one costs one join on the elementary abelian groups; one witness per
+    principal misses some doomed joins of Q8 x D8 and D8 x D8, which the
+    canonicity test then drops."""
+    import topolab.subgroups as subgroups_module
+
+    for text, (formed, everywhere) in JOINS_FORMED.items():
+        lattice = normal_lattice(group(text))
+        assert lattice.joins == formed, text
+        with monkeypatch.context() as patch:
+            patch.setattr(subgroups_module, "WITNESS_ENTRIES", 0)
+            assert normal_lattice(group(text)).joins == everywhere, text
+        assert everywhere >= len(lattice.subgroups) - 1, text
+    assert NormalLattice(lattice.group, np.packbits(lattice.masks, axis=1), lattice.reps).joins == 0
+
+
+def test_witness_test_in_every_column_finds_the_same_lattices(lattice_groups, monkeypatch):
+    import topolab.subgroups as subgroups_module
+
+    extra = [(text, group(text)) for text in EXTRA_LATTICE_SPECS]
+    lattices = [(name, normal_lattice(g)) for name, g in lattice_groups + extra]
+    monkeypatch.setattr(subgroups_module, "WITNESS_ENTRIES", 0)
+    for name, lattice in lattices:
+        screened = normal_lattice(group(name))
+        assert np.array_equal(screened.masks, lattice.masks), name
+        assert np.array_equal(screened.reps, lattice.reps), name
+        assert screened.joins <= lattice.joins, name
+
+
 def test_join_table_matches_the_closure_of_each_pair(catalog64):
     """J[i, p], the principals of P_i P_p, against the subgroup generated by
     the elements of both, read at the class minima; also read at a subset
