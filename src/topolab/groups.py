@@ -10,10 +10,15 @@ its images of a base (a few points whose pointwise stabilizer is trivial),
 so a product composes only the base columns and maps them back to an id
 with one read per base point of an int32 transition table, from prefix
 state and image to the next state.  This lookup is built on first use, so
-the perm analysis, which reads only the rows, never pays for it.  Groups of
-order <= TABLE_LIMIT cache all products in a dense table, built on first
-use; the table is read only inside FiniteGroup.  Instances are immutable to
-callers, so they can be shared freely between threads.
+the perm analysis, which reads only the rows, never pays for it.  A group
+of order <= TABLE_LIMIT may also keep every product in a dense n x n table,
+built by ski rental: mul_many serves products from the lookup and meters
+them, each call charged CALL_CHARGE entries more, and builds the table once
+the meter reaches the n^2 entries the table costs to fill.  A group that
+reads few products (ASL(3,2) in a catalog query, C4000's lattice) never
+fills n^2 entries; one that reads many pays at most about twice what the
+table alone would.  The table is read only inside FiniteGroup.  Instances
+are immutable to callers, so they can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -31,6 +36,12 @@ from .errors import InvalidSpec, OrderCapExceeded
 
 DEFAULT_ORDER_CAP = 20_000
 TABLE_LIMIT = 4096
+# table entries a mul_many call is charged beside its products on the meter:
+# a lookup call of 8 products costs 10-29 us, mostly numpy call overhead, and
+# the fill 3.2-10 ns an entry (one x86-64 thread, best of 300 and of 5), so a
+# call is worth 1000 (C256) to 6900 (ASL(3,2)) entries; C4000 reads 15.8 us
+# against 3.5 ns, about 4500, and Heis(13) about 3900
+CALL_CHARGE = 4096
 _ASSOC_EXHAUSTIVE_LIMIT = 128
 _ASSOC_SAMPLES = 10_000
 # entries per block of the temporaries that grow with |G| x degree, with
@@ -44,6 +55,16 @@ def row_blocks(count: int, width: int, start: int = 0) -> Iterator[slice]:
     holding at most BLOCK_ENTRIES entries and at least one row."""
     step = max(1, BLOCK_ENTRIES // max(1, width))
     return (slice(lo, min(lo + step, count)) for lo in range(start, count, step))
+
+
+def doubling_blocks(count: int, width: int) -> Iterator[slice]:
+    """Slices over rows 0..count-1 of width entries each, from one row
+    doubling up to the rows that hold BLOCK_ENTRIES entries, so a caller
+    that stops at the first hit pays about as much as the rows before it."""
+    lo, step, cap = 0, 1, max(1, BLOCK_ENTRIES // max(1, width))
+    while lo < count:
+        yield slice(lo, min(lo + step, count))
+        lo, step = lo + step, min(2 * step, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +181,7 @@ class FiniteGroup:
         "_unchecked",
         "_check_seed",
         "_table",
+        "_metered",
         "_cache",
         "_cache_lock",
         "_factors",
@@ -179,6 +201,7 @@ class FiniteGroup:
         self.degree = int(perms.shape[1])
         self.generator_ids = generator_ids
         self._table: Optional[np.ndarray] = None
+        self._metered = 0  # lookup products served, plus CALL_CHARGE a call
         self._checked = self._unchecked = None
         self._check_seed = check_seed
         self._cache: dict = {}
@@ -225,8 +248,10 @@ class FiniteGroup:
 
     @property
     def table(self) -> Optional[np.ndarray]:
-        """Dense multiplication table; built on first demand for groups of
-        order <= TABLE_LIMIT, None above that."""
+        """Dense multiplication table of a group of order <= TABLE_LIMIT,
+        None above that; built on this first read, or by mul_many once its
+        meter reaches order^2.  The lookup's checks read it up to order
+        _ASSOC_EXHAUSTIVE_LIMIT, so those groups build it with the lookup."""
         self._index()  # first: the lookup's checks may build the table
         if self._table is None and self.order <= TABLE_LIMIT:
             with self._cache_lock:
@@ -243,11 +268,20 @@ class FiniteGroup:
 
     def mul_many(self, xs, ys) -> np.ndarray:
         """Products x*y (composition: y acts first) for broadcast id arrays,
-        as int32 ids; a read of the table when there is one."""
-        table = self.table
+        as int32 ids; a read of the table when there is one.  Otherwise the
+        lookup serves them and the meter counts them, plus CALL_CHARGE; the
+        first call that finds the meter at order^2 builds the table (ski
+        rental), when the order is at most TABLE_LIMIT.  Either path gives
+        the same ids."""
+        table = self._table
+        if table is None and self.order <= TABLE_LIMIT and self._metered >= self.order**2:
+            table = self.table
         if table is not None:
             return table[xs, ys]
-        return self._product_ids(xs, ys)
+        products = self._product_ids(xs, ys)
+        # unlocked: an update lost to a racing thread only delays the build
+        self._metered += products.size + CALL_CHARGE
+        return products
 
     def mul(self, x: int, y: int) -> int:
         """Product x*y (composition: y acts first)."""
@@ -597,10 +631,11 @@ def _assemble(
 def _smoke_check(group: FiniteGroup, seed: int) -> None:
     """Inverse and associativity checks of an element lookup, run as it is built.
 
-    Up to order 128 each table entry t[x, y] must have the base images
-    x[y[base]], which tell the rows apart: the table is their composition
-    law.  Above that, seeded random triples compare (x y) z with x (y z) as
-    ids from the base-image lookup, without forcing a table build.
+    Up to order 128 the table is built here, and each entry t[x, y] must
+    have the base images x[y[base]], which tell the rows apart: the table
+    that the breadth-first fill built is their composition law.  Above
+    that, seeded random triples compare (x y) z with x (y z) as ids from
+    the base-image lookup, without forcing a table build.
     """
     n = group.order
     # a sort, not np.unique, which imports numpy.ma (about 1.5 MB resident)
@@ -614,7 +649,7 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
             raise InvalidSpec("inverse law fails on permutations")
     if n <= _ASSOC_EXHAUSTIVE_LIMIT:
         ids = np.arange(n)
-        t = group.mul_many(ids[:, None], ids)
+        t = group.table
         if not (np.array_equal(t[0], ids) and np.array_equal(t[:, 0], ids)):
             raise InvalidSpec("identity law fails on the table")
         images = group._base_images

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GroupMismatch, NotComparable
-from .groups import FiniteGroup, _commutators
+from .groups import FiniteGroup, _commutators, doubling_blocks
 from .subgroups import (
     Subgroup,
     _iterated_commutators,
@@ -76,10 +76,12 @@ def is_semitopological(
     if comm.issubset(small):
         return SemitopVerdict(True, None)
     larr = np.flatnonzero(large.mask)
-    for g in group.elements():
-        outside = ~small.mask[_commutators(group, g, larr)]
+    for block in doubling_blocks(group.order, len(larr)):
+        gs = np.arange(block.start, block.stop)
+        outside = ~small.mask[_commutators(group, gs[:, None], larr)]
         if outside.any():
-            return SemitopVerdict(False, (g, int(larr[np.argmax(outside)])))
+            g, i = divmod(int(np.argmax(outside)), len(larr))  # the first in row order
+            return SemitopVerdict(False, (block.start + g, int(larr[i])))
     raise AssertionError("generated commutators escape N but no pair does")
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NotNormal, OrderCapExceeded
 from .groups import BLOCK_ENTRIES, FiniteGroup, _commutators, _conjugates, _perm_dtype, _smallest_prime_factor
-from .groups import cayley_table, center, row_blocks, row_keys
+from .groups import cayley_table, center, doubling_blocks, row_blocks, row_keys
 
 # ceiling on the normal-lattice size; elementary-abelian inputs can have
 # astronomically many normal subgroups and must fail fast instead of hanging
@@ -279,13 +279,10 @@ def _coset_labels(group: FiniteGroup, kernel: np.ndarray) -> tuple[np.ndarray, n
 
 def _conjugating(group: FiniteGroup, hs: np.ndarray, source: np.ndarray, target: np.ndarray):
     """Yield (lo, block) with block[i] true iff h source h^-1 lies in target
-    (a mask) for h = hs[lo + i], source being an id array.  Blocks double
-    from one row up to BLOCK_ENTRIES products, so a caller that stops at
-    the first hit pays about as much as the rows before it."""
-    lo, step, cap = 0, 1, max(1, BLOCK_ENTRIES // max(1, len(source)))
-    while lo < len(hs):
-        yield lo, target[_conjugates(group, hs[lo : lo + step, None], source)].all(axis=1)
-        lo, step = lo + step, min(2 * step, cap)
+    (a mask) for h = hs[lo + i], source being an id array, in doubling
+    blocks of h."""
+    for block in doubling_blocks(len(hs), len(source)):
+        yield block.start, target[_conjugates(group, hs[block, None], source)].all(axis=1)
 
 
 def subgroup(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatch, InternalInconsistency, NotNormal
-from .groups import FiniteGroup, direct_product
+from .groups import FiniteGroup, direct_product, row_blocks
 from .subgroups import (
     Subgroup,
     _class_labels,
@@ -149,9 +149,14 @@ def product_topology(
 ) -> AlmostTrivialTopology:
     """zeta_{N1} x zeta_{N2} = zeta_{N1 x N2} on the direct product."""
     product = direct_product(tau1.group, tau2.group)
-    kernel_ids = [
-        product.pair_id(x1, x2)
-        for x1 in tau1.kernel.elements
-        for x2 in tau2.kernel.elements
-    ]
-    return make_topology(product, Subgroup(product, kernel_ids, _normal=True))
+    split = tau1.group.degree
+    left = tau1.group.perms[tau1.kernel.mask]
+    right = tau2.group.perms[tau2.kernel.mask].astype(np.int64) + split
+    kernel = np.zeros(product.order, dtype=bool)
+    # the rows (x1, x2) for a block of x1 and every x2, one lookup a block
+    for block in row_blocks(len(left), len(right) * product.degree):
+        rows = np.empty((len(left[block]), len(right), product.degree), dtype=np.int64)
+        rows[..., :split] = left[block, None]
+        rows[..., split:] = right
+        kernel[product._lookup(rows)] = True
+    return make_topology(product, Subgroup(product, kernel, _normal=True))

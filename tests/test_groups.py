@@ -747,6 +747,111 @@ def test_table_is_built_once_per_group(text, monkeypatch):
     assert builds.count(g.order) == 1
 
 
+def _count_table_builds(monkeypatch) -> list[int]:
+    builds = []
+    honest = groups.cayley_table
+    monkeypatch.setattr(groups, "cayley_table", lambda n, lmul: builds.append(n) or honest(n, lmul))
+    return builds
+
+
+def _catalog_queries(text):
+    """The four catalog queries on text, each on a fresh group: classify,
+    semitop with and without steps from the discrete to the indiscrete
+    kernel, and the Taimanov witness."""
+    from topolab import cli, taimanov_topology
+
+    g = group(text)
+    top = [n.order for n in all_normal_subgroups(g)].index(g.order)
+    semitop = ["semitop", text, "--from", "0", "--to", str(top)]
+    yield lambda: cli.main(["classify", text, "--json"])
+    yield lambda: cli.main(semitop + ["--steps"])
+    yield lambda: cli.main(semitop)
+    yield lambda: taimanov_topology(group(text))
+
+
+def test_catalog_groups_up_to_order_128_build_one_table_a_query(monkeypatch, capsys):
+    # the lookup's exhaustive check reads the table up to order 128, and
+    # every later product reads that same table; a query that builds no
+    # lookup for the group (the Taimanov witness of C1) builds no table
+    honest = groups.FiniteGroup._build_index
+    for text, ast in catalog_entries(groups._ASSOC_EXHAUSTIVE_LIMIT):
+        order = spec_order(ast)
+        for query in _catalog_queries(text):
+            builds, indexed = _count_table_builds(monkeypatch), []
+            monkeypatch.setattr(
+                groups.FiniteGroup, "_build_index", lambda g: indexed.append(g.order) or honest(g)
+            )
+            query()
+            monkeypatch.undo()
+            assert builds.count(order) == indexed.count(order), (text, builds)
+            assert indexed.count(order) == 1 or text == "C1", text
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["ASL(3,2)", "C4000", "A5 x A5"])
+def test_groups_reading_few_products_build_no_table(text, monkeypatch, capsys):
+    # ASL(3,2)'s largest catalog query meters about 370k of 1344^2 = 1.8M
+    # entries; C4000's lattice about 3.0M of 16M
+    queries = list(_catalog_queries(text))
+    if text != "ASL(3,2)":
+        queries = queries[:1]  # classify
+    for query in queries:
+        builds = _count_table_builds(monkeypatch)
+        query()
+        monkeypatch.undo()
+        assert builds == [], text
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["C256", "D256", "ASL(3,2)"])
+def test_the_meter_builds_one_table_and_keeps_every_product(text, monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    g = group(text)
+    built_before = len(builds)
+    ids = np.arange(g.order)
+    width = 256  # products a call
+    calls = -(-(g.order**2) // (width + groups.CALL_CHARGE))  # calls that fill the meter
+    rng = np.random.default_rng(7)
+    pairs = rng.integers(g.order, size=(calls + 3, 2, width))
+    for call, (xs, ys) in enumerate(pairs):
+        assert (g._table is None) == (call <= calls), call
+        got = g.mul_many(xs, ys)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, g._product_ids(xs, ys)), call
+    assert builds[built_before:] == [g.order]
+    assert np.array_equal(g.mul_many(ids[:, None], ids), g._product_ids(ids[:, None], ids))
+    # one product at a time, from the table and from a fresh group's lookup
+    fresh = group(text)
+    for x, y in pairs[0].T[:3].tolist():  # 12 calls, under C256's 16
+        assert g.mul(x, y) == fresh.mul(x, y) == g.mul_many(x, y) == fresh.mul_many(x, y)
+    assert fresh._table is None
+
+
+def test_no_table_above_the_limit_whatever_the_meter_reads():
+    g = group("S7")
+    assert g.order > groups.TABLE_LIMIT
+    g._metered = g.order**2
+    assert g.mul_many(np.arange(5), 3).tolist() == g._product_ids(np.arange(5), 3).tolist()
+    assert g._table is None and g.table is None
+
+
+def test_classify_c4000_allocates_far_less_than_its_table():
+    from topolab.classify import classify
+
+    c4000 = group("C4000")
+    c4000.inverses  # the lookup, 6.2 MiB traced to build, before tracing
+    tracemalloc.start()
+    try:
+        classify(c4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c4000._table is None
+    # measured 1.6 MiB; the dense table alone is 4 * 4000^2 bytes = 61 MiB,
+    # and with it the traced peak was 62.6 MiB
+    assert peak < 8 << 20
+
+
 def test_lookup_checks_run_on_the_first_product_of_a_bent_group(monkeypatch):
     s3 = group("S3")
     # the rows of test_inverse_law_check_reads_full_rows, closed by build_group's path

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conftest import group, reference_semitop_oracle
@@ -20,6 +21,7 @@ from topolab import (
     quotient_topology,
     product_topology,
 )
+from topolab.groups import _commutators
 from topolab.subgroups import Subgroup, full_subgroup, generated_subgroup
 from topolab.topology import AlmostTrivialTopology
 
@@ -315,3 +317,44 @@ def test_hausdorff_propagates_for_centerless_groups(catalog64):
         for sigma in _topologies(g):
             if is_semitopological(delta, sigma).is_semitopological:
                 assert sigma.kernel.order == 1, name
+
+
+def _first_violating_pair_by_loop(tau, sigma):
+    """The violating pair of a failing pair, one commutator row per g in
+    order of g."""
+    g, small, large = tau.group, tau.kernel, sigma.kernel
+    larr = np.flatnonzero(large.mask)
+    for x in g.elements():
+        outside = ~small.mask[_commutators(g, x, larr)]
+        if outside.any():
+            return (x, int(larr[np.argmax(outside)]))
+    raise AssertionError("no violating pair")
+
+
+def test_violating_pair_matches_the_per_element_loop(catalog):
+    # every nested pair of the catalog lattices, S7 and SL(2,17); the loop
+    # runs only where the oracle says the map fails, since on a holding
+    # pair of S7 it would read every commutator
+    for name, g in list(catalog) + [(text, group(text)) for text in ("S7", "SL(2,17)")]:
+        for tau, sigma in _nested_pairs(g):
+            holds = is_semitopological_oracle(tau, sigma)
+            expected = None if holds else _first_violating_pair_by_loop(tau, sigma)
+            assert is_semitopological(tau, sigma).violating_pair == expected, name
+
+
+def test_product_kernel_matches_the_pair_id_loop(catalog):
+    # the product cases of test_product_stability
+    small = [(n, g) for n, g in catalog if g.order <= 16]
+    for i, (name1, g1) in enumerate(small):
+        for name2, g2 in small[i:]:
+            if g1.order * g2.order > 256:
+                continue
+            for tau1, _ in _nested_pairs(g1)[:3]:
+                for _, sigma2 in _nested_pairs(g2)[:3]:
+                    product = product_topology(tau1, sigma2)
+                    ids = [
+                        product.group.pair_id(x1, x2)
+                        for x1 in tau1.kernel.elements
+                        for x2 in sigma2.kernel.elements
+                    ]
+                    assert product.kernel.elements == tuple(sorted(ids)), (name1, name2)
