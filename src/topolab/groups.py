@@ -3,7 +3,14 @@
 Every group is materialized by breadth-first closure of a fixed generator
 list: element 0 is the identity and new elements are discovered in shortlex
 order over generator words (generators in constructor order, FIFO levels).
-Two builds of the same spec therefore agree element-for-element.
+Two builds of the same spec therefore agree element-for-element.  The
+closure keeps a candidate when its key is new: its images of a base that
+the constructor names in closed form (C. C. Sims, 1970; A. Seress,
+Permutation Group Algorithms, 2003, ch. 4), read without forming the
+candidate's row, or its whole row where no base is known (perm specs)
+or the base holds a sizeable share of the points (S_n, A_n).  A wrong
+base would merge elements, and the closure would fall short of the
+spec's order, which build_group refuses.
 
 Every product id comes from FiniteGroup.mul_many.  An element is fixed by
 its images of a base (a few points whose pointwise stabilizer is trivial),
@@ -48,6 +55,14 @@ _ASSOC_SAMPLES = 10_000
 # |G| x |N| or with the square of the lattice size: closure levels, inverse
 # images and law, coset rows, and the containment, [G, N] and DOT products
 BLOCK_ENTRIES = 1 << 20
+# frontier entries times generators below which a closure block keyed on a
+# base forms every candidate row rather than read the base images first
+_FORM_ALL = 1 << 14
+# build_group keys its closure on a base only when the base holds under
+# 1/_SHORT_KEY of the points; a longer one saves too little over whole-row
+# keys to pay for reading its columns (S7 on 6 of 7 points, ASL(3,2) on 4
+# of 8 and Q8 x D8 on 2 of 16 closed slower)
+_SHORT_KEY = 16
 
 
 def row_blocks(count: int, width: int, start: int = 0) -> Iterator[slice]:
@@ -185,6 +200,7 @@ class FiniteGroup:
         "_cache",
         "_cache_lock",
         "_factors",
+        "_closure_base",
     )
 
     def __init__(
@@ -208,6 +224,9 @@ class FiniteGroup:
         # reentrant: cached builders routinely call other cached builders
         self._cache_lock = threading.RLock()
         self._factors: Optional[tuple["FiniteGroup", "FiniteGroup"]] = None
+        # points whose images tell the elements apart, known from the
+        # constructor (build_group and direct_product set it), else None
+        self._closure_base: Optional[tuple[int, ...]] = None
 
     identity = 0
 
@@ -578,36 +597,68 @@ def fresh_rows(rows: np.ndarray, seen: dict) -> list[int]:
 
 
 def _bfs_enumerate(
-    degree: int, gens: Sequence[np.ndarray], order_cap: int
+    degree: int,
+    gens: Sequence[np.ndarray],
+    order_cap: int,
+    base: Optional[Sequence[int]] = None,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Elements in shortlex order, one breadth-first level at a time.
 
-    Candidate row i*k + j of a level is frontier[i] * step[j] (step[j] acts
-    first), so scanning the candidates in row order finds new elements in
-    the order a FIFO queue over elements and generators would.  Levels are
-    scanned in blocks, each checked against the order cap.
+    Candidate i*k + j of a level is frontier[i] * step[j] (step[j] acts
+    first), so scanning the candidates in order finds new elements in the
+    order a FIFO queue over elements and generators would.  A candidate's
+    key is the bytes of its images of base, which tell elements apart, or
+    of its whole row when no base is given.  Keyed on a base, a block of
+    frontier rows reads its candidates' images of the base alone,
+    frontier[:, step[:, base]], and forms full rows only for the new
+    candidates; a block of fewer than _FORM_ALL entries forms every
+    candidate, which takes fewer numpy calls.  Levels are scanned in
+    blocks, each checked against the order cap.  Points that are no base
+    merge elements, so the closure falls short of the group's order.
     """
     dtype = _perm_dtype(degree)
     ident = np.arange(degree, dtype=dtype)
-    index = {ident.tobytes(): None}
+    keyed = base is not None
+    base = np.asarray(base if keyed else (), dtype=np.intp)
+    index = {(ident[base] if keyed else ident).tobytes(): None}
     levels = [ident[None, :]]
     step = np.asarray(gens, dtype=dtype).reshape(-1, degree)
+    step_images = step[:, base]
     while len(levels[-1]) and len(step):
         rows = max(1, min(4096, BLOCK_ENTRIES // degree) // len(step))  # frontier rows per block
         fresh = []
         for lo in range(0, len(levels[-1]), rows):
-            # take, not [:, step]: that gather comes out strided, and the reshape copies it
-            candidates = np.take(levels[-1][lo : lo + rows], step, axis=1).reshape(-1, degree)
-            fresh.append(candidates[fresh_rows(candidates, index)])
+            frontier = levels[-1][lo : lo + rows]
+            if keyed and frontier.size * len(step) >= _FORM_ALL:
+                keys = np.take(frontier, step_images, axis=1).reshape(-1, len(base))
+                fresh.append(_compose(frontier, step, fresh_rows(keys, index)))
+            else:
+                # take, not [:, step]: that gather comes out strided, and the reshape copies it
+                candidates = np.take(frontier, step, axis=1).reshape(-1, degree)
+                new = fresh_rows(candidates[:, base] if keyed else candidates, index)
+                fresh.append(candidates if len(new) == len(candidates) else candidates[new])
             if len(index) > order_cap:
                 raise OrderCapExceeded(f"group closure exceeds the order cap ({order_cap})")
-        levels.append(np.concatenate(fresh))
+        levels.append(fresh[0] if len(fresh) == 1 else np.concatenate(fresh))
         if len(levels) == 2:
             # the first level is the generators without repeats or the
             # identity; later levels need only these, and generator j is
             # element j + 1
             step = levels[1]
+            step_images = step[:, base]
     return np.concatenate(levels), tuple(range(1, len(step) + 1))
+
+
+def _compose(frontier: np.ndarray, step: np.ndarray, picks: list[int]) -> np.ndarray:
+    """Rows frontier[i] * step[j] for each candidate i*k + j in picks, k
+    being len(step): flat takes from frontier at row offset i, in row
+    blocks whose intp index holds at most BLOCK_ENTRIES >> 3 entries."""
+    degree = frontier.shape[1]
+    i, j = np.divmod(np.asarray(picks, dtype=np.intp), len(step))
+    out = np.empty((len(i), degree), dtype=frontier.dtype)
+    for block in row_blocks(len(i), degree << 3):
+        out[block] = frontier.take(i[block, None] * degree + step[j[block]])
+    return out
 
 
 def _assemble(
@@ -617,15 +668,19 @@ def _assemble(
     order_cap: int,
     seed: int,
     expected_order: Optional[int],
+    base: Optional[tuple[int, ...]] = None,
 ) -> FiniteGroup:
-    perms, gen_ids = _bfs_enumerate(degree, gens, order_cap)
+    short = base is not None and len(base) * _SHORT_KEY < degree
+    perms, gen_ids = _bfs_enumerate(degree, gens, order_cap, base if short else None)
     if not np.array_equal(perms[0], np.arange(degree)):
         raise InvalidSpec("element 0 is not the identity")
     if expected_order is not None and len(perms) != expected_order:
         raise InvalidSpec(
             f"closure produced order {len(perms)}, expected {expected_order} for {spec!r}"
         )
-    return FiniteGroup(spec, perms, gen_ids, check_seed=seed)
+    group = FiniteGroup(spec, perms, gen_ids, check_seed=seed)
+    group._closure_base = base
+    return group
 
 
 def _smoke_check(group: FiniteGroup, seed: int) -> None:
@@ -641,10 +696,11 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
     # a sort, not np.unique, which imports numpy.ma (about 1.5 MB resident)
     if not np.array_equal(np.sort(group.inverses), np.arange(n)):
         raise InvalidSpec("inverse map is not a bijection")
-    # x x^-1 on full rows, a block at a time: no whole copy of perms
-    for block in row_blocks(n, group.degree):
-        inverse_rows = group.perms[group.inverses[block]]
-        composed = np.take_along_axis(group.perms[block], inverse_rows, axis=1)
+    # x x^-1 on full rows: a flat take at x's row offset, in row blocks
+    # whose intp index holds at most BLOCK_ENTRIES >> 3 entries
+    offsets = np.arange(n, dtype=np.intp)[:, None] * group.degree
+    for block in row_blocks(n, group.degree << 3):
+        composed = group.perms.take(offsets[block] + group.perms[group.inverses[block]])
         if not (composed == group.perms[0]).all():
             raise InvalidSpec("inverse law fails on permutations")
     if n <= _ASSOC_EXHAUSTIVE_LIMIT:
@@ -670,61 +726,74 @@ def _smoke_check(group: FiniteGroup, seed: int) -> None:
 # Constructors (canonical generator lists, documented per constructor)
 
 
-def _cyclic_action(n: int) -> tuple[int, list[np.ndarray]]:
+# Each returns (degree, generators, base), the base being points whose
+# images tell the elements apart.
+Action = tuple[int, list[np.ndarray], tuple[int, ...]]
+
+
+def _cyclic_action(n: int) -> Action:
     # Rotation k -> k+1 on n points; enumeration is e, g, g^2, ...
+    # A regular action: an element is fixed by its image of point 0.
     if n == 1:
-        return 1, []
+        return 1, [], (0,)
     rot = np.roll(np.arange(n), -1)
-    return n, [rot]
+    return n, [rot], (0,)
 
 
-def _symmetric_action(n: int) -> tuple[int, list[np.ndarray]]:
+def _symmetric_action(n: int) -> Action:
     # Generators: transposition (0 1), then the full cycle (0 1 ... n-1).
+    # Base: the first n-1 points, too many for the closure to key on.
+    base = tuple(range(n - 1))
     if n == 1:
-        return 1, []
+        return 1, [], base
     swap = np.arange(n)
     swap[[0, 1]] = [1, 0]
     if n == 2:
-        return n, [swap]
-    return n, [swap, np.roll(np.arange(n), -1)]
+        return n, [swap], base
+    return n, [swap, np.roll(np.arange(n), -1)], base
 
 
-def _alternating_action(n: int) -> tuple[int, list[np.ndarray]]:
+def _alternating_action(n: int) -> Action:
     # Generators: (0 1 2), then an n- or (n-1)-cycle of even parity.
+    # Base: the first n-2 points (an even permutation fixing them is e).
+    base = tuple(range(n - 2))
     if n <= 2:
-        return max(n, 1), []
+        return max(n, 1), [], base
     tri = np.arange(n)
     tri[[0, 1, 2]] = [1, 2, 0]
     if n == 3:
-        return n, [tri]
+        return n, [tri], base
     if n % 2 == 1:
-        return n, [tri, np.roll(np.arange(n), -1)]
+        return n, [tri, np.roll(np.arange(n), -1)], base
     cyc = np.arange(n)
     cyc[1:] = np.roll(np.arange(1, n), -1)
-    return n, [tri, cyc]
+    return n, [tri, cyc], base
 
 
-def _quaternion_action() -> tuple[int, list[np.ndarray]]:
+def _quaternion_action() -> Action:
     # Left-regular action on the 8 unit labels {1,i,j,k,-1,-i,-j,-k}:
-    # left multiplication by the generators i and j.
-    return 8, [np.array([1, 4, 3, 6, 5, 0, 7, 2]), np.array([2, 7, 4, 1, 6, 3, 0, 5])]
+    # left multiplication by the generators i and j; base: the label 1.
+    return 8, [np.array([1, 4, 3, 6, 5, 0, 7, 2]), np.array([2, 7, 4, 1, 6, 3, 0, 5])], (0,)
 
 
-def _heisenberg_action(m: int) -> tuple[int, list[np.ndarray]]:
+def _heisenberg_action(m: int) -> Action:
     # Faithful affine-plane action on Z_m^2 (point x*m + y):
     #   X: (x, y) -> (x + y, y),  Y: (x, y) -> (x, y + 1).
+    # Every element is (x, y) -> (x + a y + c, y + b), fixed by its images
+    # of (0, 0) and (0, 1), the points 0 and 1.
     if m == 1:
-        return 1, []
+        return 1, [], (0,)
     pts = np.arange(m * m)
     xs, ys = divmod(pts, m)
     gen_x = ((xs + ys) % m) * m + ys
     gen_y = xs * m + (ys + 1) % m
-    return m * m, [gen_x, gen_y]
+    return m * m, [gen_x, gen_y], (0, 1)
 
 
-def _gen_dihedral_action(base: FiniteGroup) -> tuple[int, list[np.ndarray]]:
+def _gen_dihedral_action(base: FiniteGroup) -> Action:
     # Left-regular action of A x| <inv> on points (a, eps) = eps*|A| + a.
     # Generators: each base generator as (g, 0), then the flip (e, 1).
+    # Regular, so fixed by the image of point 0 = (e, 0).
     n = base.order
     gens: list[np.ndarray] = []
     for g in base.generator_ids:
@@ -732,7 +801,7 @@ def _gen_dihedral_action(base: FiniteGroup) -> tuple[int, list[np.ndarray]]:
         gens.append(np.concatenate([left, left + n]))
     inv = base.inverses.astype(np.int64)
     gens.append(np.concatenate([inv + n, inv]))  # the flip
-    return 2 * n, gens
+    return 2 * n, gens, (0,)
 
 
 def _vector_points(n: int, p: int) -> np.ndarray:
@@ -761,20 +830,26 @@ def _sl_generators(n: int, p: int) -> list[np.ndarray]:
     return gens
 
 
-def _sl_action(n: int, p: int) -> tuple[int, list[np.ndarray]]:
-    if n == 1:
-        return p, []
-    return p**n, _sl_generators(n, p)
+def _basis_points(n: int, p: int) -> tuple[int, ...]:
+    """The points of the basis vectors e_0..e_{n-1} of F_p^n."""
+    return tuple(p ** (n - 1 - k) for k in range(n))
 
 
-def _asl_action(n: int, p: int) -> tuple[int, list[np.ndarray]]:
-    # SL transvections plus the translation v -> v + e_1.
+def _sl_action(n: int, p: int) -> Action:
+    # A linear map is fixed by its images of the basis vectors.  SL(1, p)
+    # has no transvections: it is trivial.
+    return p**n, _sl_generators(n, p), _basis_points(n, p)
+
+
+def _asl_action(n: int, p: int) -> Action:
+    # SL transvections plus the translation v -> v + e_1.  An affine map is
+    # fixed by its images of 0 (the translation) and of the basis vectors.
     vecs = _vector_points(n, p)
     shift = vecs.copy()
     shift[:, 0] = (shift[:, 0] + 1) % p
     gens = _sl_generators(n, p) if n > 1 else []
     gens.append(_vector_index(shift, p))
-    return p**n, gens
+    return p**n, gens, (0,) + _basis_points(n, p)
 
 
 def build_group(
@@ -790,34 +865,34 @@ def build_group(
     if expected is not None and expected > order_cap:
         raise OrderCapExceeded(f"spec {spec!r} has order above the cap ({order_cap})")
     if isinstance(spec, Cyclic):
-        degree, gens = _cyclic_action(spec.n)
+        degree, gens, base = _cyclic_action(spec.n)
     elif isinstance(spec, Dihedral):
         return _assemble_gen_dihedral(spec, Cyclic(spec.order // 2), order_cap, seed)
     elif isinstance(spec, Quaternion8):
-        degree, gens = _quaternion_action()
+        degree, gens, base = _quaternion_action()
     elif isinstance(spec, Symmetric):
-        degree, gens = _symmetric_action(spec.n)
+        degree, gens, base = _symmetric_action(spec.n)
     elif isinstance(spec, Alternating):
-        degree, gens = _alternating_action(spec.n)
+        degree, gens, base = _alternating_action(spec.n)
     elif isinstance(spec, Heisenberg):
-        degree, gens = _heisenberg_action(spec.m)
+        degree, gens, base = _heisenberg_action(spec.m)
     elif isinstance(spec, GeneralizedDihedral):
         return _assemble_gen_dihedral(spec, spec.base, order_cap, seed)
     elif isinstance(spec, SpecialLinear):
         _check_field_size("SL", spec.p, order_cap)
-        degree, gens = _sl_action(spec.n, spec.p)
+        degree, gens, base = _sl_action(spec.n, spec.p)
     elif isinstance(spec, AffineSpecialLinear):
         _check_field_size("ASL", spec.p, order_cap)
-        degree, gens = _asl_action(spec.n, spec.p)
+        degree, gens, base = _asl_action(spec.n, spec.p)
     elif isinstance(spec, PermSpec):
-        degree, gens = spec.degree, [np.asarray(g) for g in spec.generators]
+        degree, gens, base = spec.degree, [np.asarray(g) for g in spec.generators], None
     elif isinstance(spec, Product):
         left = build_group(spec.left, order_cap=order_cap, seed=seed)
         right = build_group(spec.right, order_cap=order_cap, seed=seed)
         return direct_product(left, right, order_cap=order_cap, seed=seed, spec=spec)
     else:
         raise InvalidSpec(f"unknown spec node {spec!r}")
-    return _assemble(spec, degree, gens, order_cap, seed, expected)
+    return _assemble(spec, degree, gens, order_cap, seed, expected, base)
 
 
 def _check_field_size(name: str, p: int, order_cap: int) -> None:
@@ -835,8 +910,8 @@ def _assemble_gen_dihedral(
 ) -> FiniteGroup:
     base = build_group(base_spec, order_cap=order_cap, seed=seed)
     _require(len(center(base)) == base.order, "generalized dihedral base must be abelian")
-    degree, gens = _gen_dihedral_action(base)
-    return _assemble(spec, degree, gens, order_cap, seed, 2 * base.order)
+    degree, gens, points = _gen_dihedral_action(base)
+    return _assemble(spec, degree, gens, order_cap, seed, 2 * base.order, points)
 
 
 def direct_product(
@@ -870,7 +945,10 @@ def direct_product(
         node = spec
         if node is None and left.spec is not None and right.spec is not None:
             node = Product(left.spec, right.spec)
-        group = _assemble(node, degree, gens, order_cap, seed, expected)
+        base = None
+        if left._closure_base is not None and right._closure_base is not None:
+            base = left._closure_base + tuple(b + left.degree for b in right._closure_base)
+        group = _assemble(node, degree, gens, order_cap, seed, expected, base)
         group._factors = (left, right)
         return group
 
@@ -899,6 +977,14 @@ def commutator(group: FiniteGroup, x: int, y: int) -> int:
 def _conjugates(group: FiniteGroup, hs, xs) -> np.ndarray:
     """h x h^-1, broadcast over id arrays hs and xs."""
     return group.mul_many(group.mul_many(hs, xs), group.inverses[hs])
+
+
+def _conjugation_map(group: FiniteGroup, h: int) -> np.ndarray:
+    """h x h^-1 for every element x, read on the base with no product: its
+    images of b are h(x(h^-1(b))), one column read of the rows at
+    h^-1(base) and one take through h's row, mapped to ids by one lookup."""
+    perms = group.perms
+    return group._ids(perms[h].take(perms[:, perms[group.inverses[h]].take(group._base)]))
 
 
 def _commutators(group: FiniteGroup, gs, ls) -> np.ndarray:

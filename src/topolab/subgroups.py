@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NotNormal, OrderCapExceeded
 from .groups import BLOCK_ENTRIES, FiniteGroup, _commutators, _conjugates, _perm_dtype, _smallest_prime_factor
-from .groups import cayley_table, center, doubling_blocks, row_blocks, row_keys
+from .groups import _conjugation_map, cayley_table, center, doubling_blocks, row_blocks, row_keys
 
 # ceiling on the normal-lattice size; elementary-abelian inputs can have
 # astronomically many normal subgroups and must fail fast instead of hanging
@@ -318,12 +318,12 @@ def generated_subgroup(group: FiniteGroup, elements: Iterable[int]) -> Subgroup:
 
 def _class_labels(group: FiniteGroup) -> np.ndarray:
     """Read-only array: the smallest member of every element's class, the
-    orbit minima under conjugation by each generator."""
+    orbit minima under conjugation by each generator, whose maps are read
+    on the base with no product."""
 
     def build() -> np.ndarray:
-        gens = np.asarray(group.generator_ids, dtype=np.intp)
-        images = _conjugates(group, gens[:, None], np.arange(group.order))
-        labels = _orbit_minima(group.order, [(slice(None), row) for row in images])
+        maps = [(slice(None), _conjugation_map(group, h)) for h in group.generator_ids]
+        labels = _orbit_minima(group.order, maps)
         labels.setflags(write=False)
         return labels
 

@@ -373,8 +373,8 @@ def test_level_wise_closure_numbers_elements_like_the_element_queue(monkeypatch)
     closures = []
     level_wise = groups._bfs_enumerate
 
-    def recording(degree, gens, order_cap):
-        got = level_wise(degree, gens, order_cap)
+    def recording(degree, gens, order_cap, base=None):
+        got = level_wise(degree, gens, order_cap, base)
         closures.append((degree, [np.array(g) for g in gens], order_cap, got))
         return got
 
@@ -401,6 +401,80 @@ def test_level_wise_closure_stops_at_the_cap_like_the_element_queue():
     ref_perms, ref_ids = reference_bfs_enumerate(5, gens, 120)
     assert len(perms) == 120 and np.array_equal(perms, ref_perms)
     assert gen_ids == ref_ids == (1, 2)
+
+
+# the degenerate atoms, and a product keyed on a base with S3's in it
+BASE_SPECS = (
+    "C1", "D2", "S1", "S2", "A1", "A2", "A3", "Heis(1)", "SL(1,5)", "SL(1,7)", "ASL(1,5)", "S3 x C256",
+)
+
+
+def _has_perm_atom(spec):
+    """Whether a spec node has a perm spec among its atoms."""
+    if isinstance(spec, groups.Product):
+        return _has_perm_atom(spec.left) or _has_perm_atom(spec.right)
+    return isinstance(spec, PermSpec)
+
+
+def test_every_constructor_base_separates_its_rows():
+    from topolab.specparse import parse_group_spec
+
+    specs = [spec for _, spec in catalog_entries(None)]
+    specs += [parse_group_spec(text) for text in NUMBERING_SPECS + BASE_SPECS]
+    for spec in specs:
+        g = build_group(spec)
+        base = g._closure_base
+        assert (base is None) == _has_perm_atom(spec), spec
+        if base is not None:
+            images = g.perms[:, list(base)]
+            assert len(np.unique(images, axis=0)) == g.order, spec
+
+
+@pytest.mark.parametrize(
+    "text, action",
+    [
+        ("C64", "_cyclic_action"),
+        ("Heis(7)", "_heisenberg_action"),
+        ("SL(2,17)", "_sl_action"),
+        ("Dih(C5 x C5)", "_gen_dihedral_action"),
+    ],
+)
+def test_a_base_missing_a_point_fails_the_build(monkeypatch, text, action):
+    honest = getattr(groups, action)
+
+    def short(*args):
+        degree, gens, base = honest(*args)
+        return degree, gens, base[:-1]
+
+    monkeypatch.setattr(groups, action, short)
+    with pytest.raises(InvalidSpec, match="closure produced order"):
+        group(text)
+
+
+@pytest.mark.parametrize("text", ["C64", "D64", "Heis(7)", "SL(2,5)", "C5 x Heis(5)"])
+def test_closure_keyed_on_a_base_finds_the_rows_of_full_row_keys(monkeypatch, text):
+    # every block reads the base images first, and forms its new rows one
+    # row at a time
+    g = group(text)
+    gens = [g.perms[x] for x in g.generator_ids]
+    monkeypatch.setattr(groups, "_FORM_ALL", 0)
+    monkeypatch.setattr(groups, "BLOCK_ENTRIES", 64)
+    perms, gen_ids = groups._bfs_enumerate(g.degree, gens, g.order, g._closure_base)
+    full_perms, full_ids = groups._bfs_enumerate(g.degree, gens, g.order)
+    assert perms.dtype == full_perms.dtype and np.array_equal(perms, full_perms)
+    assert gen_ids == full_ids
+
+
+def test_closure_of_c4000_keeps_no_row_keys():
+    tracemalloc.start()
+    try:
+        build_group(Cyclic(4000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 62 MiB measured: the levels and their concatenation, 32 MB each;
+    # keyed on whole rows it was 92 MiB, the row bytes another 32 MB
+    assert peak < 77 << 20
 
 
 def test_closure_stops_at_the_cap_inside_a_large_level():
@@ -858,7 +932,9 @@ def test_lookup_checks_run_on_the_first_product_of_a_bent_group(monkeypatch):
     perms = np.concatenate([s3.perms, np.tile(np.arange(3, 6, dtype=s3.perms.dtype), (6, 1))], axis=1)
     cycle = next(x for x in s3.elements() if all(s3.perms[x, p] != p for p in range(3)))
     perms[cycle, 3:] = [4, 5, 3]
-    monkeypatch.setattr(groups, "_bfs_enumerate", lambda degree, gens, cap: (perms, s3.generator_ids))
+    monkeypatch.setattr(
+        groups, "_bfs_enumerate", lambda degree, gens, cap, base=None: (perms, s3.generator_ids)
+    )
     bent = groups._assemble(None, 6, [], 100, 0, 6)  # order and identity row pass
     for _ in range(2):  # the lookup is never handed out unchecked
         with pytest.raises(InvalidSpec, match="inverse law"):

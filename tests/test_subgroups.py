@@ -524,6 +524,27 @@ def test_commutator_with_g_matches_all_pairs_on_every_member(lattice_groups):
             assert np.array_equal(got.mask, reference_commutator_with_g(g, n)), (name, n.order)
 
 
+@pytest.mark.parametrize("text, classes", [("S7", 15), ("SL(2,17)", 21), ("ASL(3,2)", 11)])
+def test_class_labels_read_conjugates_on_the_base_with_no_product(monkeypatch, text, classes):
+    from topolab.groups import FiniteGroup
+
+    g = group(text)
+    multiply = FiniteGroup.mul_many
+    served = []
+
+    def counting(self, xs, ys):
+        got = multiply(self, xs, ys)
+        served.append(np.size(got))
+        return got
+
+    monkeypatch.setattr(FiniteGroup, "mul_many", counting)
+    labels = _class_labels(g)
+    # two products per element and generator before: 20160 on S7
+    assert sum(served) == 0
+    # partitions of 7; q + 4 for SL(2, q), q odd; AGL(3, 2)
+    assert len(np.unique(labels)) == classes
+
+
 def test_principal_closures_of_s7_read_one_element_per_class(monkeypatch):
     from topolab.groups import FiniteGroup
 
