@@ -212,6 +212,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_perm(args: argparse.Namespace) -> int:
+    if args.degree < 1:
+        raise InvalidSpec("perm degree must be >= 1")
     # the degree counts against the cap before parsing pads every
     # generator to it, as an SL/ASL field size does in build_group
     if args.degree > MATERIALIZATION_CAP:
@@ -223,33 +225,28 @@ def _cmd_perm(args: argparse.Namespace) -> int:
     gens = parse_perm_generators(text, args.degree)
     action = PermAction(args.degree, gens)
     data = orbit_data(action)
-    print(f"degree: {action.degree}")
-    print(f"group order: {action.order}")
-    print(f"orbits: {' '.join('{' + ' '.join(map(str, o)) + '}' for o in data.orbits)}")
-    for rep in data.representatives:
-        print(f"stabilizer at {rep}: order {data.stabilizers[rep].order}")
+    # printed only once every step has succeeded: a failing check writes no stdout
+    orbits = " ".join("{" + " ".join(map(str, o)) + "}" for o in data.orbits)
+    lines = [f"degree: {action.degree}", f"group order: {action.order}", f"orbits: {orbits}"]
+    lines += [f"stabilizer at {rep}: order {data.stabilizers[rep].order}" for rep in data.representatives]
     lemma_ok: Optional[bool] = None
     if args.check_lemma:
         lemma_ok, failure = lemma_trivial_centralizer(action)
-        print(f"trivial centralizer in S(X): {_flag(lemma_ok)}")
+        lines.append(f"trivial centralizer in S(X): {_flag(lemma_ok)}")
         if failure is not None:
-            if failure.condition == "a":
-                print(
-                    f"condition (a) fails: stabilizer at {failure.representative} is "
-                    f"normalized by {format_perm(failure.conjugator)}"
-                )
-            else:
-                print(
-                    f"condition (b) fails: stabilizers at representatives "
-                    f"{failure.representative} and {failure.other_representative} are conjugate"
-                )
-            witness = build_centralizing_witness(action, failure)
-            print(f"centralizing witness: {format_perm(witness)}")
+            rep, other = failure.representative, failure.other_representative
+            lines.append(
+                f"condition (a) fails: stabilizer at {rep} is normalized by {format_perm(failure.conjugator)}"
+                if failure.condition == "a"
+                else f"condition (b) fails: stabilizers at representatives {rep} and {other} are conjugate"
+            )
+            lines.append(f"centralizing witness: {format_perm(build_centralizing_witness(action, failure))}")
     if args.oracle:
         cent = full_symmetric_centralizer(action)
-        print(f"full centralizer order: {len(cent)}")
+        lines.append(f"full centralizer order: {len(cent)}")
         if lemma_ok is not None:
-            print(f"lemma agrees with oracle: {_flag(lemma_ok == (len(cent) == 1))}")
+            lines.append(f"lemma agrees with oracle: {_flag(lemma_ok == (len(cent) == 1))}")
+    print("\n".join(lines))
     return 0
 
 

@@ -11,7 +11,7 @@ Conjugacy classes are one label array, the smallest member of each
 element's class; every other view of the classes, their members grouped
 by class (_class_members) among them, is read off it.  A normal subgroup
 is a union of classes, so normal closures and [G, N] read one element per
-class.
+class, in _closure's one loop over a partition into classes or elements.
 
 The center of G/N is read off G itself: _central_preimages returns its
 preimage, the x whose commutator with every generator of G lies in N, for
@@ -159,15 +159,19 @@ def _closure(
     """Membership mask of the smallest subgroup containing seed_ids, and
     the seeds it kept as generators.
 
-    Seeds are taken in increasing order, and one already inside the running
+    The span is held at the minima of the classes of a partition: the
+    conjugacy classes in class mode, singletons in element mode, which
+    reads no labels and sums no class sizes.  Seeds are read as their class
+    minima, taken in increasing order, and one already inside the running
     span is skipped, so the kept list is each seed outside the span of the
     smaller ones.  It stays logarithmic even when the seed is a whole
-    conjugacy class or subgroup.  Each round multiplies only the elements
-    found in the round before.  While the squares s^2, s^4, ... of the
-    newest seed are new, they join the generators, so an element of order
-    m has all its powers after about log2(m) rounds instead of m; after
-    that they are dropped, since only the seeds are needed for closure.
-    A round makes at most (new elements) x (generators) products.
+    conjugacy class or subgroup.  Each round multiplies only the classes
+    found in the round before, by every member of the kept seed classes,
+    each product read as its class minimum.  While the squares s^2, s^4,
+    ... of the newest seed are new, they join those factors, so an element
+    of order m has all its powers after about log2(m) rounds instead of m;
+    after that they are dropped, since only the seeds are needed for
+    closure.  A round makes at most (new classes) x (factors) products.
 
     within, when given, is the mask of a subgroup M known to hold every
     seed.  The span is then a subgroup of M, and once the mask holds more
@@ -177,73 +181,45 @@ def _closure(
     are the same and generate M.
 
     by_class says that the seeds are a union of conjugacy classes, so the
-    span is normal and a union of classes: it is kept as its class minima,
-    and only those are multiplied, each by every member of the kept seed
-    classes (_class_members) and the squares, with each product read as
-    its class minimum.  That is enough: for m in the span, c in a seed
-    class C and g in G, (g m g^-1) c = g (m c') g^-1 with c' = g^-1 c g in
-    C, so the classes of m C cover those of K C for the class K of m.  The
-    seeds are read one per class, in order of their class minima, which
-    are the kept seeds; Lagrange's bound counts class sizes.  When every
-    class is a singleton (abelian groups) the element path runs.
+    span is normal and a union of classes, and class mode runs (element
+    mode when every class is a singleton, in abelian groups).  Reading
+    class minima is enough: for m in the span, c in a seed class C and g
+    in G, (g m g^-1) c = g (m c') g^-1 with c' = g^-1 c g in C, so the
+    classes of m C cover those of K C for the class K of m.
     """
     found, enough = 1, group.order + 1
     if within is not None:
         size = int(np.count_nonzero(within))
         enough = size // _smallest_prime_factor(size) + 1
-    if by_class and len(center(group)) < group.order:
-        return _class_closure(group, seed_ids, within, enough)
-    mask = np.zeros(group.order, dtype=bool)
-    mask[0] = True
-    gens: list[int] = []
-    for s in sorted({int(x) for x in seed_ids} - {0}):
-        if mask[s]:
-            continue
-        gens.append(s)
-        # the old span is a subgroup: only its products with s can be new
-        fresh = _mark_new(mask, group.mul_many(np.flatnonzero(mask), s))
-        squares = [s]
-        while fresh.size:
-            found += fresh.size
-            if found >= enough:
-                return within.copy(), gens
-            if squares:
-                square = group.mul(squares[-1], squares[-1])
-                squares = [] if mask[square] else squares + [square]
-            fresh = _mark_new(mask, group.mul_many(fresh[:, None], gens + squares[1:]))
-    return mask, gens
-
-
-def _class_closure(
-    group: FiniteGroup, seed_ids: Iterable[int], within: Optional[np.ndarray], enough: int
-) -> tuple[np.ndarray, list[int]]:
-    """_closure's class mode: its loop with every element read as its class
-    minimum, the span held at the class minima."""
-    labels = _class_labels(group)
-    starts, ids = _class_members(group)
-    held = np.zeros(group.order, dtype=bool)
+    labels = _class_labels(group) if by_class and len(center(group)) < group.order else None
+    read, members, weight = (lambda x: x), (lambda m: [m]), len  # element mode
+    if labels is not None:
+        starts, ids = _class_members(group)
+        read, members = labels.__getitem__, (lambda m: ids[starts[m] : starts[m + 1]])
+        weight = lambda fresh: int((starts[fresh + 1] - starts[fresh]).sum())
+    held = np.zeros(group.order, dtype=bool)  # the span's class minima
     held[0] = True
-    found, gens, members = 1, [], np.zeros(0, dtype=np.intp)  # members: of the kept seed classes
-    for m in sorted(set(labels[np.asarray(seed_ids, dtype=np.intp)].tolist()) - {0}):
+    gens, factors = [], np.zeros(0, dtype=np.intp)  # factors: the members of the kept seed classes
+    for m in sorted(set(read(np.asarray(seed_ids, dtype=np.intp)).tolist()) - {0}):
         if held[m]:
             continue
         gens.append(m)
-        cls = ids[starts[m] : starts[m + 1]]
-        # the old span is normal: only its products with the class can be new
-        fresh = _mark_new(held, labels[group.mul_many(np.flatnonzero(held)[:, None], cls)])
-        members = np.concatenate([members, cls])
+        # the old span is a subgroup, normal in class mode: only its
+        # products with the class of m can be new
+        fresh = _mark_new(held, read(group.mul_many(np.flatnonzero(held)[:, None], members(m))))
+        factors = np.concatenate([factors, members(m)])
         squares = [m]
         while fresh.size:
             if within is not None:  # else the bound is out of reach
-                found += int((starts[fresh + 1] - starts[fresh]).sum())
+                found += weight(fresh)
                 if found >= enough:
                     return within.copy(), gens
             if squares:
                 square = group.mul(squares[-1], squares[-1])
-                squares = [] if held[labels[square]] else squares + [square]
-            factors = np.concatenate([members, squares[1:]]) if len(squares) > 1 else members
-            fresh = _mark_new(held, labels[group.mul_many(fresh[:, None], factors)])
-    return held[labels], gens
+                squares = [] if held[read(square)] else squares + [square]
+            step = np.concatenate([factors, squares[1:]]) if len(squares) > 1 else factors
+            fresh = _mark_new(held, read(group.mul_many(fresh[:, None], step)))
+    return (held if labels is None else held[labels]), gens
 
 
 def _mark_new(mask: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -402,12 +378,13 @@ class NormalLattice:
     p-th distinct principal member, so row k is the principal set that
     normal_lattice searches over.  Each member is the union of the
     principals it holds, so contains[i, j], subgroups[i] <= subgroups[j]
-    (the diagonal is set), compares rows of holds, the rows of one order
-    only with the members of larger order, since two members of one order
-    are never nested; the trivial member's row and G's column need no
-    product.  comm_index[k], built on first use, is the position of
-    [G, subgroups[k]].  joins is the number of joins normal_lattice formed
-    (0 when built from given rows).  Nothing here is writable.
+    (the diagonal is set), compares rows of holds in _subset_blocks, the
+    rows of one order only with the members of larger order, since two
+    members of one order are never nested; the trivial member's row and G's
+    column need no product.  comm_index[k], built on first use, is the
+    position of [G, subgroups[k]].  joins is the number of joins
+    normal_lattice formed (0 when built from given rows).  Nothing here is
+    writable.
     """
 
     __slots__ = ("group", "subgroups", "masks", "reps", "holds", "contains", "_position", "_joins")
@@ -430,16 +407,14 @@ class NormalLattice:
         self.reps = reps
         self.holds = self.masks[:, reps]
         rows = self.holds.astype(np.float32)
-        counts = rows.sum(axis=1)
         top = len(rows) - 1  # G
         self.contains = np.eye(len(rows), dtype=bool)
         self.contains[0] = self.contains[:, top] = True
         # the rows of each order against the members of larger order below G
         levels = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
         for start, stop in zip(levels, levels[1:-1]):
-            for block in row_blocks(stop, top - stop, start):
-                subset = self.contains[block, stop:top]
-                np.equal(rows[block] @ rows.T[:, stop:top], counts[block, None], out=subset)
+            for block, subset in _subset_blocks(rows[start:stop], rows.T[:, stop:top]):
+                self.contains[start:stop][block, stop:top] = subset
         for array in (self.reps, self.holds, self.contains):
             array.setflags(write=False)
         self._position = dict(zip(packed, range(len(packed))))

@@ -54,6 +54,28 @@ EXTRA_LATTICE_SPECS = ("C3 x C3 x C3 x C3", "Heis(5) x C5")
 CLASS_ROUTE_SPECS = ("S7", "SL(2,17)", "ASL(3,2)", "A5 x C7", "A4")
 
 
+@pytest.fixture
+def count_products(monkeypatch):
+    """Call it to start counting FiniteGroup.mul_many: it returns a list
+    that gets the size of every product array served from then on, one
+    entry per call."""
+    from topolab.groups import FiniteGroup
+
+    multiply = FiniteGroup.mul_many
+    served = []
+
+    def counting(self, xs, ys):
+        got = multiply(self, xs, ys)
+        served.append(np.size(got))
+        return got
+
+    def start():
+        monkeypatch.setattr(FiniteGroup, "mul_many", counting)
+        return served
+
+    return start
+
+
 @pytest.fixture(scope="session")
 def lattice_groups(catalog):
     return list(catalog) + [(text, group(text)) for text in LATTICE_SPECS]

@@ -115,6 +115,29 @@ def test_perm_command():
 def test_perm_degree_too_large_for_oracle():
     result = run_cli("perm", "--degree", "9", "--gens", "(0 1)", "--oracle")
     assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: exhaustive centralizer limited to degree 8\n"
+
+
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_perm_degree_below_one_is_an_invalid_spec(degree):
+    result = run_cli("perm", "--degree", degree, "--gens", "(0)")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: perm degree must be >= 1\n"
+
+
+def test_perm_failing_lemma_check_writes_no_stdout(monkeypatch, capsys):
+    from topolab import cli
+
+    def failing(action):
+        raise errors.InternalInconsistency("routes disagree")
+
+    monkeypatch.setattr(cli, "lemma_trivial_centralizer", failing)
+    assert cli.main(["perm", "--degree", "4", "--gens", "(0 1)", "--check-lemma"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: routes disagree\n"
 
 
 def test_unwritable_dot_path_is_a_one_line_error(tmp_path):

@@ -525,19 +525,9 @@ def test_commutator_with_g_matches_all_pairs_on_every_member(lattice_groups):
 
 
 @pytest.mark.parametrize("text, classes", [("S7", 15), ("SL(2,17)", 21), ("ASL(3,2)", 11)])
-def test_class_labels_read_conjugates_on_the_base_with_no_product(monkeypatch, text, classes):
-    from topolab.groups import FiniteGroup
-
+def test_class_labels_read_conjugates_on_the_base_with_no_product(count_products, text, classes):
     g = group(text)
-    multiply = FiniteGroup.mul_many
-    served = []
-
-    def counting(self, xs, ys):
-        got = multiply(self, xs, ys)
-        served.append(np.size(got))
-        return got
-
-    monkeypatch.setattr(FiniteGroup, "mul_many", counting)
+    served = count_products()
     labels = _class_labels(g)
     # two products per element and generator before: 20160 on S7
     assert sum(served) == 0
@@ -545,20 +535,10 @@ def test_class_labels_read_conjugates_on_the_base_with_no_product(monkeypatch, t
     assert len(np.unique(labels)) == classes
 
 
-def test_principal_closures_of_s7_read_one_element_per_class(monkeypatch):
-    from topolab.groups import FiniteGroup
-
+def test_principal_closures_of_s7_read_one_element_per_class(count_products):
     g = group("S7")
     _class_members(g)
-    multiply = FiniteGroup.mul_many
-    served = []
-
-    def counting(self, xs, ys):
-        got = multiply(self, xs, ys)
-        served.append(np.size(got))
-        return got
-
-    monkeypatch.setattr(FiniteGroup, "mul_many", counting)
+    served = count_products()
     rows, _ = _principal_closures(g)
     assert sorted(rows.sum(axis=1).tolist()) == [2520, 5040]
     # 72457 products one element at a time, 16690 one element per class
@@ -675,25 +655,41 @@ def test_closure_stops_at_lagranges_bound_and_not_before():
     assert np.array_equal(_closure(g, transpositions, full)[0], full)
 
 
-def test_principal_closures_of_s7_close_little_more_than_two_subgroups(monkeypatch):
-    from topolab.groups import FiniteGroup
-
+def test_principal_closures_of_s7_close_little_more_than_two_subgroups(count_products):
     g = group("S7")
     _class_labels(g)
-    multiply = FiniteGroup.mul_many
-    served = []
-
-    def counting(self, xs, ys):
-        got = multiply(self, xs, ys)
-        served.append(np.size(got))
-        return got
-
-    monkeypatch.setattr(FiniteGroup, "mul_many", counting)
+    served = count_products()
     rows, _ = _principal_closures(g)
     # the 14 closures, one per cyclic subgroup, give A7 and S7
     assert sorted(rows.sum(axis=1).tolist()) == [2520, 5040]
     # each of the 14 closures ran to the end before: 181688 products
     assert sum(served) <= 100_000
+
+
+# exact (mul_many calls, products) of one closure on a fresh group
+CLOSURE_WORK = {
+    "principals": {"S7": (99, 16730), "D2000": (315, 260640), "C2^6": (315, 378), "Q8 x D8": (192, 473)},
+    "generated": {"S7": (29, 10098), "D2000": (24, 8108), "C2^6": (18, 390), "Q8 x D8": (16, 271)},
+    "normal": {"S7": (4, 5761), "D2000": (4, 126001), "C2^6": (3, 3), "Q8 x D8": (3, 3)},
+}
+CLOSURES = {
+    "principals": _principal_closures,
+    "generated": lambda g: generated_subgroup(g, range(1, 20)),
+    "normal": lambda g: normal_closure(g, [5]),
+}
+
+
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind in CLOSURE_WORK for name in CLOSURE_WORK[kind]])
+def test_closures_make_a_pinned_number_of_products(count_products, kind, name):
+    """A change in the work a closure does fails here, a change in its
+    speed does not.  The class members and inverses, which make no
+    product, are built before counting."""
+    g = group("C2 x C2 x C2 x C2 x C2 x C2" if name == "C2^6" else name)
+    _class_members(g)
+    g.inverses
+    served = count_products()
+    CLOSURES[kind](g)
+    assert (len(served), sum(served)) == CLOSURE_WORK[kind][name]
 
 
 def test_coset_labels_match_the_per_coset_loop(lattice_groups):
@@ -931,18 +927,9 @@ def test_lattice_past_the_bound_over_many_principals_refuses_in_bounded_memory()
     assert peak < 24 << 20
 
 
-def test_c2_power_6_lattice_makes_few_products(monkeypatch):
-    from topolab.groups import FiniteGroup
-
+def test_c2_power_6_lattice_makes_few_products(count_products):
     g = group("C2 x C2 x C2 x C2 x C2 x C2")
-    multiply = FiniteGroup.mul_many
-    calls = []
-
-    def counting(self, xs, ys):
-        calls.append(1)
-        return multiply(self, xs, ys)
-
-    monkeypatch.setattr(FiniteGroup, "mul_many", counting)
+    calls = count_products()
     assert len(normal_lattice(g).subgroups) == 2825
     # one labelling per principal and a few per level; the per-member
     # search made 7268 calls
