@@ -8,9 +8,11 @@ closure keeps a candidate when its key is new: its images of a base that
 the constructor names in closed form (C. C. Sims, 1970; A. Seress,
 Permutation Group Algorithms, 2003, ch. 4), read without forming the
 candidate's row, or its whole row where no base is known (perm specs)
-or the base holds a sizeable share of the points (S_n, A_n).  A wrong
-base would merge elements, and the closure would fall short of the
-spec's order, which build_group refuses.
+or the base holds a sizeable share of the points (S_n, A_n).  A block's
+keys (sortkeys.py) are told new or not by one sort and one searchsorted
+in the sorted keys found, never one probe per candidate.  A wrong base
+would merge elements, and the closure would fall short of the spec's
+order, which build_group refuses.
 
 Every product id comes from FiniteGroup.mul_many.  An element is fixed by
 its images of a base (a few points whose pointwise stabilizer is trivial),
@@ -40,6 +42,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidSpec, OrderCapExceeded
+from .sortkeys import RowKeys, WordKeys
 
 DEFAULT_ORDER_CAP = 20_000
 TABLE_LIMIT = 4096
@@ -58,10 +61,11 @@ BLOCK_ENTRIES = 1 << 20
 # frontier entries times generators below which a closure block keyed on a
 # base forms every candidate row rather than read the base images first
 _FORM_ALL = 1 << 14
-# build_group keys its closure on a base only when the base holds under
-# 1/_SHORT_KEY of the points; a longer one saves too little over whole-row
-# keys to pay for reading its columns (S7 on 6 of 7 points, ASL(3,2) on 4
-# of 8 and Q8 x D8 on 2 of 16 closed slower)
+# a closure keys on a base when the base holds under 1/_SHORT_KEY of the
+# points, or when whole rows are too wide for one word and the base is not;
+# else a longer base saves too little over whole-row keys to pay for
+# reading its columns (S7 on 6 of 7 points, ASL(3,2) on 4 of 8 and
+# Q8 x D8 on 2 of 16 closed slower)
 _SHORT_KEY = 16
 
 
@@ -590,75 +594,101 @@ def row_keys(rows: np.ndarray) -> list[bytes]:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
 
 
-def fresh_rows(rows: np.ndarray, seen: dict) -> list[int]:
-    """Positions of the rows whose bytes are new keys of seen (a dict is more
-    compact than a set), first occurrences in row order, adding the keys."""
-    return [i for i, k in enumerate(row_keys(rows)) if k not in seen and seen.setdefault(k) is None]
-
-
 def _bfs_enumerate(
     degree: int,
     gens: Sequence[np.ndarray],
     order_cap: int,
     base: Optional[Sequence[int]] = None,
+    order: Optional[int] = None,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Elements in shortlex order, one breadth-first level at a time.
 
     Candidate i*k + j of a level is frontier[i] * step[j] (step[j] acts
-    first), so scanning the candidates in order finds new elements in the
-    order a FIFO queue over elements and generators would.  A candidate's
-    key is the bytes of its images of base, which tell elements apart, or
-    of its whole row when no base is given.  Keyed on a base, a block of
-    frontier rows reads its candidates' images of the base alone,
-    frontier[:, step[:, base]], and forms full rows only for the new
-    candidates; a block of fewer than _FORM_ALL entries forms every
-    candidate, which takes fewer numpy calls.  Levels are scanned in
-    blocks, each checked against the order cap.  Points that are no base
-    merge elements, so the closure falls short of the group's order.
+    first), so keeping the new candidates in order finds new elements in
+    the order a FIFO queue over elements and generators would.  A
+    candidate's key is its images of base, points that tell elements
+    apart, when the base is short (_SHORT_KEY) or whole rows are too wide
+    for one word, else its whole row; packed exactly into one word at
+    bit_length(degree - 1) bits an entry (sortkeys.WordKeys), or, for rows
+    too wide for that with no base to key on, the row's bytes
+    (sortkeys.RowKeys).  One sort
+    of a block's keys finds the first of equal ones, one searchsorted in
+    the sorted keys of the rows found tells which are new, and the new
+    ones are merged in.  The candidates of a one-row block after the first
+    level are distinct, since the steps are, and skip the sort.  Keyed on
+    a base, a block of frontier rows reads its candidates' images of the
+    base alone, frontier[:, step[:, base]], and forms full rows only for
+    the new candidates; a block of fewer than _FORM_ALL entries forms
+    every candidate, which takes fewer numpy calls.  Levels are scanned in
+    blocks, each checked against the order cap, and written into one
+    array, sized by the order when it is known and grown by doubling
+    otherwise.  Points that are no base merge elements, so the closure
+    falls short of the group's order.
     """
     dtype = _perm_dtype(degree)
-    ident = np.arange(degree, dtype=dtype)
-    keyed = base is not None
-    base = np.asarray(base if keyed else (), dtype=np.intp)
-    index = {(ident[base] if keyed else ident).tobytes(): None}
-    levels = [ident[None, :]]
     step = np.asarray(gens, dtype=dtype).reshape(-1, degree)
-    step_images = step[:, base]
-    while len(levels[-1]) and len(step):
-        rows = max(1, min(4096, BLOCK_ENTRIES // degree) // len(step))  # frontier rows per block
-        fresh = []
-        for lo in range(0, len(levels[-1]), rows):
-            frontier = levels[-1][lo : lo + rows]
+    per_block = min(4096, BLOCK_ENTRIES // degree)  # candidates, unless one row has more
+    bits = max(1, degree - 1).bit_length()
+    # base images when the base is short, or when it fits one word and whole rows do not
+    keyed = base is not None and len(base) * bits <= 64
+    keyed = keyed and (len(base) * _SHORT_KEY < degree or degree * bits > 64)
+    columns = np.asarray(base, dtype=np.intp) if keyed else np.arange(degree)
+    room = order or 1 + len(step)  # rows, grown by doubling when the order is not known
+    if len(columns) * bits <= 64:
+        keys_of = WordKeys(columns, bits, max(per_block, len(step)), room)
+    else:
+        keys_of = RowKeys(degree, step.itemsize)
+    out = np.empty((room, degree), dtype=dtype)
+    out[0] = np.arange(degree)
+    count, lo, hi = 1, 0, 1  # rows found, and the last level out[lo:hi]
+    while hi > lo and len(step):
+        rows = max(1, per_block // len(step))  # frontier rows per block
+        for start in range(lo, hi, rows):
+            frontier = out[start : min(start + rows, hi)]
             if keyed and frontier.size * len(step) >= _FORM_ALL:
-                keys = np.take(frontier, step_images, axis=1).reshape(-1, len(base))
-                fresh.append(_compose(frontier, step, fresh_rows(keys, index)))
+                candidates = None
+                keys = keys_of.pack(frontier.take(step[:, columns], axis=1)).reshape(-1)
             else:
                 # take, not [:, step]: that gather comes out strided, and the reshape copies it
-                candidates = np.take(frontier, step, axis=1).reshape(-1, degree)
-                new = fresh_rows(candidates[:, base] if keyed else candidates, index)
-                fresh.append(candidates if len(new) == len(candidates) else candidates[new])
-            if len(index) > order_cap:
+                candidates = frontier.take(step, axis=1).reshape(-1, degree)
+                keys = keys_of.pack(candidates.take(columns, axis=1) if keyed else candidates)
+            picks, keys = keys_of.new(keys, out[:count], len(frontier) == 1 and start > 0)
+            fresh = len(picks)
+            if not fresh:
+                continue
+            if count + fresh > len(out):
+                grown = np.empty((max(count + fresh, min(2 * len(out), order_cap + 1)), degree), dtype)
+                grown[:count] = out[:count]
+                out = grown
+            if candidates is None:
+                _compose(frontier, step, picks, out[count : count + fresh])
+            elif fresh == len(candidates):
+                out[count : count + fresh] = candidates
+            else:
+                candidates.take(picks, axis=0, out=out[count : count + fresh])
+            keys_of.add(keys, out[: count + fresh], count)
+            count += fresh
+            if count > order_cap:
                 raise OrderCapExceeded(f"group closure exceeds the order cap ({order_cap})")
-        levels.append(fresh[0] if len(fresh) == 1 else np.concatenate(fresh))
-        if len(levels) == 2:
+        if lo == 0:
             # the first level is the generators without repeats or the
             # identity; later levels need only these, and generator j is
             # element j + 1
-            step = levels[1]
-            step_images = step[:, base]
-    return np.concatenate(levels), tuple(range(1, len(step) + 1))
+            step = out[1:count].copy()
+        lo, hi = hi, count
+    return (out if count == len(out) else out[:count].copy()), tuple(range(1, len(step) + 1))
 
 
-def _compose(frontier: np.ndarray, step: np.ndarray, picks: list[int]) -> np.ndarray:
+def _compose(frontier: np.ndarray, step: np.ndarray, picks: np.ndarray, out: np.ndarray) -> None:
     """Rows frontier[i] * step[j] for each candidate i*k + j in picks, k
-    being len(step): flat takes from frontier at row offset i, in row
-    blocks whose intp index holds at most BLOCK_ENTRIES >> 3 entries."""
-    degree = frontier.shape[1]
-    i, j = np.divmod(np.asarray(picks, dtype=np.intp), len(step))
-    out = np.empty((len(i), degree), dtype=frontier.dtype)
-    for block in row_blocks(len(i), degree << 3):
-        out[block] = frontier.take(i[block, None] * degree + step[j[block]])
-    return out
+    being len(step), written into out: one take of the frontier rows and
+    one of their columns per step (a take along an axis, not fancy
+    indexing, which gathers the columns of wide rows at half the speed)."""
+    i, j = np.divmod(picks, len(step))
+    for g, perm in enumerate(step):
+        at = np.flatnonzero(j == g)
+        if len(at):
+            out[at] = frontier.take(i[at], axis=0).take(perm, axis=1)
 
 
 def _assemble(
@@ -670,8 +700,7 @@ def _assemble(
     expected_order: Optional[int],
     base: Optional[tuple[int, ...]] = None,
 ) -> FiniteGroup:
-    short = base is not None and len(base) * _SHORT_KEY < degree
-    perms, gen_ids = _bfs_enumerate(degree, gens, order_cap, base if short else None)
+    perms, gen_ids = _bfs_enumerate(degree, gens, order_cap, base, expected_order)
     if not np.array_equal(perms[0], np.arange(degree)):
         raise InvalidSpec("element 0 is not the identity")
     if expected_order is not None and len(perms) != expected_order:

@@ -524,8 +524,12 @@ def reference_normal_lattice_masks(g):
     before it searched a level at a time: one Python iteration per member,
     which labels that member's cosets afresh and joins it with every
     principal subgroup apart from it."""
-    from topolab.groups import fresh_rows
     from topolab.subgroups import _coset_labels, _principal_closures
+
+    def fresh_rows(block, seen):
+        """Positions of the rows whose bytes are new keys of seen, adding them."""
+        keys = [row.tobytes() for row in block]
+        return [i for i, k in enumerate(keys) if k not in seen and seen.setdefault(k) is None]
 
     rows, found = [], {}
 

@@ -282,9 +282,10 @@ def test_perm_stabilizers_fit_in_1gb():
 
 
 def test_running_out_of_memory_exits_3_with_one_line():
-    # the order is at the cap, and the regular action on 20000 points does
-    # not fit in 1 GB
-    result = _run_in_1gb("classify", "C20000", timeout=60)
+    # the order is at the cap, and the action on 20000 points (800 MB of
+    # rows) does not fit in 1 GB beside the 200 MB of C10000's, its base;
+    # C20000's rows alone now do
+    result = _run_in_1gb("classify", "D20000", timeout=60)
     assert result.returncode == 3
     assert result.stdout == ""
     assert result.stderr == "error: out of memory\n"

@@ -373,8 +373,8 @@ def test_level_wise_closure_numbers_elements_like_the_element_queue(monkeypatch)
     closures = []
     level_wise = groups._bfs_enumerate
 
-    def recording(degree, gens, order_cap, base=None):
-        got = level_wise(degree, gens, order_cap, base)
+    def recording(degree, gens, order_cap, base=None, order=None):
+        got = level_wise(degree, gens, order_cap, base, order)
         closures.append((degree, [np.array(g) for g in gens], order_cap, got))
         return got
 
@@ -475,6 +475,90 @@ def test_closure_of_c4000_keeps_no_row_keys():
     # 62 MiB measured: the levels and their concatenation, 32 MB each;
     # keyed on whole rows it was 92 MiB, the row bytes another 32 MB
     assert peak < 77 << 20
+
+
+def test_closure_of_c4000_holds_its_rows_once():
+    tracemalloc.start()
+    try:
+        build_group(Cyclic(4000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rows are 4000 x 4000 uint16 entries, 30.5 MiB, written into one
+    # array sized by the order: 30.6 MiB measured, against 62 MiB when the
+    # levels were kept apart and then concatenated
+    assert peak < 34 << 20
+
+
+@st.composite
+def closure_inputs(draw):
+    """Generators of a perm group of order at most 720: permutations of 3
+    to 6 points acting alike on several copies of them, with fixed points
+    after (degree 5 to 40, so keys of one word and of more), relabelled at
+    random, with the identity and repeats among them; and a BLOCK_ENTRIES
+    small enough that levels span many blocks, or the default."""
+    m = draw(st.integers(3, 6))
+    copies = draw(st.integers(1, 36 // m))
+    degree = max(5, m * copies + draw(st.integers(0, 4)))
+    # numpy's generator, not hypothesis' permutations, which shrink towards
+    # the identity and would mostly close trivial groups
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    label = rng.permutation(degree)
+    gens = []
+    for perm in (rng.permutation(m) for _ in range(draw(st.integers(1, 3)))):
+        row = np.arange(degree)
+        row[: m * copies] = (np.arange(copies)[:, None] * m + perm).ravel()
+        relabelled = np.empty(degree, dtype=np.intp)
+        relabelled[label] = label[row]
+        gens.append(relabelled)
+    gens.append(np.arange(degree))  # the identity
+    extra = draw(st.lists(st.integers(0, len(gens) - 1), max_size=3))
+    picks = draw(st.permutations(list(range(len(gens) - 1)) + extra))
+    block = draw(st.sampled_from([8, 64, 512, groups.BLOCK_ENTRIES]))
+    return degree, [gens[i] for i in picks], block
+
+
+@settings(max_examples=80, deadline=None)
+@given(closure_inputs())
+def test_closure_matches_the_element_queue_on_random_perm_specs(inputs):
+    degree, gens, block = inputs
+    ref_perms, ref_ids = reference_bfs_enumerate(degree, gens, 10**6)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups, "BLOCK_ENTRIES", block)
+        perms, gen_ids = groups._bfs_enumerate(degree, gens, len(ref_perms))
+        if len(ref_perms) > 1:
+            with pytest.raises(OrderCapExceeded, match=rf"order cap \({len(ref_perms) - 1}\)"):
+                groups._bfs_enumerate(degree, gens, len(ref_perms) - 1)
+    assert perms.dtype == ref_perms.dtype and np.array_equal(perms, ref_perms)
+    assert gen_ids == ref_ids
+
+
+def test_s8_closure_makes_numpy_calls_per_block_not_per_candidate():
+    gens = []
+    for a, b in itertools.combinations(range(8), 2):
+        row = np.arange(8)
+        row[[a, b]] = b, a
+        gens.append(row)
+    # by the 28 transpositions, level k holds the elements with 8 - k
+    # cycles (Stirling numbers of the first kind), in blocks of 4096 // 28
+    # frontier rows: 281 blocks over 40320 * 28 = 1128960 candidates
+    levels = (1, 28, 322, 1960, 6769, 13132, 13068, 5040)
+    blocks = sum(-(-size // (4096 // 28)) for size in levels)
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "c_call":
+            calls.append(arg)
+
+    sys.setprofile(count)
+    try:
+        perms, _ = groups._bfs_enumerate(8, gens, 40320)
+    finally:
+        sys.setprofile(None)
+    assert len(perms) == 40320
+    # 4427 measured (builtins such as len included), about 16 a block; one
+    # dict probe per new element made 40319 setdefault calls alone
+    assert len(calls) < 20 * blocks
 
 
 def test_closure_stops_at_the_cap_inside_a_large_level():
@@ -933,7 +1017,7 @@ def test_lookup_checks_run_on_the_first_product_of_a_bent_group(monkeypatch):
     cycle = next(x for x in s3.elements() if all(s3.perms[x, p] != p for p in range(3)))
     perms[cycle, 3:] = [4, 5, 3]
     monkeypatch.setattr(
-        groups, "_bfs_enumerate", lambda degree, gens, cap, base=None: (perms, s3.generator_ids)
+        groups, "_bfs_enumerate", lambda degree, gens, cap, base=None, order=None: (perms, s3.generator_ids)
     )
     bent = groups._assemble(None, 6, [], 100, 0, 6)  # order and identity row pass
     for _ in range(2):  # the lookup is never handed out unchecked
