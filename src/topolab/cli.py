@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 spec rejected (syntax or validation), 3 order cap
 exceeded or out of memory, 1 other domain errors.  The order cap of a spec
-defaults to 20000 and can be overridden with TOPOLAB_ORDER_CAP; a perm
-action's order and degree are capped at 100000
+defaults to 20000 and can be overridden with TOPOLAB_ORDER_CAP, a positive
+integer; a perm action's order and degree are capped at 100000
 (permaction.MATERIALIZATION_CAP).
 """
 
@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .catalog import catalog_entries
 from .classify import ClassificationReport, classify
 from .errors import InvalidSpec, NotComparable, OrderCapExceeded, SpecSyntaxError, TopolabError
-from .groups import DEFAULT_ORDER_CAP, build_group
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, build_group
 from .permaction import (
     MATERIALIZATION_CAP,
     PermAction,
@@ -34,13 +34,18 @@ from .topology import make_topology
 
 
 def _order_cap() -> int:
-    raw = os.environ.get("TOPOLAB_ORDER_CAP")
-    if raw is None:
-        return DEFAULT_ORDER_CAP
+    raw = os.environ.get("TOPOLAB_ORDER_CAP", str(DEFAULT_ORDER_CAP))
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise InvalidSpec(f"TOPOLAB_ORDER_CAP must be an integer, got {raw!r}") from exc
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise InvalidSpec(f"TOPOLAB_ORDER_CAP must be a positive integer, got {raw!r}")
+
+
+def _build(args: argparse.Namespace) -> FiniteGroup:
+    """The group of args.spec, under the order cap."""
+    return build_group(parse_group_spec(args.spec), order_cap=_order_cap(), seed=args.seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,7 +136,7 @@ def _print_report_text(report: ClassificationReport) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    group = build_group(parse_group_spec(args.spec), order_cap=_order_cap(), seed=args.seed)
+    group = _build(args)
     report = classify(group)
     if args.json:
         print(emit_report_json(report, seed=args.seed))
@@ -141,7 +146,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_semitop(args: argparse.Namespace) -> int:
-    group = build_group(parse_group_spec(args.spec), order_cap=_order_cap(), seed=args.seed)
+    group = _build(args)
     normals = all_normal_subgroups(group)
     for idx in (args.from_index, args.to_index):
         if not 0 <= idx < len(normals):
@@ -177,7 +182,7 @@ def _cmd_semitop(args: argparse.Namespace) -> int:
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
-    group = build_group(parse_group_spec(args.spec), order_cap=_order_cap(), seed=args.seed)
+    group = _build(args)
     text = emit_lattice_dot(group)
     try:
         with open(args.dot, "w", encoding="utf-8") as fh:

@@ -4,11 +4,12 @@ Every group is materialized by breadth-first closure of a fixed generator
 list: element 0 is the identity and new elements are discovered in shortlex
 order over generator words (generators in constructor order, FIFO levels).
 Two builds of the same spec therefore agree element-for-element.  The
-closure keeps a candidate when its key is new: its images of a base that
-the constructor names in closed form (C. C. Sims, 1970; A. Seress,
+closure keeps a candidate when its key is new: its whole row where that
+fits one word (degree at most 16); else its images of a base that the
+constructor names in closed form (C. C. Sims, 1970; A. Seress,
 Permutation Group Algorithms, 2003, ch. 4), read without forming the
-candidate's row, or its whole row where no base is known (perm specs)
-or the base holds a sizeable share of the points (S_n, A_n).  A block's
+candidate's row, where they fit one word; else its row's bytes (perm
+specs, which name no base, and bases too long for one word).  A block's
 keys (sortkeys.py) are told new or not by one sort and one searchsorted
 in the sorted keys found, never one probe per candidate.  A wrong base
 would merge elements, and the closure would fall short of the spec's
@@ -61,12 +62,6 @@ BLOCK_ENTRIES = 1 << 20
 # frontier entries times generators below which a closure block keyed on a
 # base forms every candidate row rather than read the base images first
 _FORM_ALL = 1 << 14
-# a closure keys on a base when the base holds under 1/_SHORT_KEY of the
-# points, or when whole rows are too wide for one word and the base is not;
-# else a longer base saves too little over whole-row keys to pay for
-# reading its columns (S7 on 6 of 7 points, ASL(3,2) on 4 of 8 and
-# Q8 x D8 on 2 of 16 closed slower)
-_SHORT_KEY = 16
 
 
 def row_blocks(count: int, width: int, start: int = 0) -> Iterator[slice]:
@@ -606,16 +601,15 @@ def _bfs_enumerate(
     Candidate i*k + j of a level is frontier[i] * step[j] (step[j] acts
     first), so keeping the new candidates in order finds new elements in
     the order a FIFO queue over elements and generators would.  A
-    candidate's key is its images of base, points that tell elements
-    apart, when the base is short (_SHORT_KEY) or whole rows are too wide
-    for one word, else its whole row; packed exactly into one word at
-    bit_length(degree - 1) bits an entry (sortkeys.WordKeys), or, for rows
-    too wide for that with no base to key on, the row's bytes
-    (sortkeys.RowKeys).  One sort
-    of a block's keys finds the first of equal ones, one searchsorted in
-    the sorted keys of the rows found tells which are new, and the new
-    ones are merged in.  The candidates of a one-row block after the first
-    level are distinct, since the steps are, and skip the sort.  Keyed on
+    candidate's key is its whole row when that fits one word (degree at
+    most 16), else its images of base, points that tell elements apart,
+    when they fit one word, else the row's bytes (sortkeys.RowKeys); a
+    word packs its entries exactly at bit_length(degree - 1) bits an entry
+    (sortkeys.WordKeys).  One sort of a block's keys finds the first of
+    equal ones, one searchsorted in the sorted keys of the rows found tells
+    which are new, and the new ones are merged in.  The candidates of a
+    one-row block after the first level are distinct, since the steps are,
+    and skip the sort.  Keyed on
     a base, a block of frontier rows reads its candidates' images of the
     base alone, frontier[:, step[:, base]], and forms full rows only for
     the new candidates; a block of fewer than _FORM_ALL entries forms
@@ -629,9 +623,8 @@ def _bfs_enumerate(
     step = np.asarray(gens, dtype=dtype).reshape(-1, degree)
     per_block = min(4096, BLOCK_ENTRIES // degree)  # candidates, unless one row has more
     bits = max(1, degree - 1).bit_length()
-    # base images when the base is short, or when it fits one word and whole rows do not
-    keyed = base is not None and len(base) * bits <= 64
-    keyed = keyed and (len(base) * _SHORT_KEY < degree or degree * bits > 64)
+    # whole rows when they fit one word, else base images when they do
+    keyed = base is not None and len(base) * bits <= 64 < degree * bits
     columns = np.asarray(base, dtype=np.intp) if keyed else np.arange(degree)
     room = order or 1 + len(step)  # rows, grown by doubling when the order is not known
     if len(columns) * bits <= 64:
@@ -666,7 +659,7 @@ def _bfs_enumerate(
                 out[count : count + fresh] = candidates
             else:
                 candidates.take(picks, axis=0, out=out[count : count + fresh])
-            keys_of.add(keys, out[: count + fresh], count)
+            keys_of.add(keys, count)
             count += fresh
             if count > order_cap:
                 raise OrderCapExceeded(f"group closure exceeds the order cap ({order_cap})")
@@ -892,7 +885,8 @@ def build_group(
     """
     expected = spec_order(spec, order_cap)
     if expected is not None and expected > order_cap:
-        raise OrderCapExceeded(f"spec {spec!r} has order above the cap ({order_cap})")
+        from .specparse import print_group_spec  # specparse imports this module
+        raise OrderCapExceeded(f"spec {print_group_spec(spec)} has order above the cap ({order_cap})")
     if isinstance(spec, Cyclic):
         degree, gens, base = _cyclic_action(spec.n)
     elif isinstance(spec, Dihedral):

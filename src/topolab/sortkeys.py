@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_RAMP = np.arange(4096, dtype=np.uint64)  # block positions, for the largest usual block
-_RAMP.setflags(write=False)
 # keys per block up to which a stable argsort orders a block faster than
 # the four calls of the sort of key | position (one x86-64 thread: 0.6-1.1
 # against 1.9-2.6 us at 4-64 keys; 6.5 against 2.7 us at 256, 330 against
@@ -34,7 +32,7 @@ class WordKeys:
         shift = max(1, most - 1).bit_length()
         if len(columns) * bits + shift > 64:
             shift = 0  # no room: blocks sort by a stable argsort
-        self.ramp = (_RAMP if most <= len(_RAMP) else np.arange(most, dtype=np.uint64)) if shift else None
+        self.ramp = np.arange(most, dtype=np.uint64) if shift else None  # block positions
         self.weights = np.left_shift(1, np.arange(shift, 64, bits, dtype=np.uint64)[: len(columns)])
         # masks of the position bits and of the rest: a ufunc takes 0-d
         # arrays faster than numpy scalars
@@ -48,8 +46,8 @@ class WordKeys:
 
     def new(self, keys: np.ndarray, rows: np.ndarray, distinct: bool) -> tuple[np.ndarray, np.ndarray]:
         """The positions, in order, of the first of each key of a block
-        that no row found has, and those keys (rows, the rows found, go
-        unread).  Unless the keys are known to be distinct, they are
+        that no row found has, and those keys (of rows, the rows found,
+        only their number is read).  Unless the keys are known to be distinct, they are
         sorted first, which also serves the lookup in seen."""
         if distinct:
             at = None
@@ -71,9 +69,9 @@ class WordKeys:
         picks.sort()
         return picks, keys[new]
 
-    def add(self, keys: np.ndarray, rows: np.ndarray, count: int) -> None:
+    def add(self, keys: np.ndarray, count: int) -> None:
         """Merges keys, those of the rows found from count on, into seen in
-        place, grown by doubling (rows, the rows found, go unread)."""
+        place, grown by doubling."""
         end = count + len(keys)
         if end > len(self.seen):
             grown = np.empty(max(end, 2 * count), dtype=np.uint64)
@@ -114,10 +112,9 @@ class RowKeys:
         self._places = left[picks]  # in seen, for add
         return picks, keys[picks]
 
-    def add(self, keys: np.ndarray, rows: np.ndarray, count: int) -> None:
+    def add(self, keys: np.ndarray, count: int) -> None:
         """Inserts into seen the ids count, count + 1, ... of the new rows,
-        whose keys new returned, in key order at the places new found
-        (rows, the rows found, go unread)."""
+        whose keys new returned, in key order at the places new found."""
         order = keys.argsort()  # distinct keys: the places come out nondecreasing
         slots = self._places[order] + np.arange(len(keys))
         merged = np.empty(len(self.seen) + len(keys), dtype=np.intp)

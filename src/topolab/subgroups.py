@@ -711,11 +711,12 @@ def commutator_subgroup(group: FiniteGroup, left: Subgroup, right: Subgroup) -> 
                 _, gens = _closure(group, np.flatnonzero(left.mask))
             minima = np.flatnonzero(right.mask & (_class_labels(group) == np.arange(group.order)))
             values = _commutators(group, np.asarray(gens)[:, None], minima[None, :])
-            return normal_closure(group, np.unique(values))
-        ks = np.flatnonzero(right.mask)
-        hs = np.flatnonzero(left.mask)
-        blocks = (_commutators(group, hs[block, None], ks) for block in row_blocks(len(hs), len(ks)))
-        return Subgroup(group, _closure(group, np.concatenate([np.unique(b) for b in blocks]))[0])
+            return normal_closure(group, values.ravel())
+        hs, ks = np.flatnonzero(left.mask), np.flatnonzero(right.mask)
+        seeds = np.zeros(group.order, dtype=bool)
+        for block in row_blocks(len(hs), len(ks)):
+            seeds[_commutators(group, hs[block, None], ks)] = True
+        return Subgroup(group, _closure(group, np.flatnonzero(seeds))[0])
 
     if left.order == group.order:
         # [G, N] is asked for over and over by the topology layers

@@ -56,6 +56,22 @@ def test_order_cap_exit_code_and_env_override():
     assert result.returncode == 0
 
 
+@pytest.mark.parametrize("cap", ["0", "-5", "many"])
+@pytest.mark.parametrize("command", [["classify", "C1"], ["lattice", "C1", "--dot", os.devnull], ["catalog"]])
+def test_an_order_cap_below_1_or_not_an_integer_is_rejected(command, cap):
+    result = run_cli(*command, env_extra={"TOPOLAB_ORDER_CAP": cap})
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: TOPOLAB_ORDER_CAP must be a positive integer, got '{cap}'\n"
+
+
+@pytest.mark.parametrize("spec", ["S9", "C3 x S9", "Dih(C20000)"])
+def test_a_spec_over_the_cap_is_named_in_the_spec_language(spec):
+    result = run_cli("classify", spec)
+    assert result.returncode == 3
+    assert result.stderr == f"error: spec {spec} has order above the cap ({DEFAULT_ORDER_CAP})\n"
+
+
 def test_semitop_command():
     result = run_cli("semitop", "S4", "--from", "0", "--to", "2")
     assert result.returncode == 0

@@ -465,6 +465,56 @@ def test_closure_keyed_on_a_base_finds_the_rows_of_full_row_keys(monkeypatch, te
     assert gen_ids == full_ids
 
 
+REFLECTION_17 = "(1 16)(2 15)(3 14)(4 13)(5 12)(6 11)(7 10)(8 9)"
+
+
+@pytest.mark.parametrize(
+    "text, form",
+    [
+        ("C16", "row"),
+        ("S7", "row"),
+        ("ASL(3,2)", "row"),
+        ("Q8 x D8", "row"),
+        ("C17", "base"),
+        ("C4000", "base"),
+        ("Heis(5)", "base"),
+        ("SL(2,17)", "base"),
+        ("D256", "base"),
+        (" x ".join(["C2"] * 13), "bytes"),  # 13 base points of 5 bits
+        (f"perm[({' '.join(map(str, range(17)))}),{REFLECTION_17}]", "bytes"),
+    ],
+)
+def test_closure_keys_whole_rows_of_one_word_else_base_images_of_one_word_else_row_bytes(
+    monkeypatch, text, form
+):
+    g = group(text)
+    gens = [g.perms[x] for x in g.generator_ids]
+    received = []
+
+    class Words(groups.WordKeys):
+        def __init__(self, columns, *args):
+            received.append(("words", columns.tolist()))
+            super().__init__(columns, *args)
+
+    class Bytes(groups.RowKeys):
+        def __init__(self, *args):
+            received.append(("bytes", None))
+            super().__init__(*args)
+
+    monkeypatch.setattr(groups, "WordKeys", Words)
+    monkeypatch.setattr(groups, "RowKeys", Bytes)
+    perms, gen_ids = groups._bfs_enumerate(g.degree, gens, g.order, g._closure_base, g.order)
+    expected = {
+        "row": ("words", list(range(g.degree))),
+        "base": ("words", list(g._closure_base or ())),
+        "bytes": ("bytes", None),
+    }
+    assert received == [expected[form]]
+    ref_perms, ref_ids = reference_bfs_enumerate(g.degree, gens, g.order)
+    assert perms.dtype == ref_perms.dtype and np.array_equal(perms, ref_perms)
+    assert gen_ids == ref_ids
+
+
 def test_closure_of_c4000_keeps_no_row_keys():
     tracemalloc.start()
     try:
