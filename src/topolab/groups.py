@@ -13,7 +13,8 @@ specs, which name no base, and bases too long for one word).  A block's
 keys (sortkeys.py) are told new or not by one sort and one searchsorted
 in the sorted keys found, never one probe per candidate.  A wrong base
 would merge elements, and the closure would fall short of the spec's
-order, which build_group refuses.
+order, which build_group reports as InternalInconsistency, a defect in
+the program rather than in the spec.
 
 Every product id comes from FiniteGroup.mul_many.  An element is fixed by
 its images of a base (a few points whose pointwise stabilizer is trivial),
@@ -42,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidSpec, OrderCapExceeded
+from .errors import InternalInconsistency, InvalidSpec, OrderCapExceeded
 from .sortkeys import RowKeys, WordKeys
 
 DEFAULT_ORDER_CAP = 20_000
@@ -697,9 +698,10 @@ def _assemble(
     if not np.array_equal(perms[0], np.arange(degree)):
         raise InvalidSpec("element 0 is not the identity")
     if expected_order is not None and len(perms) != expected_order:
-        raise InvalidSpec(
-            f"closure produced order {len(perms)}, expected {expected_order} for {spec!r}"
-        )
+        # only a wrong base merges elements: a defect here, not in the spec
+        from .specparse import print_group_spec  # specparse imports this module
+        name = print_group_spec(spec) if spec is not None else "the action"
+        raise InternalInconsistency(f"closure produced order {len(perms)}, expected {expected_order} for {name}")
     group = FiniteGroup(spec, perms, gen_ids, check_seed=seed)
     group._closure_base = base
     return group

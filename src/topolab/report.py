@@ -65,7 +65,9 @@ def emit_lattice_dot(group: FiniteGroup) -> str:
     length: L covers N iff N < L and L is one level above N, the level of a
     member being the length of the longest chain up to it from {e}.  Members
     of equal order are never strictly nested, and members sort by order, so
-    the levels of one order are one masked max over the members before it.
+    the levels of one order are read off the members before it, one pass
+    per level h from the top down: a member still unset that contains some
+    member of level h is at level h + 1.
     n is the first term of the commutator chain [G, L], [G, [G, L]], ...
     (walked on comm_index) that lies in N, as in semitop.min_steps; every
     chain is walked at once, and each term is one gather of the containment
@@ -83,8 +85,14 @@ def emit_lattice_dot(group: FiniteGroup) -> str:
     height = np.zeros(count, dtype=np.int8)  # at most log2 |G|
     cuts = (np.flatnonzero(np.diff(orders)) + 1).tolist()  # the first member of each order past 1
     for first, last in zip(cuts, cuts[1:] + [count]):
+        below = height[:first]
         for block in row_blocks(last, first, start=first):
-            height[block] = np.where(contains[:first, block], height[:first, None], -1).max(axis=0) + 1
+            unset, h = np.ones(block.stop - block.start, dtype=bool), int(below.max())
+            while unset.any():  # {e} at level 0 lies in every member
+                above = contains[np.flatnonzero(below == h), block].any(axis=0) & unset
+                height[block][above] = h + 1
+                unset &= ~above
+                h -= 1
     # a head per member, then a tail per step t (0 for solid) and member
     pieces = [f"  n{i} -> " for i in range(count)] + [f"n{j};\n" for j in range(count)]
     for t in range(1, len(chain) + 1):

@@ -32,8 +32,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import NotNormal, OrderCapExceeded
-from .groups import BLOCK_ENTRIES, FiniteGroup, _commutators, _conjugates, _perm_dtype, _smallest_prime_factor
-from .groups import _conjugation_map, cayley_table, center, doubling_blocks, row_blocks, row_keys
+from .groups import BLOCK_ENTRIES, CALL_CHARGE, FiniteGroup, _commutators, _conjugates, _conjugation_map, _perm_dtype
+from .groups import _smallest_prime_factor, cayley_table, center, doubling_blocks, row_blocks, row_keys
 
 # ceiling on the normal-lattice size; elementary-abelian inputs can have
 # astronomically many normal subgroups and must fail fast instead of hanging
@@ -491,8 +491,10 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
     of J[i, p] over B and p, and D is kept, with last principal p, iff it
     holds no principal below p that B does not.  Taken one p at a time,
     every member with y < p is known when p comes up, so column p of J is
-    formed once.  When every principal is comparable with P_p, the column
-    is read off below alone, each join is P_p, and the test keeps it once.
+    formed once, off the products P_i P_p or off the cosets of P_p,
+    whichever costs fewer products.  When every principal is comparable
+    with P_p, the column is read off below alone, each join is P_p, and
+    the test keeps it once.
 
     Most joins fail that test, so a member is dropped before its join is
     formed when a witness shows it must fail.  The witness of principal i
@@ -579,35 +581,94 @@ class _JoinTable:
     only array over pairs of principals it keeps.
 
     When P_p lies in P_i the join is P_i, and when P_i lies in P_p it is
-    P_p.  For P_i apart from P_p, neither holding the other, reps[k] lies in
-    P_i P_p iff its coset modulo P_p meets P_i, read off one _coset_labels
-    of P_p per column, made only when some principal is apart from P_p.
+    P_p.  For P_i apart from P_p, neither holding the other, column p takes
+    the cheaper of two routes, priced by cost[p], the products
+    sum |P_i| |P_p| over the apart P_i, against the |G| products of one
+    coset labelling and the CALL_CHARGE that a call costs beside them:
+    - cost[p] <= |G| + CALL_CHARGE: P_i P_p is normal, a union of classes,
+      so reps[k] lies in it iff some product ab, a in P_i and b in P_p, has
+      class minimum reps[k].  Consecutive such columns form a run, whose
+      products and marks stay within BLOCK_ENTRIES: one mul_many over every
+      apart pair of the run and one scatter of the products' slots, made
+      when the search reaches the run's first column.
+    - else reps[k] lies in P_i P_p iff its coset modulo P_p meets P_i, read
+      off one _coset_labels of P_p.
     """
 
     def __init__(self, group: FiniteGroup, principals: np.ndarray, reps: np.ndarray):
+        n = len(reps)
         self.group, self.principals, self.reps = group, principals, reps
         self.below = principals[:, reps]  # [p, q]: P_q <= P_p
         self.which, self.members = np.nonzero(principals)
+        self.sizes = np.bincount(self.which, minlength=n)  # P_i is members[starts[i]:][:sizes[i]]
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.cost = np.empty(n, dtype=np.int64)  # [p]: products of P_p with the P_i apart from it
+        self.apart = np.empty(n, dtype=np.intp)  # [p]: how many P_i are apart from P_p
+        for block in row_blocks(n, n):
+            apart = ~(self.below[block] | self.below[:, block].T)
+            self.apart[block] = np.count_nonzero(apart, axis=1)
+            self.cost[block] = self.sizes[block] * np.broadcast_to(self.sizes, apart.shape).sum(axis=1, where=apart)
+        # an element's slot: the k whose rep is its class minimum, else n
+        slots = np.full(group.order, n)
+        slots[reps] = np.arange(n)
+        self.slots = slots[_class_labels(group)]
+        self.run = (0, 0, None, None, None)  # first and stop column, entry bounds, apart rows, marks
 
     def column(self, p: int, rows=slice(None)) -> np.ndarray:
-        """The bool rows J[i, p] for the i in rows, an index array or slice."""
+        """The bool rows J[i, p] for the i in rows, an index array or slice
+        in increasing order."""
         below, n = self.below, len(self.reps)
         column = np.where(below[rows, p, None], below[rows], below[p])
-        apart = ~(below[p] | below[:, p])  # neither holds the other
-        if apart.any():
-            labels, cosets = _coset_labels(self.group, np.flatnonzero(self.principals[p]))
-            # a slot per coset holding some rep, named by one of its reps,
-            # and slot n for the cosets holding none
-            slot = np.full(len(cosets), n)
-            slot[labels[self.reps]] = np.arange(n)
+        if self.cost[p]:  # some principal is apart from P_p
             wanted = np.zeros(n, dtype=bool)  # the apart P_i asked for
             wanted[rows] = True
-            wanted &= apart
-            meets = np.zeros((np.count_nonzero(wanted), n + 1), dtype=bool)  # [i, s]: P_i meets slot s
-            pick = wanted[self.which]
-            meets[(np.cumsum(wanted) - 1)[self.which[pick]], slot[labels[self.members[pick]]]] = True
-            column[wanted[rows]] = meets[:, slot[labels[self.reps]]]
+            wanted &= ~(below[p] | below[:, p])
+            if self.cost[p] <= self.group.order + CALL_CHARGE:
+                column[wanted[rows]] = self._products(p, wanted)
+            else:
+                column[wanted[rows]] = self._cosets(p, wanted)
         return column
+
+    def _products(self, p: int, wanted: np.ndarray) -> np.ndarray:
+        """Rows J[i, p] for the wanted i, read off the products of p's run."""
+        first, stop, bounds, rows, marks = self.run
+        if not first <= p < stop:
+            first, stop, bounds, rows, marks = self.run = self._form_run(p)
+        entries = slice(bounds[p - first], bounds[p - first + 1])
+        return marks[entries][wanted[rows[entries]], :-1]
+
+    def _form_run(self, p: int) -> tuple:
+        """The run from column p: p and the columns after it whose cost is
+        at most |G| + CALL_CHARGE, while the products and marks stay within
+        BLOCK_ENTRIES (p at least); for each apart pair (i, q), q in the
+        run, a row of marks holding the slots of P_i P_q."""
+        n, sizes, cost = len(self.reps), self.sizes, self.cost[p:]
+        fits = (cost <= self.group.order + CALL_CHARGE) & (np.cumsum(cost + self.apart[p:] * (n + 1)) <= BLOCK_ENTRIES)
+        stop = p + max(1, int(np.argmin(np.append(fits, False))))
+        cols, rows = np.nonzero(~(self.below[p:stop] | self.below[:, p:stop].T))  # apart pairs
+        cols += p
+        counts = sizes[rows] * sizes[cols]
+        ends = np.cumsum(counts)
+        entry = np.repeat(np.arange(len(rows)), counts)  # the pair of each product
+        a, b = np.divmod(np.arange(ends[-1]) - (ends - counts)[entry], sizes[cols][entry])
+        members, starts = self.members, self.starts
+        products = self.group.mul_many(members[starts[rows][entry] + a], members[starts[cols][entry] + b])
+        marks = np.zeros((len(rows), n + 1), dtype=bool)
+        marks[entry, self.slots[products]] = True
+        return p, stop, np.searchsorted(cols, np.arange(p, stop + 1)), rows, marks
+
+    def _cosets(self, p: int, wanted: np.ndarray) -> np.ndarray:
+        """Rows J[i, p] for the wanted i, read off the cosets of P_p."""
+        n = len(self.reps)
+        labels, cosets = _coset_labels(self.group, np.flatnonzero(self.principals[p]))
+        # a slot per coset holding some rep, named by one of its reps,
+        # and slot n for the cosets holding none
+        slot = np.full(len(cosets), n)
+        slot[labels[self.reps]] = np.arange(n)
+        meets = np.zeros((np.count_nonzero(wanted), n + 1), dtype=bool)  # [i, s]: P_i meets slot s
+        pick = wanted[self.which]
+        meets[(np.cumsum(wanted) - 1)[self.which[pick]], slot[labels[self.members[pick]]]] = True
+        return meets[:, slot[labels[self.reps]]]
 
 
 def _member_keys(group: FiniteGroup, principals: np.ndarray, held: np.ndarray) -> np.ndarray:
@@ -633,20 +694,22 @@ def _member_keys(group: FiniteGroup, principals: np.ndarray, held: np.ndarray) -
 
 def _principal_closures(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     """Rows holding the distinct normal closures of the nontrivial conjugacy
-    classes, in the order of their first class, one _closure per cyclic
-    subgroup, and reps, the smallest member of each one's first class.
+    classes, in the order of their first class, one per cyclic subgroup,
+    and reps, the smallest member of each one's first class.
 
     x and x^k with gcd(k, ord x) = 1 generate the same cyclic subgroup, so
     their classes have the same normal closure: after closing the class of
     x, the classes of those powers, read off the class labels, are done.
-    Each closure runs in _closure's class mode, within the smallest normal
-    subgroup found so far that holds the class (G if none), so it stops at
-    Lagrange's bound there.
+    For a central x, alone in its class, <x> is normal, so the powers of x
+    that mark those classes are its closure.  Every other closure runs in
+    _closure's class mode, within the smallest normal subgroup found so far
+    that holds the class (G if none), so it stops at Lagrange's bound there.
     Each distinct closure is a member of the normal lattice, so this raises
     OrderCapExceeded as soon as they and the trivial member pass
     NORMAL_LATTICE_BOUND.
     """
     labels = _class_labels(group)
+    central = np.bincount(labels, minlength=group.order) == 1  # at the class minima
     done = np.zeros(group.order, dtype=bool)
     bounds = [np.ones(group.order, dtype=bool)]  # G, then each closure
     holder = np.zeros(group.order, dtype=np.intp)  # the smallest bound holding each element
@@ -658,7 +721,11 @@ def _principal_closures(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
         powers = _powers(group, x)
         m = len(powers)
         done[labels[powers[np.gcd(np.arange(m), m) == 1]]] = True
-        mask = _closure(group, [x], bounds[holder[x]], True)[0]
+        if central[x]:
+            mask = np.zeros(group.order, dtype=bool)
+            mask[powers] = True
+        else:
+            mask = _closure(group, [x], bounds[holder[x]], True)[0]
         size = np.count_nonzero(mask)
         smaller = mask & (held > size)
         holder[smaller], held[smaller] = len(bounds), size

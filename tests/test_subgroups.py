@@ -668,7 +668,7 @@ def test_principal_closures_of_s7_close_little_more_than_two_subgroups(count_pro
 
 # exact (mul_many calls, products) of one closure on a fresh group
 CLOSURE_WORK = {
-    "principals": {"S7": (99, 16730), "D2000": (315, 260640), "C2^6": (315, 378), "Q8 x D8": (192, 473)},
+    "principals": {"S7": (99, 16730), "D2000": (312, 260637), "C2^6": (126, 189), "Q8 x D8": (183, 464)},
     "generated": {"S7": (29, 10098), "D2000": (24, 8108), "C2^6": (18, 390), "Q8 x D8": (16, 271)},
     "normal": {"S7": (4, 5761), "D2000": (4, 126001), "C2^6": (3, 3), "Q8 x D8": (3, 3)},
 }
@@ -859,15 +859,38 @@ def test_join_table_matches_the_closure_of_each_pair(catalog64):
             assert np.array_equal(table.column(p, odd), column[odd]), (name, p)
 
 
+# groups whose join columns take both routes, or whose principals are
+# central, beside the catalog and the lattice specs
+ROUTE_SPECS = ("Q8 x D8", "Heis(3) x C3", "Dih(C9)", "A5 x C7", "C2 x C2 x C2 x C2 x C625")
+
+
+def _apart_costs(g, rows):
+    """The products sum |P_i| |P_p| over the P_i apart from P_p (neither
+    holding the other), for every principal P_p, by brute force."""
+    sizes = rows.sum(axis=1)
+    inside = rows.astype(np.float32) @ (~rows).T.astype(np.float32) == 0  # [i, p]: P_i <= P_p
+    apart = ~inside & ~inside.T
+    return sizes * (apart.astype(np.int64) @ sizes)
+
+
 @pytest.mark.parametrize(
     "text, labelled",
-    [("C2 x C2 x C2 x C2 x C2 x C2", 63), ("Q8 x D8", 24), ("C128", 0), ("S7", 0), ("SL(2,17)", 0)],
+    [
+        ("C2 x C2 x C2 x C2 x C2 x C2", 0),
+        ("Q8 x D8", 0),
+        ("C2 x C2 x C2 x C2 x C625", 77),
+        ("C128", 0),
+        ("S7", 0),
+        ("SL(2,17)", 0),
+    ],
 )
 def test_lattice_labels_cosets_once_per_principal_with_one_apart(monkeypatch, text, labelled):
-    """The search labels the cosets of P_p once, when some principal is
-    apart from P_p (neither holds the other), and a chain of principals,
-    as in C128, S7 and SL(2,17), labels nothing."""
+    """The search labels the cosets of P_p once when the principals apart
+    from P_p would cost more than |G| + CALL_CHARGE products, and reads
+    every other column off products: C2^6 and Q8 x D8 label nothing, and
+    neither does a chain of principals, as in C128, S7 and SL(2,17)."""
     import topolab.subgroups as subgroups_module
+    from topolab.groups import CALL_CHARGE
 
     g = group(text)
     _class_labels(g)
@@ -881,11 +904,63 @@ def test_lattice_labels_cosets_once_per_principal_with_one_apart(monkeypatch, te
     monkeypatch.setattr(subgroups_module, "_coset_labels", recording)
     normal_lattice(g)
     rows = _principal_closures(g)[0]
-    inside = ~(rows[:, None] & ~rows[None]).any(axis=2)  # [i, p]: P_i <= P_p
-    apart = ~inside & ~inside.T
-    expected = {np.packbits(row).tobytes() for row, some in zip(rows, apart.any(axis=0)) if some}
+    costly = _apart_costs(g, rows) > g.order + CALL_CHARGE
     assert len(kernels) == len(set(kernels)) == labelled
-    assert set(kernels) == expected
+    assert set(kernels) == {np.packbits(row).tobytes() for row in rows[costly]}
+
+
+def test_c2_power_6_join_columns_make_one_product_call(count_products):
+    """Each of the 63 columns costs 62 x 4 = 248 products, so all of them
+    form one run: one mul_many call where the cosets took 63 or more."""
+    g = group("C2 x C2 x C2 x C2 x C2 x C2")
+    rows, reps = _principal_closures(g)
+    table = _JoinTable(g, rows, reps)
+    served = count_products()
+    for p in range(len(reps)):
+        table.column(p)
+    assert served == [63 * 248]
+
+
+def test_join_columns_agree_on_both_routes(catalog, monkeypatch):
+    """Every column of J read off the cosets of P_p equals the one read off
+    the products P_i P_p, each route forced through the charge that the
+    rule adds to |G|; also at a subset of the rows.  The products route
+    takes the columns of up to |G| + 2^17 products: every column but 4 of
+    D2000, 11 of C4000 and 61 of C2^4 x C625, whose costliest columns
+    make 27 million."""
+    import topolab.subgroups as subgroups_module
+
+    label = subgroups_module._coset_labels
+    labelled = []
+    monkeypatch.setattr(subgroups_module, "_coset_labels", lambda g, kernel: labelled.append(1) or label(g, kernel))
+    specs = LATTICE_SPECS + EXTRA_LATTICE_SPECS + ROUTE_SPECS
+    for name, g in list(catalog) + [(text, group(text)) for text in specs]:
+        rows, reps = _principal_closures(g)
+        odd = np.arange(1, len(reps), 2)
+        routes = []
+        costs = _apart_costs(g, rows)
+        for charge in (-g.order - 1, 1 << 17):  # cosets for every column, then products
+            monkeypatch.setattr(subgroups_module, "CALL_CHARGE", charge)
+            table = _JoinTable(g, rows, reps)
+            labelled.clear()
+            routes.append([(table.column(p), table.column(p, odd)) for p in range(len(reps))])
+            assert len(labelled) == 2 * np.count_nonzero(costs > max(0, g.order + charge)), name
+        for p, (cosets, products) in enumerate(zip(*routes)):
+            assert np.array_equal(cosets[0], products[0]) and np.array_equal(cosets[1], products[1]), (name, p)
+
+
+def test_central_principals_are_their_closures(catalog):
+    """A central class minimum x takes the powers of x as its principal
+    row; each such row is the normal closure that _closure finds."""
+    specs = LATTICE_SPECS + EXTRA_LATTICE_SPECS + ROUTE_SPECS
+    found = 0
+    for name, g in list(catalog) + [(text, group(text)) for text in specs]:
+        rows, reps = _principal_closures(g)
+        central = np.bincount(_class_labels(g), minlength=g.order)[reps] == 1
+        for row, x in zip(rows[central], reps[central].tolist()):
+            assert np.array_equal(row, _closure(g, [x], by_class=True)[0]), (name, x)
+        found += np.count_nonzero(central)
+    assert found > 0
 
 
 def test_principals_past_the_bound_refuse_before_the_rest_are_closed(monkeypatch):
