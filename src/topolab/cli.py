@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .catalog import catalog_entries
+from .catalog import catalog_groups
 from .classify import ClassificationReport, classify
 from .errors import InvalidSpec, NotComparable, OrderCapExceeded, SpecSyntaxError, TopolabError
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, build_group
@@ -194,11 +194,8 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    cap = _order_cap()
-    reports = []
-    for _, ast in catalog_entries(args.max_order):
-        group = build_group(ast, order_cap=cap, seed=args.seed)
-        reports.append(classify(group))
+    groups = catalog_groups(args.max_order, order_cap=_order_cap(), seed=args.seed)
+    reports = [classify(group) for _, group in groups]
     if args.json:
         print(emit_catalog_json(reports, seed=args.seed))
     else:

