@@ -912,7 +912,7 @@ def build_group(
     elif isinstance(spec, Product):
         left = build_group(spec.left, order_cap=order_cap, seed=seed)
         right = build_group(spec.right, order_cap=order_cap, seed=seed)
-        return direct_product(left, right, order_cap=order_cap, seed=seed, spec=spec)
+        return direct_product(left, right, order_cap=order_cap, seed=seed)
     else:
         raise InvalidSpec(f"unknown spec node {spec!r}")
     return _assemble(spec, degree, gens, order_cap, seed, expected, base)
@@ -943,9 +943,9 @@ def direct_product(
     *,
     order_cap: int = DEFAULT_ORDER_CAP,
     seed: int = 0,
-    spec: Optional[GroupSpec] = None,
 ) -> FiniteGroup:
-    """Direct product acting on the disjoint union of the factor point sets.
+    """Direct product acting on the disjoint union of the factor point sets;
+    its spec is Product(left.spec, right.spec) when both factors have one.
 
     Memoized per factor pair; the cached value pins the right factor, so
     identity-keyed caching is safe.
@@ -965,9 +965,7 @@ def direct_product(
             row = np.arange(degree, dtype=np.int64)
             row[left.degree :] = right.perms[g].astype(np.int64) + left.degree
             gens.append(row)
-        node = spec
-        if node is None and left.spec is not None and right.spec is not None:
-            node = Product(left.spec, right.spec)
+        node = Product(left.spec, right.spec) if left.spec is not None and right.spec is not None else None
         base = None
         if left._closure_base is not None and right._closure_base is not None:
             base = left._closure_base + tuple(b + left.degree for b in right._closure_base)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegreeTooLarge, InternalInconsistency
 from .groups import FiniteGroup, PermSpec, build_group, row_keys
-from .subgroups import Subgroup, _split_by_label
+from .subgroups import Subgroup, _orbit_minima, _split_by_label
 
 # above groups.DEFAULT_ORDER_CAP: S8 (order 40320) is a supported action
 MATERIALIZATION_CAP = 100_000
@@ -117,9 +117,10 @@ class LemmaFailure:
 
 
 def _orbit_partition(action: PermAction) -> tuple[tuple[int, ...], ...]:
-    """Orbits in order of their smallest points.  The orbit of x is the set
-    of images h(x), so its smallest point is the minimum of column x."""
-    return _split_by_label(action.group.perms.min(axis=0))
+    """Orbits in order of their smallest points, read as the orbit minima
+    under the generators' maps, as _class_labels reads conjugacy classes."""
+    maps = [(slice(None), row) for row in action.group.perms[list(action.group.generator_ids)]]
+    return _split_by_label(_orbit_minima(action.degree, maps))
 
 
 def orbit_data(action: PermAction) -> OrbitData:

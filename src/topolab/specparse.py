@@ -6,18 +6,22 @@ Grammar (whitespace between tokens is ignored):
     term   := "C" int | "D" int | "Q8" | "S" int | "A" int
             | "Heis" "(" int ")" | "Dih" "(" spec ")"
             | "SL" "(" int "," int ")" | "ASL" "(" int "," int ")"
-            | "perm" "[" gen {"," gen} "]"
+            | "perm" "[" gens "]"
+    gens   := gen {"," gen}          (the whole of a perm --gens text)
     gen    := cycle {cycle}          (juxtaposed cycles multiply)
     cycle  := "(" int {int} ")"
 
-Products associate to the left.  A perm spec's degree is one more than the
-largest point mentioned; above permaction.MATERIALIZATION_CAP it raises
-OrderCapExceeded before any permutation is built, and so does a generator
-list whose degree x generator count is above PERM_ENTRY_CAP (each
-generator becomes one image tuple of the full degree).  Printing appends a
-singleton cycle to pin a degree that exceeds every moved point, and parsing
-drops generators that reduce to the identity, so parse(print(ast)) == ast
-for any parser-produced AST.
+Products associate to the left.  _ATOMS, the one source of atom syntax
+for parsing and printing, holds each atom's keyword, node and argument
+shape; perm specs and products are read and written outside it.  A perm
+spec's degree is one more than the largest point mentioned; above
+permaction.MATERIALIZATION_CAP it raises OrderCapExceeded before any
+permutation is built, and so does a generator list whose degree x
+generator count is above PERM_ENTRY_CAP (each generator becomes one image
+tuple of the full degree).  Printing appends a singleton cycle to pin a
+degree that exceeds every moved point, and parsing drops generators that
+reduce to the identity, so parse(print(ast)) == ast for any
+parser-produced AST.
 
 "Dih(" nests at most MAX_NESTING deep: each level doubles the order, so
 deeper specs are far beyond any group that can be built, and rejecting
@@ -26,7 +30,7 @@ them here keeps the recursion bounded.
 
 from __future__ import annotations
 
-from .errors import OrderCapExceeded, SpecSyntaxError
+from .errors import InvalidSpec, OrderCapExceeded, SpecSyntaxError
 
 MAX_NESTING = 32
 # ceiling on degree x generator count, the entries of a perm spec's image tuples
@@ -46,6 +50,23 @@ from .groups import (
     Symmetric,
 )
 from .permaction import MATERIALIZATION_CAP
+
+# a shape holds literal tokens and, for its node's fields in order, the
+# markers of an integer and a nested spec; longest keyword first, so "ASL("
+# is never read as "A" of a 5-term
+_INT, _SPEC = object(), object()
+_ATOMS = (
+    ("Heis", Heisenberg, ("(", _INT, ")")),
+    ("ASL", AffineSpecialLinear, ("(", _INT, ",", _INT, ")")),
+    ("Dih", GeneralizedDihedral, ("(", _SPEC, ")")),
+    ("SL", SpecialLinear, ("(", _INT, ",", _INT, ")")),
+    ("Q8", Quaternion8, ()),
+    ("C", Cyclic, (_INT,)),
+    ("D", Dihedral, (_INT,)),
+    ("S", Symmetric, (_INT,)),
+    ("A", Alternating, (_INT,)),
+)
+_ATOM_BY_NODE = {node: (keyword, shape) for keyword, node, shape in _ATOMS}
 
 
 class _Scanner:
@@ -105,43 +126,24 @@ def _parse_spec(scanner: _Scanner) -> GroupSpec:
 
 
 def _parse_term(scanner: _Scanner) -> GroupSpec:
-    # longest keywords first so "ASL(" is never read as "A" of a 5-term
-    for keyword, node in (("ASL", AffineSpecialLinear), ("SL", SpecialLinear)):
-        if scanner.try_literal(keyword):
-            scanner.expect_literal("(")
-            n = scanner.expect_int()
-            scanner.expect_literal(",")
-            p = scanner.expect_int()
-            scanner.expect_literal(")")
-            return node(n, p)
-    if scanner.try_literal("Heis"):
-        scanner.expect_literal("(")
-        m = scanner.expect_int()
-        scanner.expect_literal(")")
-        return Heisenberg(m)
-    if scanner.try_literal("Dih"):
-        scanner.expect_literal("(")
-        if scanner.depth == MAX_NESTING:
-            raise SpecSyntaxError(
-                scanner.pos, (), f"'Dih(' nested more than {MAX_NESTING} deep"
-            )
-        scanner.depth += 1
-        inner = _parse_spec(scanner)
-        scanner.depth -= 1
-        scanner.expect_literal(")")
-        return GeneralizedDihedral(inner)
     if scanner.try_literal("perm"):
         return _parse_perm(scanner)
-    if scanner.try_literal("Q8"):
-        return Quaternion8()
-    if scanner.try_literal("C"):
-        return Cyclic(scanner.expect_int())
-    if scanner.try_literal("D"):
-        return Dihedral(scanner.expect_int())
-    if scanner.try_literal("S"):
-        return Symmetric(scanner.expect_int())
-    if scanner.try_literal("A"):
-        return Alternating(scanner.expect_int())
+    for keyword, node, shape in _ATOMS:
+        if scanner.try_literal(keyword):
+            args = []
+            for token in shape:
+                if token is _INT:
+                    args.append(scanner.expect_int())
+                elif token is _SPEC:
+                    if scanner.depth == MAX_NESTING:
+                        message = f"'{keyword}(' nested more than {MAX_NESTING} deep"
+                        raise SpecSyntaxError(scanner.pos, (), message)
+                    scanner.depth += 1
+                    args.append(_parse_spec(scanner))
+                    scanner.depth -= 1
+                else:
+                    scanner.expect_literal(token)
+            return node(*args)
     raise SpecSyntaxError(scanner.pos, ("group atom",))
 
 
@@ -160,16 +162,21 @@ def _parse_cycle(scanner: _Scanner) -> list[int]:
 
 
 def _parse_perm(scanner: _Scanner) -> PermSpec:
-    gens_cycles = _parse_bracketed_cycles(scanner)
+    scanner.expect_literal("[")
+    gens_cycles = _parse_generators(scanner)
+    scanner.expect_literal("]")
     degree = 1 + max(pt for gen in gens_cycles for cyc in gen for pt in cyc)
-    if degree > MATERIALIZATION_CAP:
-        raise OrderCapExceeded(f"perm degree {degree} is above the cap ({MATERIALIZATION_CAP})")
+    _check_perm_degree(degree)
     return PermSpec(degree, _generators(gens_cycles, degree))
 
 
-def _parse_bracketed_cycles(scanner: _Scanner) -> list[list[list[int]]]:
-    """The cycles of each generator in "[gen, gen, ...]"."""
-    scanner.expect_literal("[")
+def _check_perm_degree(degree: int) -> None:
+    if degree > MATERIALIZATION_CAP:
+        raise OrderCapExceeded(f"perm degree {degree} is above the cap ({MATERIALIZATION_CAP})")
+
+
+def _parse_generators(scanner: _Scanner) -> list[list[list[int]]]:
+    """The cycles of each generator in 'gen {"," gen}'."""
     gens_cycles: list[list[list[int]]] = [[_parse_cycle(scanner)]]
     while True:
         if scanner.peek_literal("("):
@@ -177,9 +184,7 @@ def _parse_bracketed_cycles(scanner: _Scanner) -> list[list[list[int]]]:
         elif scanner.try_literal(","):
             gens_cycles.append([_parse_cycle(scanner)])
         else:
-            break
-    scanner.expect_literal("]")
-    return gens_cycles
+            return gens_cycles
 
 
 def _generators(gens_cycles: list[list[list[int]]], degree: int) -> tuple[tuple[int, ...], ...]:
@@ -206,11 +211,19 @@ def _generators(gens_cycles: list[list[list[int]]], degree: int) -> tuple[tuple[
 
 
 def parse_perm_generators(text: str, degree: int) -> tuple[tuple[int, ...], ...]:
-    """Parse a bare generator list "(0 1 2),(0 1)" against a fixed degree."""
-    scanner = _Scanner(f"[{text}]")
-    gens_cycles = _parse_bracketed_cycles(scanner)
+    """Parse a bare generator list "(0 1 2),(0 1)" against a fixed degree;
+    error positions are in text.  The degree and the length of text meet
+    their caps before parsing, which pads every generator to the degree,
+    as an SL/ASL field size counts against the cap in build_group."""
+    if degree < 1:
+        raise InvalidSpec("perm degree must be >= 1")
+    _check_perm_degree(degree)
+    if len(text) > PERM_ENTRY_CAP:
+        raise OrderCapExceeded(f"perm generator text is above the cap ({PERM_ENTRY_CAP} characters)")
+    scanner = _Scanner(text)
+    gens_cycles = _parse_generators(scanner)
     if not scanner.at_end():
-        raise SpecSyntaxError(scanner.pos - 1, ("','", "end of input"))
+        raise SpecSyntaxError(scanner.pos, ("'('", "','", "end of input"))
     largest = max(pt for gen in gens_cycles for cyc in gen for pt in cyc)
     if largest >= degree:
         raise SpecSyntaxError(
@@ -251,29 +264,18 @@ def format_perm(perm: tuple[int, ...]) -> str:
 
 def print_group_spec(spec: GroupSpec) -> str:
     """Canonical text for an AST; inverse to parse_group_spec on its range."""
-    if isinstance(spec, Cyclic):
-        return f"C{spec.n}"
-    if isinstance(spec, Dihedral):
-        return f"D{spec.order}"
-    if isinstance(spec, Quaternion8):
-        return "Q8"
-    if isinstance(spec, Symmetric):
-        return f"S{spec.n}"
-    if isinstance(spec, Alternating):
-        return f"A{spec.n}"
-    if isinstance(spec, Heisenberg):
-        return f"Heis({spec.m})"
-    if isinstance(spec, GeneralizedDihedral):
-        return f"Dih({print_group_spec(spec.base)})"
-    if isinstance(spec, SpecialLinear):
-        return f"SL({spec.n},{spec.p})"
-    if isinstance(spec, AffineSpecialLinear):
-        return f"ASL({spec.n},{spec.p})"
     if isinstance(spec, PermSpec):
         return _print_perm_spec(spec)
     if isinstance(spec, Product):
         return f"{print_group_spec(spec.left)} x {print_group_spec(spec.right)}"
-    raise ValueError(f"unknown spec node {spec!r}")
+    if type(spec) not in _ATOM_BY_NODE:
+        raise ValueError(f"unknown spec node {spec!r}")
+    keyword, shape = _ATOM_BY_NODE[type(spec)]
+    values = iter(vars(spec).values())
+    return keyword + "".join(
+        str(next(values)) if token is _INT else print_group_spec(next(values)) if token is _SPEC else token
+        for token in shape
+    )
 
 
 def _print_perm_spec(spec: PermSpec) -> str:

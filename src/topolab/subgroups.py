@@ -789,9 +789,7 @@ def commutator_subgroup(group: FiniteGroup, left: Subgroup, right: Subgroup) -> 
 
 def derived_subgroup(group: FiniteGroup) -> Subgroup:
     full = full_subgroup(group)
-    return group._cached(
-        "derived_subgroup", lambda: commutator_subgroup(group, full, full)
-    )
+    return commutator_subgroup(group, full, full)
 
 
 def _iterated_commutators(group: FiniteGroup, start: Subgroup) -> list[Subgroup]:

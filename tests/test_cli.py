@@ -156,6 +156,24 @@ def test_perm_failing_lemma_check_writes_no_stdout(monkeypatch, capsys):
     assert captured.err == "error: routes disagree\n"
 
 
+@pytest.mark.parametrize(
+    "gens, detail",
+    [
+        ("", "position 0: expected '('"),
+        ("(0 1", "position 4: expected integer or ')'"),
+        ("(0 1),", "position 6: expected '('"),
+        ("(0 1)x", "position 5: expected '(' or ',' or end of input"),
+    ],
+)
+def test_perm_gens_syntax_errors_point_into_the_gens_text(gens, detail, capsys):
+    from topolab import cli
+
+    assert cli.main(["perm", "--degree", "3", "--gens", gens]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: syntax error at {detail}\n"
+
+
 def test_unwritable_dot_path_is_a_one_line_error(tmp_path):
     result = run_cli("lattice", "C4", "--dot", str(tmp_path / "missing" / "x.dot"))
     assert result.returncode == 1
