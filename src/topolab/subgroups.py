@@ -488,19 +488,23 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
     The search is Close-by-One (S. O. Kuznetsov, 1993), which finds each
     closed set once, so no member is deduplicated.  A member B whose last
     principal added is y extends by each p > y outside B to D, the union
-    of J[i, p] over B and p, and D is kept, with last principal p, iff it
-    holds no principal below p that B does not.  Taken one p at a time,
-    every member with y < p is known when p comes up, so column p of J is
-    formed once, off the products P_i P_p or off the cosets of P_p,
-    whichever costs fewer products.  When every principal is comparable
-    with P_p, the column is read off below alone, each join is P_p, and
-    the test keeps it once.
+    of J[i, p] over B and p.  Taken one p at a time, every member with
+    y < p is known when p comes up, so column p of J is formed once, off
+    the products P_i P_p or off the cosets of P_p, whichever costs fewer
+    products, and only at the P_i apart from P_p, neither holding the
+    other.  That suffices, as X(B) is closed downward: it holds every q
+    with P_q <= P_i for each i it holds.  B lacks p, so none of its P_i
+    holds P_p, and J[i, p] = X(P_p) for each P_i inside P_p: X(D) is
+    X(P_p) and the J[i, p] of the apart i in X(B), each holding i.  D is
+    kept, with last principal p, iff it holds no principal below p that B
+    does not.
 
     Most joins fail that test, so a member is dropped before its join is
-    formed when a witness shows it must fail.  The witness of principal i
-    at column p is the first q < p in J[i, p] outside X(P_i): a member B
-    that holds i but lacks q fails, since D contains P_i P_p, which holds
-    q.  So does a B that lacks some q < p in X(P_p).  The test runs on
+    formed when a witness shows it must fail.  The witness of an apart
+    principal i at column p is the first q < p in J[i, p] outside X(P_i):
+    a member B that holds i but lacks q fails, since D contains P_i P_p,
+    which holds q.  So does a B that lacks some q < p in X(P_p), which
+    covers the witnesses of the i comparable with P_p.  The test runs on
     bits, row i holding the members that hold i packed into words, and
     costs O(n |L| / 64) word operations for a column, |L| the member
     count.  One witness per principal may let a doomed join through, so
@@ -509,12 +513,12 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
     Until the members' rows hold WITNESS_ENTRIES entries the test is not
     run and every candidate's join is formed.
 
-    A block of joins is one float32 product of the members'
-    rows with the column, which is expanded to float32 only at the
-    principals some member holds, and the member count is checked after
-    each block.  Each member's mask comes out at the end, as the OR of its
-    principals' packed masks (_member_keys).  Raises OrderCapExceeded once
-    the lattice grows past NORMAL_LATTICE_BOUND.
+    A block of joins is one float32 product of the members' rows, read at
+    the apart principals, with the column, ORed with X(P_p), and the
+    member count is checked after each block.  Each member's mask
+    comes out at the end, as the OR of its principals' packed masks
+    (_member_keys).  Raises OrderCapExceeded once the lattice grows past
+    NORMAL_LATTICE_BOUND.
     """
 
     def build() -> NormalLattice:
@@ -525,14 +529,8 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
         found = np.zeros((rows, n), dtype=bool)  # row 0 is the trivial member
         bits = np.zeros((n, rows // 8), dtype=np.uint8)  # [i]: the members holding i, packed little-endian
         count, packed, joined = 1, 0, 0  # packed: the members written to bits
-        # the principals some member holds, the only rows of J a join reads:
-        # whole columns made the C7^5 refusal 14% slower (5.4 against 6.2 s,
-        # medians of five runs on one x86-64 thread)
-        ever = np.zeros(n, dtype=bool)
         for p in range(n):
-            ever[p] = True
-            reads = slice(None) if ever.all() else np.flatnonzero(ever)  # the rows of J a join reads
-            column = table.column(p, reads)
+            apart, column = table.column(p)
             if not p or count * n <= WITNESS_ENTRIES:  # no principal lies below the first
                 todo = np.flatnonzero(~found[:count, p])
             else:
@@ -540,10 +538,10 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
                 bits[:, start // 8 : -(-count // 8)] = np.packbits(found[start:count], 0, bitorder="little").T
                 packed = count
                 words = bits[:, : -(-count // 64) * 8].view(np.uint64)  # the words that hold members
-                # a witness per principal i: the first q < p in J[i, p] outside X(P_i)
-                outside = column[:, :p] > table.below[reads, :p]
+                # a witness per apart principal i: the first q < p in J[i, p] outside X(P_i)
+                outside = column[:, :p] > table.below[apart, :p]
                 has = outside.any(axis=1)
-                holders, witness = np.arange(n)[reads][has], outside.argmax(axis=1)[has]
+                holders, witness = apart[has], outside.argmax(axis=1)[has]
                 drop = np.bitwise_or.reduce(words[holders] & ~words[witness], axis=0)
                 # and the members holding p, or lacking some q < p in X(P_p)
                 drop |= words[p] | ~np.bitwise_and.reduce(words[np.flatnonzero(table.below[p, :p])], axis=0)
@@ -552,13 +550,11 @@ def normal_lattice(group: FiniteGroup) -> NormalLattice:
             weights = column.astype(np.float32)
             for block in row_blocks(len(todo), 4 * n):  # float32 products
                 held = found[todo[block]]
-                held[:, p] = True
-                joins = held[:, reads].astype(np.float32) @ weights > 0
+                joins = table.below[p] | (held[:, apart].astype(np.float32) @ weights > 0)
                 # canonical: no principal below p that B lacks
                 joins = joins[~(joins[:, :p] > held[:, :p]).any(axis=1)]
                 _check_lattice_size(count + len(joins))
                 found[count : count + len(joins)] = joins
-                ever |= joins.any(axis=0)
                 count += len(joins)
         return NormalLattice(group, _member_keys(group, principals, found[:count]), reps, joined)
 
@@ -574,13 +570,15 @@ class _JoinTable:
     """The join table J of the distinct principals P_0, ..., P_{n-1}, given
     by their masks and class minima reps: J[i, p] = X(P_i P_p), X(P) being
     the principals P holds, its mask read at reps.  below[p] is X(P_p), the
-    only array over pairs of principals it keeps.
+    only array over pairs of principals it keeps.  When one of P_i and P_p
+    holds the other, the join is the larger one, whose row of below is
+    already there, so column p holds only the P_i apart from P_p, neither
+    holding the other.
 
-    When P_p lies in P_i the join is P_i, and when P_i lies in P_p it is
-    P_p.  For P_i apart from P_p, neither holding the other, column p takes
-    the cheaper of two routes, priced by cost[p], the products
-    sum |P_i| |P_p| over the apart P_i, against the |G| products of one
-    coset labelling and the CALL_CHARGE that a call costs beside them:
+    Column p takes the cheaper of two routes, priced by cost[p], the
+    products sum |P_i| |P_p| over the apart P_i, against the |G| products
+    of one coset labelling and the CALL_CHARGE that a call costs beside
+    them:
     - cost[p] <= |G| + CALL_CHARGE: P_i P_p is normal, a union of classes,
       so reps[k] lies in it iff some product ab, a in P_i and b in P_p, has
       class minimum reps[k].  Consecutive such columns form a run, whose
@@ -608,30 +606,27 @@ class _JoinTable:
         slots = np.full(group.order, n)
         slots[reps] = np.arange(n)
         self.slots = slots[_class_labels(group)]
-        self.run = (0, 0, None, None, None)  # first and stop column, entry bounds, apart rows, marks
+        self.run = (0, 0, None, None)  # first and stop column, entry bounds, marks
 
-    def column(self, p: int, rows=slice(None)) -> np.ndarray:
-        """The bool rows J[i, p] for the i in rows, an index array or slice
-        in increasing order."""
-        below, n = self.below, len(self.reps)
-        column = np.where(below[rows, p, None], below[rows], below[p])
-        if self.cost[p]:  # some principal is apart from P_p
-            wanted = np.zeros(n, dtype=bool)  # the apart P_i asked for
-            wanted[rows] = True
-            wanted &= ~(below[p] | below[:, p])
-            if self.cost[p] <= self.group.order + CALL_CHARGE:
-                column[wanted[rows]] = self._products(p, wanted)
-            else:
-                column[wanted[rows]] = self._cosets(p, wanted)
-        return column
+    def column(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """apart, the i in increasing order whose P_i is apart from P_p,
+        and the bool rows J[apart, p]."""
+        apart = ~(self.below[p] | self.below[:, p])
+        if not self.cost[p]:  # no principal is apart from P_p
+            column = np.zeros((0, len(self.reps)), dtype=bool)
+        elif self.cost[p] <= self.group.order + CALL_CHARGE:
+            column = self._products(p)
+        else:
+            column = self._cosets(p, apart)
+        return np.flatnonzero(apart), column
 
-    def _products(self, p: int, wanted: np.ndarray) -> np.ndarray:
-        """Rows J[i, p] for the wanted i, read off the products of p's run."""
-        first, stop, bounds, rows, marks = self.run
+    def _products(self, p: int) -> np.ndarray:
+        """Rows J[i, p] for the i apart from P_p, read off the products of
+        p's run."""
+        first, stop, bounds, marks = self.run
         if not first <= p < stop:
-            first, stop, bounds, rows, marks = self.run = self._form_run(p)
-        entries = slice(bounds[p - first], bounds[p - first + 1])
-        return marks[entries][wanted[rows[entries]], :-1]
+            first, stop, bounds, marks = self.run = self._form_run(p)
+        return marks[bounds[p - first] : bounds[p - first + 1], :-1]
 
     def _form_run(self, p: int) -> tuple:
         """The run from column p: p and the columns after it whose cost is
@@ -651,19 +646,20 @@ class _JoinTable:
         products = self.group.mul_many(members[starts[rows][entry] + a], members[starts[cols][entry] + b])
         marks = np.zeros((len(rows), n + 1), dtype=bool)
         marks[entry, self.slots[products]] = True
-        return p, stop, np.searchsorted(cols, np.arange(p, stop + 1)), rows, marks
+        return p, stop, np.searchsorted(cols, np.arange(p, stop + 1)), marks
 
-    def _cosets(self, p: int, wanted: np.ndarray) -> np.ndarray:
-        """Rows J[i, p] for the wanted i, read off the cosets of P_p."""
+    def _cosets(self, p: int, apart: np.ndarray) -> np.ndarray:
+        """Rows J[i, p] for the i apart from P_p, a mask, read off the
+        cosets of P_p."""
         n = len(self.reps)
         labels, cosets = _coset_labels(self.group, np.flatnonzero(self.principals[p]))
         # a slot per coset holding some rep, named by one of its reps,
         # and slot n for the cosets holding none
         slot = np.full(len(cosets), n)
         slot[labels[self.reps]] = np.arange(n)
-        meets = np.zeros((np.count_nonzero(wanted), n + 1), dtype=bool)  # [i, s]: P_i meets slot s
-        pick = wanted[self.which]
-        meets[(np.cumsum(wanted) - 1)[self.which[pick]], slot[labels[self.members[pick]]]] = True
+        meets = np.zeros((self.apart[p], n + 1), dtype=bool)  # [i, s]: P_i meets slot s
+        pick = apart[self.which]
+        meets[(np.cumsum(apart) - 1)[self.which[pick]], slot[labels[self.members[pick]]]] = True
         return meets[:, slot[labels[self.reps]]]
 
 
@@ -846,7 +842,7 @@ def quotient_group(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
     the group itself (shared, since groups are immutable).
     """
     if not kernel.is_normal:
-        raise NotNormal("quotient kernel must be a normal subgroup")
+        raise NotNormal("quotient modulus must be normal")
 
     def build() -> QuotientMap:
         if kernel.order == 1:
@@ -872,7 +868,7 @@ def quotient_center(group: FiniteGroup, kernel: Subgroup) -> Subgroup:
     Cached per kernel.
     """
     if not kernel.is_normal:
-        raise NotNormal("quotient kernel must be a normal subgroup")
+        raise NotNormal("quotient modulus must be normal")
 
     def build() -> Subgroup:
         return Subgroup(group, _central_preimages(group, kernel.mask[None])[0], _normal=True)

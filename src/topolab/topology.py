@@ -136,8 +136,6 @@ def quotient_topology(
     """Quotient by a normal subgroup N0: kernel N0*N/N0 on G/N0."""
     if modulus.parent is not tau.group:
         raise GroupMismatch("modulus belongs to a different group")
-    if not modulus.is_normal:
-        raise NotNormal("quotient modulus must be normal")
     quo = quotient_group(tau.group, modulus)
     join = normal_closure(tau.group, np.flatnonzero(modulus.mask | tau.kernel.mask))
     image = quo.projection[join.mask]

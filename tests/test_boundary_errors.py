@@ -14,6 +14,8 @@ from topolab import (
     induced,
     is_semitopological,
     leq,
+    quotient_center,
+    quotient_group,
     quotient_topology,
 )
 from topolab.subgroups import (
@@ -70,6 +72,12 @@ CASES = {
     "quotient by a non-normal subgroup": (
         NotNormal, "quotient modulus must be normal",
         lambda s3, c2: quotient_topology(discrete_topology(s3), _transposition(s3)),
+    ),
+    "quotient group by a non-normal subgroup": (
+        NotNormal, "quotient modulus must be normal", lambda s3, c2: quotient_group(s3, _transposition(s3))
+    ),
+    "quotient centre by a non-normal subgroup": (
+        NotNormal, "quotient modulus must be normal", lambda s3, c2: quotient_center(s3, _transposition(s3))
     ),
     "pair_id outside a direct product": (ValueError, "not a direct product", lambda s3, c2: s3.pair_id(0, 0)),
     "direct product over the order cap": (

@@ -830,11 +830,12 @@ def test_lattice_masks_match_the_per_member_search(lattice_groups):
 
 # joins of a member with a principal formed by the search as it runs, and
 # with the witness test in every column; plain Close-by-One formed 86258,
-# 194271, 114950 and 919 (on both groups of order 64)
+# 194271 and 114950 on the first three and 919 on both groups of order 64
 JOINS_FORMED = {
     "C2 x C2 x C2 x C2 x C2 x C2": (3115, 2824),
     "C3 x C3 x C3 x C3 x C3": (2889, 2663),
     "C5 x C5 x C5 x C5": (1347, 1119),
+    "C7 x C7 x C7 x C7": (3701, 3651),
     "Q8 x D8": (919, 122),
     "D8 x D8": (919, 122),
 }
@@ -872,17 +873,19 @@ def test_witness_test_in_every_column_finds_the_same_lattices(lattice_groups, mo
 
 def test_join_table_matches_the_closure_of_each_pair(catalog64):
     """J[i, p], the principals of P_i P_p, against the subgroup generated by
-    the elements of both, read at the class minima; also read at a subset
-    of the rows, as the search asks for it."""
+    the elements of both, read at the class minima: column(p) forms the
+    rows of the P_i apart from P_p, and every other pair joins to the
+    larger of its two principals, read off that one's row of below."""
     for name, g in catalog64 + [(text, group(text)) for text in LATTICE_SPECS[:2]]:
         rows, reps = _principal_closures(g)
         table = _JoinTable(g, rows, reps)
-        odd = np.arange(1, len(reps), 2)
         for p in range(len(reps)):
-            column = table.column(p)
-            expected = [_closure(g, np.flatnonzero(rows[i] | rows[p]))[0][reps] for i in range(len(reps))]
-            assert np.array_equal(column, np.array(expected).reshape(column.shape)), (name, p)
-            assert np.array_equal(table.column(p, odd), column[odd]), (name, p)
+            apart, column = table.column(p)
+            expected = np.array([_closure(g, np.flatnonzero(rows[i] | rows[p]))[0][reps] for i in range(len(reps))])
+            assert np.array_equal(column, expected[apart]), (name, p)
+            for i in np.setdiff1d(np.arange(len(reps)), apart).tolist():
+                larger = i if table.below[i, p] else p
+                assert np.array_equal(expected[i], table.below[larger]), (name, p, i)
 
 
 # groups whose join columns take both routes, or whose principals are
@@ -950,7 +953,8 @@ def test_c2_power_6_join_columns_make_one_product_call(count_products):
 def test_join_columns_agree_on_both_routes(catalog, monkeypatch):
     """Every column of J read off the cosets of P_p equals the one read off
     the products P_i P_p, each route forced through the charge that the
-    rule adds to |G|; also at a subset of the rows.  The products route
+    rule adds to |G|; also read again in reverse, which forms the runs of
+    products from other first columns.  The products route
     takes the columns of up to |G| + 2^17 products: every column but 4 of
     D2000, 11 of C4000 and 61 of C2^4 x C625, whose costliest columns
     make 27 million."""
@@ -962,14 +966,14 @@ def test_join_columns_agree_on_both_routes(catalog, monkeypatch):
     specs = LATTICE_SPECS + EXTRA_LATTICE_SPECS + ROUTE_SPECS
     for name, g in list(catalog) + [(text, group(text)) for text in specs]:
         rows, reps = _principal_closures(g)
-        odd = np.arange(1, len(reps), 2)
+        columns = list(range(len(reps)))
         routes = []
         costs = _apart_costs(g, rows)
         for charge in (-g.order - 1, 1 << 17):  # cosets for every column, then products
             monkeypatch.setattr(subgroups_module, "CALL_CHARGE", charge)
             table = _JoinTable(g, rows, reps)
             labelled.clear()
-            routes.append([(table.column(p), table.column(p, odd)) for p in range(len(reps))])
+            routes.append([table.column(p) for p in columns + columns[::-1]])
             assert len(labelled) == 2 * np.count_nonzero(costs > max(0, g.order + charge)), name
         for p, (cosets, products) in enumerate(zip(*routes)):
             assert np.array_equal(cosets[0], products[0]) and np.array_equal(cosets[1], products[1]), (name, p)
