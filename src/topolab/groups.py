@@ -4,13 +4,15 @@ Every group is materialized by breadth-first closure of a fixed generator
 list: element 0 is the identity and new elements are discovered in shortlex
 order over generator words (generators in constructor order, FIFO levels).
 Two builds of the same spec therefore agree element-for-element.  The
-closure keeps a candidate when its key is new: its whole row where that
-fits one word (degree at most 16); else its images of a base that the
+closure keeps a candidate when its key is new: its whole row but the last
+image, which the others determine, where that fits one word (degree at
+most 16); else its images of a base that the
 constructor names in closed form (C. C. Sims, 1970; A. Seress,
 Permutation Group Algorithms, 2003, ch. 4), read without forming the
 candidate's row, where they fit one word; else its row's bytes (perm
 specs, which name no base, and bases too long for one word).  A block's
-keys (sortkeys.py) are told new or not by one sort and one searchsorted
+keys (sortkeys.py) are told new or not by one gather from a dense table of
+the keys found when they are narrow, else by one sort and one searchsorted
 in the sorted keys found, never one probe per candidate.  A wrong base
 would merge elements, and the closure would fall short of the spec's
 order, which build_group reports as InternalInconsistency, a defect in
@@ -602,17 +604,21 @@ def _bfs_enumerate(
     Candidate i*k + j of a level is frontier[i] * step[j] (step[j] acts
     first), so keeping the new candidates in order finds new elements in
     the order a FIFO queue over elements and generators would.  A
-    candidate's key is its whole row when that fits one word (degree at
-    most 16), else its images of base, points that tell elements apart,
-    when they fit one word, else the row's bytes (sortkeys.RowKeys); a word
-    packs its entries exactly at bit_length(degree - 1) bits an entry
-    (sortkeys.WordKeys).  One sort of a block's keys finds the first of
-    equal ones, one searchsorted in the sorted keys of the rows found tells
-    which are new, and the new ones are merged in; a block of one candidate
-    needs no sort.  Keyed on a base, a block of frontier rows reads its
-    candidates' images of the base alone, frontier[:, step[:, base]], and
-    forms full rows only for the new candidates; a block of fewer than
-    _FORM_ALL entries forms every candidate, which takes fewer numpy calls.
+    candidate's key is its whole row but the last image, which the other
+    images determine, when that fits one word (degree at most 16), else its
+    images of base, points that tell elements apart, when they fit one
+    word, else the row's bytes (sortkeys.RowKeys); a word packs its entries
+    exactly at bit_length(degree - 1) bits an entry (sortkeys.WordKeys), so
+    a row of degree 8 takes 21 bits.  Keys that narrow index a table of
+    the keys found, read once a block, unless order is known and small
+    beside the table; otherwise one sort of a block's keys finds the first
+    of equal ones, one searchsorted in the sorted keys of the rows found
+    tells which are new, and the new ones are merged in; a block of one
+    candidate needs no sort.  Keyed on a base, a block of frontier rows
+    reads its candidates' images of the base alone,
+    frontier[:, step[:, base]], and forms full rows only for the new
+    candidates; a block of fewer than _FORM_ALL entries forms every
+    candidate, which takes fewer numpy calls.
     Levels are scanned in blocks, each checked against the order cap, and
     written into one array, sized by the order when it is known and grown
     by doubling otherwise.  Points that are no base merge elements, so the
@@ -623,11 +629,12 @@ def _bfs_enumerate(
     per_block = min(4096, BLOCK_ENTRIES // degree)  # candidates, unless one row has more
     bits = max(1, degree - 1).bit_length()
     # whole rows when they fit one word, else base images when they do
-    keyed = base is not None and len(base) * bits <= 64 < degree * bits
-    columns = np.asarray(base, dtype=np.intp) if keyed else np.arange(degree)
+    keyed = base is not None and len(base) * bits <= 64 < (degree - 1) * bits
+    # the last image of a row is the one its other images leave out
+    columns = np.asarray(base, dtype=np.intp) if keyed else np.arange(degree - 1)
     room = order or 1 + len(step)  # rows, grown by doubling when the order is not known
     if len(columns) * bits <= 64:
-        keys_of = WordKeys(columns, bits, max(per_block, len(step)), room)
+        keys_of = WordKeys(columns, bits, max(per_block, len(step)), order, len(columns) if keyed else degree)
     else:
         keys_of = RowKeys(degree, step.itemsize)
     out = np.empty((room, degree), dtype=dtype)

@@ -25,7 +25,12 @@ parser-produced AST.
 
 "Dih(" nests at most MAX_NESTING deep: each level doubles the order, so
 deeper specs are far beyond any group that can be built, and rejecting
-them here keeps the recursion bounded.
+them here keeps the recursion bounded.  For the same reason a spec holds
+at most MAX_FACTORS atoms, nested ones included, since every walk of its
+tree (its order, its build, its printing) recurses into each product, and
+an integer has at most MAX_DIGITS digits, far above any cap, where
+Python's own limit on converting long digit strings would otherwise end
+the parse.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from __future__ import annotations
 from .errors import InvalidSpec, OrderCapExceeded, SpecSyntaxError
 
 MAX_NESTING = 32
+MAX_FACTORS = 64
+MAX_DIGITS = 100
 # ceiling on degree x generator count, the entries of a perm spec's image tuples
 PERM_ENTRY_CAP = 1_000_000
 from .groups import (
@@ -74,6 +81,7 @@ class _Scanner:
         self.text = text
         self.pos = 0
         self.depth = 0
+        self.atoms = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -105,6 +113,8 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise SpecSyntaxError(start, ("integer",))
+        if self.pos - start > MAX_DIGITS:
+            raise SpecSyntaxError(start, (), f"integer of more than {MAX_DIGITS} digits")
         return int(self.text[start : self.pos])
 
 
@@ -126,6 +136,10 @@ def _parse_spec(scanner: _Scanner) -> GroupSpec:
 
 
 def _parse_term(scanner: _Scanner) -> GroupSpec:
+    if scanner.atoms == MAX_FACTORS:
+        scanner.skip_ws()
+        raise SpecSyntaxError(scanner.pos, (), f"more than {MAX_FACTORS} factors")
+    scanner.atoms += 1
     if scanner.try_literal("perm"):
         return _parse_perm(scanner)
     for keyword, node, shape in _ATOMS:

@@ -191,6 +191,42 @@ def test_deeply_nested_spec_is_a_syntax_error():
     assert result.returncode == 3
 
 
+@pytest.mark.parametrize(
+    "args, position",
+    [
+        (("classify", "C" + "9" * 5000), 1),
+        (("perm", "--degree", "8", "--gens", "(0 " + "9" * 5000 + ")"), 3),
+    ],
+)
+def test_an_integer_of_thousands_of_digits_is_a_syntax_error(args, position):
+    # Python refuses to convert a digit string of more than 4300 digits
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: syntax error at position {position}: integer of more than 100 digits\n"
+
+
+def test_an_integer_of_100_digits_reaches_the_order_cap():
+    result = run_cli("classify", "C" + "9" * 100)
+    assert result.returncode == 3
+    assert result.stderr == f"error: spec C{'9' * 100} has order above the cap ({DEFAULT_ORDER_CAP})\n"
+
+
+def test_a_spec_of_more_than_64_factors_is_a_syntax_error(capsys):
+    # every walk of the spec tree recurses into each product: 990 factors
+    # ran past Python's recursion limit
+    from topolab import cli
+
+    at_limit = " x ".join(["C1"] * 64)
+    assert cli.main(["classify", at_limit]) == 0  # in process, under the test runner's frames
+    assert "order: 1\n" in capsys.readouterr().out
+    for spec in (at_limit + " x C1", " x ".join(["C2"] * 2000)):
+        result = run_cli("classify", spec)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: syntax error at position {len(at_limit) + 3}: more than 64 factors\n"
+
+
 def test_huge_field_size_hits_the_order_cap_before_primality():
     # trial division of this prime would run for minutes
     result = subprocess.run(

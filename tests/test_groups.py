@@ -508,7 +508,7 @@ def test_closure_keys_whole_rows_of_one_word_else_base_images_of_one_word_else_r
     monkeypatch.setattr(groups, "RowKeys", Bytes)
     perms, gen_ids = groups._bfs_enumerate(g.degree, gens, g.order, g._closure_base, g.order)
     expected = {
-        "row": ("words", list(range(g.degree))),
+        "row": ("words", list(range(g.degree - 1))),
         "base": ("words", list(g._closure_base or ())),
         "bytes": ("bytes", None),
     }
@@ -516,6 +516,79 @@ def test_closure_keys_whole_rows_of_one_word_else_base_images_of_one_word_else_r
     ref_perms, ref_ids = reference_bfs_enumerate(g.degree, gens, g.order)
     assert perms.dtype == ref_perms.dtype and np.array_equal(perms, ref_perms)
     assert gen_ids == ref_ids
+
+
+@pytest.mark.parametrize(
+    "degree, gens, table",
+    [
+        (8, "(0 1 2 3 4 5 6 7),(0 1)", True),  # S8: rows of 7 x 3 = 21 bits
+        (8, "(0 1 2 3 4 5 6),(5 6 7)", True),  # A8
+        (8, "(0 1),(0 2 4 6)(1 3 5 7)", True),  # C2 wr C4, on blocks of two
+        (8, "(0 1 2),(3 4 5 6 7),(3 4)", True),  # C3 x S5, intransitive
+        (9, "(0 1 2 3 4 5 6 7),(0 1)", False),  # S8 fixing a ninth point: 8 x 4 bits
+        (9, "(0 1 2 3 4 5 6 7 8),(1 8)(2 7)(3 6)(4 5)", False),  # D9
+        (9, "(0 1 2)(3 4 5)(6 7 8),(0 3 6)(1 4 7)(2 5 8),(0 1 2)", False),
+    ],
+)
+def test_closure_of_perm_specs_matches_the_element_queue_either_side_of_the_table_width(
+    monkeypatch, degree, gens, table
+):
+    # a perm spec's order is unknown, so the width alone chooses the table
+    gens = [np.array(g) for g in parse_perm_generators(gens, degree)]
+    tables = _record_tables(monkeypatch)
+    perms, gen_ids = groups._bfs_enumerate(degree, gens, 10**5)
+    assert tables == [table]
+    ref_perms, ref_ids = reference_bfs_enumerate(degree, gens, 10**5)
+    assert perms.dtype == ref_perms.dtype and np.array_equal(perms, ref_perms)
+    assert gen_ids == ref_ids
+
+
+@pytest.mark.parametrize(
+    "text, table",
+    [
+        ("S7", True),  # rows of 6 x 3 bits, 256 KiB against 5040 elements
+        ("SL(2,5)", True),  # base images of 2 x 5 bits
+        ("Q8 x D8", False),  # rows of 15 x 4 bits
+        ("ASL(3,2)", False),  # rows of 21 bits, 2 MiB against 1344 elements
+    ],
+)
+def test_closure_of_specs_matches_the_element_queue_with_a_table_and_without(monkeypatch, text, table):
+    g = group(text)
+    gens = [g.perms[x] for x in g.generator_ids]
+    tables = _record_tables(monkeypatch)
+    perms, gen_ids = groups._bfs_enumerate(g.degree, gens, g.order, g._closure_base, g.order)
+    assert tables == [table]
+    ref_perms, ref_ids = reference_bfs_enumerate(g.degree, gens, g.order)
+    assert perms.dtype == ref_perms.dtype and np.array_equal(perms, ref_perms)
+    assert gen_ids == ref_ids
+
+
+def _record_tables(monkeypatch) -> list[bool]:
+    """Whether each WordKeys made from now on keeps its keys in a table."""
+    tables = []
+
+    class Words(groups.WordKeys):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self.table is not None)
+
+    monkeypatch.setattr(groups, "WordKeys", Words)
+    return tables
+
+
+def test_closure_of_s8_holds_one_table_beside_its_rows():
+    gens = [np.array([1, 2, 3, 4, 5, 6, 7, 0]), np.array([1, 0, 2, 3, 4, 5, 6, 7])]
+    tracemalloc.start()
+    try:
+        perms, _ = groups._bfs_enumerate(8, gens, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(perms) == 40320
+    # 3.4 MiB measured: the 2 MiB table of 21-bit keys, and the 630 KiB of
+    # rows grown by doubling, the order being unknown; the sorted keys
+    # took 1.9 MiB
+    assert peak < 4 << 20
 
 
 def test_closure_of_c4000_keeps_no_row_keys():
