@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 spec rejected (syntax or validation), 3 order cap
 exceeded or out of memory, 1 other domain errors.  The order cap of a spec
 defaults to 20000 and can be overridden with TOPOLAB_ORDER_CAP, a positive
-integer; a perm action's order and degree are capped at 100000
-(permaction.MATERIALIZATION_CAP).
+integer of at most MAX_DIGITS characters; a perm action's order and
+degree are capped at 100000 (permaction.MATERIALIZATION_CAP).
 """
 
 from __future__ import annotations
@@ -27,19 +27,21 @@ from .permaction import (
 )
 from .report import emit_catalog_json, emit_lattice_dot, emit_report_json
 from .semitop import is_semitopological, is_semitopological_oracle, min_steps
-from .specparse import PERM_ENTRY_CAP, format_perm, parse_group_spec, parse_perm_generators, print_group_spec
+from .specparse import MAX_DIGITS, PERM_ENTRY_CAP, format_perm, parse_group_spec, parse_perm_generators, print_group_spec
 from .subgroups import all_normal_subgroups
 from .topology import make_topology
 
 
 def _order_cap() -> int:
     raw = os.environ.get("TOPOLAB_ORDER_CAP", str(DEFAULT_ORDER_CAP))
+    # the digit cap of spec integers: a longer value is neither converted nor echoed
+    got = repr(raw) if len(raw) <= MAX_DIGITS else f"{len(raw)} characters"
     try:
-        if int(raw) >= 1:
+        if len(raw) <= MAX_DIGITS and int(raw) >= 1:
             return int(raw)
     except ValueError:
         pass
-    raise InvalidSpec(f"TOPOLAB_ORDER_CAP must be a positive integer, got {raw!r}")
+    raise InvalidSpec(f"TOPOLAB_ORDER_CAP must be a positive integer, got {got}")
 
 
 def _build(args: argparse.Namespace) -> FiniteGroup:

@@ -4,13 +4,12 @@ Every group is materialized by breadth-first closure of a fixed generator
 list: element 0 is the identity and new elements are discovered in shortlex
 order over generator words (generators in constructor order, FIFO levels).
 Two builds of the same spec therefore agree element-for-element.  The
-closure keeps a candidate when its key is new: its whole row but the last
-image, which the others determine, where that fits one word (degree at
-most 16); else its images of a base that the
-constructor names in closed form (C. C. Sims, 1970; A. Seress,
+closure keeps a candidate when its key is new: its images of a base that
+the constructor names in closed form (C. C. Sims, 1970; A. Seress,
 Permutation Group Algorithms, 2003, ch. 4), read without forming the
-candidate's row, where they fit one word; else its row's bytes (perm
-specs, which name no base, and bases too long for one word).  A block's
+candidate's row, where they fit one word; else, for a perm spec, which
+names no base, its whole row but the last image, which the others
+determine, where that fits one word; else its row's bytes.  A block's
 keys (sortkeys.py) are told new or not by one gather from a dense table of
 the keys found when they are narrow, else by one sort and one searchsorted
 in the sorted keys found, never one probe per candidate.  A wrong base
@@ -519,15 +518,23 @@ def _sl_factors(n: int, p: int) -> Iterator[int]:
         yield p**k - 1
 
 
-def spec_order(spec: GroupSpec, cap: Optional[int] = None) -> Optional[int]:
+def spec_order(spec: GroupSpec, cap: Optional[int] = None, orders: Optional[dict] = None) -> Optional[int]:
     """Closed-form order of a spec, or None when only closure can tell (perm).
 
     With a cap, an order above it comes back as some number above it (a
     partial product), found without forming any number much larger than
     the cap: S100000000 is over the cap after a few factors.  SL/ASL field
     sizes are tested for primality by build_group, after the order cap:
-    trial division of a huge field size would not end.
+    trial division of a huge field size would not end.  orders, when
+    given, receives the order of every node by id, for build_group.
     """
+    order = _node_order(spec, cap, orders)
+    if orders is not None:
+        orders[id(spec)] = order
+    return order
+
+
+def _node_order(spec: GroupSpec, cap: Optional[int], orders: Optional[dict]) -> Optional[int]:
     if isinstance(spec, Cyclic):
         _require(spec.n >= 1, "cyclic order must be >= 1")
         return spec.n
@@ -546,7 +553,7 @@ def spec_order(spec: GroupSpec, cap: Optional[int] = None) -> Optional[int]:
         _require(spec.m >= 1, "Heisenberg modulus must be >= 1")
         return spec.m**3
     if isinstance(spec, GeneralizedDihedral):
-        base = spec_order(spec.base, cap)
+        base = spec_order(spec.base, cap, orders)
         return None if base is None else 2 * base
     if isinstance(spec, SpecialLinear):
         _require(spec.n >= 1, "SL dimension must be >= 1")
@@ -570,8 +577,8 @@ def spec_order(spec: GroupSpec, cap: Optional[int] = None) -> Optional[int]:
             )
         return None
     if isinstance(spec, Product):
-        left = spec_order(spec.left, cap)
-        right = spec_order(spec.right, cap)
+        left = spec_order(spec.left, cap, orders)
+        right = spec_order(spec.right, cap, orders)
         if left is None or right is None:
             return None
         return left * right
@@ -604,17 +611,14 @@ def _bfs_enumerate(
     Candidate i*k + j of a level is frontier[i] * step[j] (step[j] acts
     first), so keeping the new candidates in order finds new elements in
     the order a FIFO queue over elements and generators would.  A
-    candidate's key is its whole row but the last image, which the other
-    images determine, when that fits one word (degree at most 16), else its
-    images of base, points that tell elements apart, when they fit one
-    word, else the row's bytes (sortkeys.RowKeys); a word packs its entries
-    exactly at bit_length(degree - 1) bits an entry (sortkeys.WordKeys), so
-    a row of degree 8 takes 21 bits.  Keys that narrow index a table of
-    the keys found, read once a block, unless order is known and small
-    beside the table; otherwise one sort of a block's keys finds the first
-    of equal ones, one searchsorted in the sorted keys of the rows found
-    tells which are new, and the new ones are merged in; a block of one
-    candidate needs no sort.  Keyed on a base, a block of frontier rows
+    candidate's key is its images of base, points that tell elements
+    apart, when they fit one word; with no base (a perm spec, or a product
+    with one), its whole row but the last image, which the other images
+    determine, when that fits one word; else the row's bytes.  A word
+    packs its entries exactly at bit_length(degree - 1) bits an entry, so
+    a row of degree 8 takes 21 bits, and sortkeys.py tells a block's keys
+    new or not by one gather from a table of the keys found, or by one
+    sort and one searchsorted.  Keyed on a base, a block of frontier rows
     reads its candidates' images of the base alone,
     frontier[:, step[:, base]], and forms full rows only for the new
     candidates; a block of fewer than _FORM_ALL entries forms every
@@ -628,9 +632,8 @@ def _bfs_enumerate(
     step = np.asarray(gens, dtype=dtype).reshape(-1, degree)
     per_block = min(4096, BLOCK_ENTRIES // degree)  # candidates, unless one row has more
     bits = max(1, degree - 1).bit_length()
-    # whole rows when they fit one word, else base images when they do
-    keyed = base is not None and len(base) * bits <= 64 < (degree - 1) * bits
-    # the last image of a row is the one its other images leave out
+    # base images when they fit one word, else the row but the last image
+    keyed = base is not None and len(base) * bits <= 64
     columns = np.asarray(base, dtype=np.intp) if keyed else np.arange(degree - 1)
     room = order or 1 + len(step)  # rows, grown by doubling when the order is not known
     if len(columns) * bits <= 64:
@@ -890,14 +893,33 @@ def build_group(
     result (known in closed form for every constructor except perm specs)
     would exceed order_cap, or when an SL/ASL field size does.
     """
-    expected = spec_order(spec, order_cap)
+    orders: dict[int, Optional[int]] = {}  # by node id
+    spec_order(spec, order_cap, orders)
+    return _build(spec, orders, order_cap, seed)
+
+
+def _build(spec: GroupSpec, orders: dict, order_cap: int, seed: int) -> FiniteGroup:
+    """build_group of a node whose order, and its nodes', spec_order put in
+    orders.  A node over the cap is named before any of it is built; below
+    the root, only one under a perm spec's product can be."""
+    expected = orders[id(spec)]
     if expected is not None and expected > order_cap:
         from .specparse import print_group_spec  # specparse imports this module
         raise OrderCapExceeded(f"spec {print_group_spec(spec)} has order above the cap ({order_cap})")
-    if isinstance(spec, Cyclic):
+    if isinstance(spec, Product):
+        left = _build(spec.left, orders, order_cap, seed)
+        right = _build(spec.right, orders, order_cap, seed)
+        return direct_product(left, right, order_cap=order_cap, seed=seed)
+    if isinstance(spec, (Dihedral, GeneralizedDihedral)):
+        half_spec = spec.base if isinstance(spec, GeneralizedDihedral) else Cyclic(spec.order // 2)
+        if isinstance(spec, Dihedral):
+            spec_order(half_spec, order_cap, orders)  # the rotations are no node of the spec
+        half = _build(half_spec, orders, order_cap, seed)
+        _require(len(center(half)) == half.order, "generalized dihedral base must be abelian")
+        degree, gens, base = _gen_dihedral_action(half)
+        expected = 2 * half.order
+    elif isinstance(spec, Cyclic):
         degree, gens, base = _cyclic_action(spec.n)
-    elif isinstance(spec, Dihedral):
-        return _assemble_gen_dihedral(spec, Cyclic(spec.order // 2), order_cap, seed)
     elif isinstance(spec, Quaternion8):
         degree, gens, base = _quaternion_action()
     elif isinstance(spec, Symmetric):
@@ -906,22 +928,14 @@ def build_group(
         degree, gens, base = _alternating_action(spec.n)
     elif isinstance(spec, Heisenberg):
         degree, gens, base = _heisenberg_action(spec.m)
-    elif isinstance(spec, GeneralizedDihedral):
-        return _assemble_gen_dihedral(spec, spec.base, order_cap, seed)
     elif isinstance(spec, SpecialLinear):
         _check_field_size("SL", spec.p, order_cap)
         degree, gens, base = _sl_action(spec.n, spec.p)
     elif isinstance(spec, AffineSpecialLinear):
         _check_field_size("ASL", spec.p, order_cap)
         degree, gens, base = _asl_action(spec.n, spec.p)
-    elif isinstance(spec, PermSpec):
+    else:  # a perm spec: spec_order raised on any other node
         degree, gens, base = spec.degree, [np.asarray(g) for g in spec.generators], None
-    elif isinstance(spec, Product):
-        left = build_group(spec.left, order_cap=order_cap, seed=seed)
-        right = build_group(spec.right, order_cap=order_cap, seed=seed)
-        return direct_product(left, right, order_cap=order_cap, seed=seed)
-    else:
-        raise InvalidSpec(f"unknown spec node {spec!r}")
     return _assemble(spec, degree, gens, order_cap, seed, expected, base)
 
 
@@ -933,15 +947,6 @@ def _check_field_size(name: str, p: int, order_cap: int) -> None:
     if p > order_cap:
         raise OrderCapExceeded(f"{name} field size {p} is above the cap ({order_cap})")
     _require(_smallest_prime_factor(p) == p, f"{name} field size {p} is not prime")
-
-
-def _assemble_gen_dihedral(
-    spec: GroupSpec, base_spec: GroupSpec, order_cap: int, seed: int
-) -> FiniteGroup:
-    base = build_group(base_spec, order_cap=order_cap, seed=seed)
-    _require(len(center(base)) == base.order, "generalized dihedral base must be abelian")
-    degree, gens, points = _gen_dihedral_action(base)
-    return _assemble(spec, degree, gens, order_cap, seed, 2 * base.order, points)
 
 
 def direct_product(

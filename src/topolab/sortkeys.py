@@ -6,15 +6,14 @@ base, or its whole row but the last image, which the others determine)
 are entries below the degree; WordKeys packs them exactly into one word at
 bit_length(degree - 1) bits an entry, and RowKeys takes rows too wide for
 that as their raw bytes.  A word key of at most TABLE_BITS bits indexes a
-dense table of one bool a key, 2 MiB at most, that marks the keys found:
-one gather tells a block's keys seen or new, and one scatter adds the new
-ones.  Wider word keys, whose table would not fit, are looked up in the
-sorted keys found instead, whose size follows the order rather than the
-key width; so are narrow keys whose table would take more than
-TABLE_BYTES_PER_ELEMENT bytes an element of a known order, so that a small
-group does not pay for a table many times its own rows.  Distinct rows
-always have distinct keys: no scheme that could merge two rows is used,
-since a perm spec has no known order that would catch a merge.
+dense table of one bool a key that marks the keys found: one gather tells
+a block's keys seen or new, and one scatter adds the new ones.  Wider
+word keys, and narrow ones whose table would take more than
+TABLE_BYTES_PER_ELEMENT bytes an element of a known order, are looked up
+in the sorted keys found, whose size follows the order.  FirstOfEqual
+finds the first of equal word keys in a block for both.  Distinct rows
+always have distinct keys: a perm spec has no known order that would
+catch a merge.
 """
 
 from __future__ import annotations
@@ -26,13 +25,43 @@ import numpy as np
 # the widest key that indexes a table, 2 MiB of bools: a whole row of
 # degree 8 takes 7 x 3 bits
 TABLE_BITS = 21
-# bytes of table an element of a known order may take: ASL(3,2)'s rows would
-# take a 2 MiB table for 1344 elements, 1.5 MB more at the catalog's peak
+# bytes of table an element of a known order may take: C2^5's base images
+# take 20 bits, which would make a 1 MiB table for 32 elements
 TABLE_BYTES_PER_ELEMENT = 64
 # the picks of a block of one candidate, found before or new
 _NONE = np.zeros(0, dtype=np.intp)
 _FIRST = np.zeros(1, dtype=np.intp)
 _NONE.flags.writeable = _FIRST.flags.writeable = False
+
+
+class FirstOfEqual:
+    """The distinct keys of a block of up to most keys of dtype below
+    2^width, in order, and the position of the first of each, as
+    np.unique(keys, return_index=True) gives them: one plain sort of
+    key << shift | position when the position bits fit beside the key in
+    its word, else a stable argsort."""
+
+    def __init__(self, width: int, most: int, dtype: type):
+        shift = max(1, most - 1).bit_length()  # position bits
+        fits = width + shift <= np.iinfo(dtype).max.bit_length()
+        self.ramp = np.arange(most, dtype=dtype) if fits else None  # block positions
+        # a ufunc takes 0-d arrays faster than Python integers
+        self.shift = np.array(shift, dtype=dtype)
+        self.low = np.array((1 << shift) - 1, dtype=dtype)
+
+    def __call__(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self.ramp is None:
+            at = keys.argsort(kind="stable")
+            keys = keys.take(at)
+        else:
+            keys = (keys << self.shift) | self.ramp[: len(keys)]
+            keys.sort()
+            at = keys & self.low
+            keys >>= self.shift
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        return keys[first], at[first]
 
 
 class WordKeys:
@@ -43,20 +72,12 @@ class WordKeys:
 
     A key of a table is its index there, an intp, and the table marks the
     keys of the rows found.  Any other key is a uint64, and seen begins
-    with the sorted keys of the rows found.  Positions in a block of up to
-    most keys go below the key, shifted up, so that one plain sort of
-    key | position orders keys and equal keys by position: pack shifts a
-    uint64 key up when the position bits fit beside it, and a table's new
-    keys are shifted up by hand, the only ones of a block it sorts."""
+    with the sorted keys of the rows found.  A block has up to most keys."""
 
     def __init__(self, columns: np.ndarray, bits: int, most: int, order: Optional[int], entries: int):
         width = len(columns) * bits
-        shift = max(1, most - 1).bit_length()  # position bits
         table = width <= TABLE_BITS and (order is None or 1 << width <= TABLE_BYTES_PER_ELEMENT * order)
-        # a table's keys are packed with no position bits; other keys with
-        # them when they fit, else their blocks sort by a stable argsort
-        packed = 0 if table or width + shift > 64 else shift
-        powers = np.left_shift(1, np.arange(packed, 64, bits, dtype=np.uint64)[: len(columns)])
+        powers = np.left_shift(1, np.arange(0, width, bits, dtype=np.uint64))
         identity = columns.astype(np.uint64).dot(powers)
         # float32 sums of a table's weights are exact, all below 2^24, and a
         # BLAS dot takes a fraction of the time of an integer one
@@ -65,19 +86,11 @@ class WordKeys:
         if table:
             self.table = np.zeros(1 << width, dtype=bool)
             self.table[identity] = True
-            dtype = np.intp
         else:
             self.table = None
             self.seen = np.empty(order or 1, dtype=np.uint64)
             self.seen[0] = identity
-            shift = packed
-            dtype = np.uint64
-        self.ramp = np.arange(most, dtype=dtype) if shift else None  # block positions
-        # the shift and the masks of the position bits and of the rest: a
-        # ufunc takes 0-d arrays faster than numpy scalars
-        self.shift = np.array(shift, dtype=dtype)
-        self.low = np.array((1 << shift) - 1, dtype=dtype)
-        self.high = ~self.low
+        self.first_of_equal = FirstOfEqual(width, most, np.intp if table else np.uint64)
 
     def pack(self, columns: np.ndarray) -> np.ndarray:
         keys = columns.dot(self.weights)
@@ -86,48 +99,22 @@ class WordKeys:
     def new(self, keys: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The positions, in order, of the first of each key of a block
         that no row found has, and those keys, in key order (of rows, the
-        rows found, only their number is read).  A table is read once for
-        the whole block, and only the new keys are sorted; the sorted store
-        sorts a block of more than one key first, which also serves its
-        lookup."""
+        rows found, only their number is read).  A table sorts only the
+        keys it has not seen, the sorted store the whole block, which also
+        orders its one searchsorted."""
         if self.table is not None:
-            return self._new_in_table(keys)
-        if len(keys) == 1:
-            at = None
-        elif self.ramp is None:
-            at = keys.argsort(kind="stable")
-            keys = keys[at]
+            if len(keys) == 1:
+                return (_NONE if self.table[keys[0]] else _FIRST), keys
+            picks = (~self.table.take(keys)).nonzero()[0]
+            keys, at = self.first_of_equal(keys.take(picks))
+            at = picks.take(at)
         else:
-            keys = keys | self.ramp[: len(keys)]
-            keys.sort()
-            at = keys & self.low
-            keys &= self.high
-        seen = self.seen[: len(rows)]
-        new = seen.take(seen.searchsorted(keys), mode="clip") != keys
-        if at is None:
-            picks = new.nonzero()[0]
-            return picks, keys if len(picks) else keys[new]
-        new[1:] &= keys[1:] != keys[:-1]  # the first of equal keys
-        picks = at[new]
-        picks.sort()
-        return picks, keys[new]
-
-    def _new_in_table(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if len(keys) == 1:
-            return (_NONE if self.table[keys[0]] else _FIRST), keys
-        picks = (~self.table.take(keys)).nonzero()[0]
-        if len(picks) < 2:
-            return picks, keys.take(picks)
-        keys = (keys.take(picks) << self.shift) | self.ramp[: len(picks)]
-        keys.sort()
-        at = keys & self.low
-        keys >>= self.shift
-        new = np.empty(len(keys), dtype=bool)
-        new[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])  # the first of equal keys
-        at = at[new]
+            keys, at = self.first_of_equal(keys)
+            seen = self.seen[: len(rows)]
+            new = seen.take(seen.searchsorted(keys), mode="clip") != keys
+            keys, at = keys[new], at[new]
         at.sort()
-        return picks.take(at), keys[new]
+        return at, keys
 
     def add(self, keys: np.ndarray, count: int) -> None:
         """Marks keys, those of the rows found from count on, in the table,
@@ -165,6 +152,8 @@ class RowKeys:
         """As WordKeys.new: a stable argsort of the block ranks its keys,
         and a key comes first among equal ones when the first place of its
         value in that ranking holds it."""
+        # ranked in place: keys are row views up to 16 KiB wide (the C2^12
+        # action's 8190 points), and a gather made that closure 40% slower
         found = self.pack(rows)
         left = found.searchsorted(keys, sorter=self.seen)
         new = found.searchsorted(keys, "right", sorter=self.seen) == left

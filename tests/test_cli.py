@@ -49,6 +49,20 @@ def test_invalid_spec_exit_code():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("cap", ["9" * 5000, "9" * 101, "x" * 101])
+def test_an_order_cap_of_more_than_100_characters_is_rejected_in_one_short_line(cap):
+    # Python refuses to convert a digit string of more than 4300 digits
+    result = run_cli("classify", "C4", env_extra={"TOPOLAB_ORDER_CAP": cap})
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: TOPOLAB_ORDER_CAP must be a positive integer, got {len(cap)} characters\n"
+
+
+def test_an_order_cap_of_100_digits_is_accepted():
+    result = run_cli("classify", "C4", env_extra={"TOPOLAB_ORDER_CAP": "9" * 100})
+    assert result.returncode == 0
+
+
 def test_order_cap_exit_code_and_env_override():
     result = run_cli("classify", "S5", env_extra={"TOPOLAB_ORDER_CAP": "100"})
     assert result.returncode == 3

@@ -48,6 +48,7 @@ from topolab import (
 )
 from topolab import groups
 from topolab.catalog import catalog_entries
+from topolab.sortkeys import FirstOfEqual
 from topolab.specparse import parse_perm_generators
 
 
@@ -474,10 +475,11 @@ REFLECTION_17 = "(1 16)(2 15)(3 14)(4 13)(5 12)(6 11)(7 10)(8 9)"
 @pytest.mark.parametrize(
     "text, form",
     [
-        ("C16", "row"),
-        ("S7", "row"),
-        ("ASL(3,2)", "row"),
-        ("Q8 x D8", "row"),
+        ("perm[(0 1 2 3 4 5 6),(0 1)]", "row"),  # S7 with no base: rows of 6 x 3 bits
+        ("C16", "base"),
+        ("S7", "base"),  # its base, the first 6 points, is the row but its last image
+        ("ASL(3,2)", "base"),
+        ("Q8 x D8", "base"),
         ("C17", "base"),
         ("C4000", "base"),
         ("Heis(5)", "base"),
@@ -487,7 +489,7 @@ REFLECTION_17 = "(1 16)(2 15)(3 14)(4 13)(5 12)(6 11)(7 10)(8 9)"
         (f"perm[({' '.join(map(str, range(17)))}),{REFLECTION_17}]", "bytes"),
     ],
 )
-def test_closure_keys_whole_rows_of_one_word_else_base_images_of_one_word_else_row_bytes(
+def test_closure_keys_base_images_of_one_word_else_rows_of_one_word_else_row_bytes(
     monkeypatch, text, form
 ):
     g = group(text)
@@ -546,10 +548,11 @@ def test_closure_of_perm_specs_matches_the_element_queue_either_side_of_the_tabl
 @pytest.mark.parametrize(
     "text, table",
     [
-        ("S7", True),  # rows of 6 x 3 bits, 256 KiB against 5040 elements
+        ("S7", True),  # base images of 6 x 3 bits, 256 KiB against 5040 elements
         ("SL(2,5)", True),  # base images of 2 x 5 bits
-        ("Q8 x D8", False),  # rows of 15 x 4 bits
-        ("ASL(3,2)", False),  # rows of 21 bits, 2 MiB against 1344 elements
+        ("Q8 x D8", True),  # base images of 2 x 4 bits
+        ("ASL(3,2)", True),  # base images of 4 x 3 bits, 4 KiB against 1344 elements
+        ("C2 x C2 x C2 x C2 x C2", False),  # base images of 5 x 4 bits, 1 MiB against 32 elements
     ],
 )
 def test_closure_of_specs_matches_the_element_queue_with_a_table_and_without(monkeypatch, text, table):
@@ -561,6 +564,92 @@ def test_closure_of_specs_matches_the_element_queue_with_a_table_and_without(mon
     ref_perms, ref_ids = reference_bfs_enumerate(g.degree, gens, g.order)
     assert perms.dtype == ref_perms.dtype and np.array_equal(perms, ref_perms)
     assert gen_ids == ref_ids
+
+
+@pytest.mark.parametrize(
+    "text, store",
+    [
+        ("A5", "table"),  # base images of 3 x 3 bits
+        ("ASL(3,2)", "table"),
+        ("Q8 x D8", "table"),
+        ("C2 x C2 x C2 x C2 x C2", "sorted"),  # base images of 5 x 4 bits
+        ("C7 x C7 x C7 x C7", "sorted"),  # base images of 4 x 5 bits
+        (" x ".join(["C2"] * 12), "argsort"),  # base images of 12 x 5 bits
+        ("perm[(0 1),(0 2 4 6 8 10 12 14)(1 3 5 7 9 11 13 15)]", "argsort"),  # C2 wr C8: rows of 15 x 4 bits
+        (" x ".join(["C2"] * 13), "bytes"),
+        (f"perm[({' '.join(map(str, range(17)))}),{REFLECTION_17}]", "bytes"),
+    ],
+)
+def test_closure_matches_the_element_queue_on_each_key_store(monkeypatch, text, store):
+    """A table, the sorted store when a block's position bits fit beside
+    its keys and when a stable argsort ranks them, and row bytes."""
+    g = group(text)
+    gens = [g.perms[x] for x in g.generator_ids]
+    stores = []
+
+    class Words(groups.WordKeys):
+        def __init__(self, *args):
+            super().__init__(*args)
+            table, argsort = self.table is not None, self.first_of_equal.ramp is None
+            stores.append("table" if table else "argsort" if argsort else "sorted")
+
+    class Bytes(groups.RowKeys):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stores.append("bytes")
+
+    monkeypatch.setattr(groups, "WordKeys", Words)
+    monkeypatch.setattr(groups, "RowKeys", Bytes)
+    perms, gen_ids = groups._bfs_enumerate(g.degree, gens, g.order, g._closure_base, g.order)
+    assert stores == [store]
+    ref_perms, ref_ids = reference_bfs_enumerate(g.degree, gens, g.order)
+    assert perms.dtype == ref_perms.dtype and np.array_equal(perms, ref_perms)
+    assert gen_ids == ref_ids
+
+
+@st.composite
+def key_blocks(draw):
+    """A block of keys below 2^width with repeats, in uint64 or intp, and
+    the most keys of a block: key << shift | position, shift being the
+    position bits of most keys, fits the word or, for FirstOfEqual's
+    stable argsort, does not."""
+    dtype = draw(st.sampled_from([np.uint64, np.intp]))
+    room = 64 if dtype is np.uint64 else 63
+    count = draw(st.integers(0, 300))
+    most = max(1, count) + draw(st.integers(0, 300))
+    shift = max(1, most - 1).bit_length()
+    fits = draw(st.booleans())
+    width = draw(st.integers(1, room - shift) if fits else st.integers(room - shift + 1, room))
+    pool = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=10))
+    keys = np.array([draw(st.sampled_from(pool)) for _ in range(count)], dtype=dtype)
+    return keys, width, most
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_blocks())
+def test_first_of_equal_matches_np_unique(block):
+    keys, width, most = block
+    given_keys = keys.copy()
+    distinct, first = FirstOfEqual(width, most, keys.dtype.type)(keys)
+    want_distinct, want_first = np.unique(keys, return_index=True)
+    assert distinct.dtype == keys.dtype
+    assert np.array_equal(distinct, want_distinct) and np.array_equal(first, want_first)
+    assert np.array_equal(keys, given_keys)  # the block is read, not sorted in place
+
+
+@pytest.mark.parametrize(
+    "dtype, width, argsort", [(np.uint64, 52, False), (np.uint64, 53, True), (np.intp, 51, False), (np.intp, 52, True)]
+)
+def test_first_of_equal_keeps_the_widest_keys_either_side_of_the_fit(dtype, width, argsort):
+    # blocks of 4096 keys take 12 position bits: key << 12 | position fills
+    # a uint64 at 52 bits and an intp at 51, and one bit more must take the
+    # argsort
+    top = (1 << width) - 1
+    keys = np.array([top, 3, top, 7] * 1024, dtype=dtype)
+    first_of_equal = FirstOfEqual(width, 4096, dtype)
+    assert (first_of_equal.ramp is None) == argsort
+    distinct, first = first_of_equal(keys)
+    assert distinct.tolist() == [3, 7, top] and first.tolist() == [1, 3, 0]
 
 
 def _record_tables(monkeypatch) -> list[bool]:
@@ -927,6 +1016,51 @@ def test_capped_spec_order_of_huge_specs_is_quick():
     assert spec_order(Symmetric(10**12), 20000) > 20000
     assert spec_order(SpecialLinear(10**6, 2), 20000) > 20000
     assert spec_order(SpecialLinear(1, 10**30 + 57), 20000) == 1
+
+
+def _spec_nodes(spec):
+    """The nodes of a spec tree, itself included."""
+    children = (spec.left, spec.right) if isinstance(spec, groups.Product) else ()
+    if isinstance(spec, groups.GeneralizedDihedral):
+        children = (spec.base,)
+    return [spec] + [node for child in children for node in _spec_nodes(child)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " x ".join(["C2"] * 14),
+        "perm[(0 1)] x " + " x ".join(["C2"] * 13),  # no order known above the perm spec
+        "Dih(C4 x C2) x D8 x S3 x SL(2,3)",
+        "Dih(perm[(0 1)] x C3) x C2",
+    ],
+)
+def test_build_group_walks_the_spec_tree_once(monkeypatch, text):
+    from topolab import parse_group_spec
+
+    spec = parse_group_spec(text)
+    calls = []
+    walk = groups.spec_order
+
+    def counting(node, *args):
+        calls.append(id(node))
+        return walk(node, *args)
+
+    monkeypatch.setattr(groups, "spec_order", counting)
+    build_group(spec)
+    nodes = _spec_nodes(spec)
+    # once a node, and once for the rotations of each dihedral group, a
+    # node build_group makes: at most two calls a node
+    rotations = sum(isinstance(node, groups.Dihedral) for node in nodes)
+    assert all(calls.count(id(node)) == 1 for node in nodes)
+    assert len(calls) == len(nodes) + rotations <= 2 * len(nodes)
+
+
+def test_a_product_over_the_cap_below_a_perm_spec_is_named_before_it_is_built():
+    c200 = Cyclic(200)
+    spec = groups.Product(PermSpec(2, ((1, 0),)), groups.Product(c200, c200))
+    with pytest.raises(OrderCapExceeded, match=r"^spec C200 x C200 has order above the cap \(20000\)$"):
+        build_group(spec)
 
 
 def test_inverse_law_check_reads_full_rows():
