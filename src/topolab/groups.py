@@ -637,7 +637,7 @@ def _bfs_enumerate(
     columns = np.asarray(base, dtype=np.intp) if keyed else np.arange(degree - 1)
     room = order or 1 + len(step)  # rows, grown by doubling when the order is not known
     if len(columns) * bits <= 64:
-        keys_of = WordKeys(columns, bits, max(per_block, len(step)), order, len(columns) if keyed else degree)
+        keys_of = WordKeys(columns, bits, max(per_block, len(step)), len(columns) if keyed else degree)
     else:
         keys_of = RowKeys(degree, step.itemsize)
     out = np.empty((room, degree), dtype=dtype)

@@ -8,26 +8,21 @@ bit_length(degree - 1) bits an entry, and RowKeys takes rows too wide for
 that as their raw bytes.  A word key of at most TABLE_BITS bits indexes a
 dense table of one bool a key that marks the keys found: one gather tells
 a block's keys seen or new, and one scatter adds the new ones.  Wider
-word keys, and narrow ones whose table would take more than
-TABLE_BYTES_PER_ELEMENT bytes an element of a known order, are looked up
-in the sorted keys found, whose size follows the order.  FirstOfEqual
-finds the first of equal word keys in a block for both.  Distinct rows
-always have distinct keys: a perm spec has no known order that would
-catch a merge.
+word keys are looked up in the sorted keys found, and row keys through
+the ids of the rows found in key order; both stores insert a block's new
+keys by one scatter into a new array.  FirstOfEqual finds the first of
+equal word keys in a block for both word stores.  Distinct rows always
+have distinct keys: a perm spec has no known order that would catch a
+merge.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 # the widest key that indexes a table, 2 MiB of bools: a whole row of
 # degree 8 takes 7 x 3 bits
 TABLE_BITS = 21
-# bytes of table an element of a known order may take: C2^5's base images
-# take 20 bits, which would make a 1 MiB table for 32 elements
-TABLE_BYTES_PER_ELEMENT = 64
 # the picks of a block of one candidate, found before or new
 _NONE = np.zeros(0, dtype=np.intp)
 _FIRST = np.zeros(1, dtype=np.intp)
@@ -64,6 +59,19 @@ class FirstOfEqual:
         return keys[first], at[first]
 
 
+def _insert(seen: np.ndarray, places: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A new array of seen with values[i] before seen[places[i]], places
+    being nondecreasing: values scattered at places + arange, and seen
+    filling the rest in order."""
+    slots = places + np.arange(len(values))
+    merged = np.empty(len(seen) + len(values), dtype=seen.dtype)
+    merged[slots] = values
+    kept = np.ones(len(merged), dtype=bool)
+    kept[slots] = False
+    merged[kept] = seen
+    return merged
+
+
 class WordKeys:
     """Keys of rows of key entries below degree, each packed exactly into
     one word, bits apart.  pack reads rows of entries values whose first
@@ -71,12 +79,12 @@ class WordKeys:
     row's last image does.
 
     A key of a table is its index there, an intp, and the table marks the
-    keys of the rows found.  Any other key is a uint64, and seen begins
-    with the sorted keys of the rows found.  A block has up to most keys."""
+    keys of the rows found.  Any other key is a uint64, and seen holds the
+    sorted keys of the rows found.  A block has up to most keys."""
 
-    def __init__(self, columns: np.ndarray, bits: int, most: int, order: Optional[int], entries: int):
+    def __init__(self, columns: np.ndarray, bits: int, most: int, entries: int):
         width = len(columns) * bits
-        table = width <= TABLE_BITS and (order is None or 1 << width <= TABLE_BYTES_PER_ELEMENT * order)
+        table = width <= TABLE_BITS
         powers = np.left_shift(1, np.arange(0, width, bits, dtype=np.uint64))
         identity = columns.astype(np.uint64).dot(powers)
         # float32 sums of a table's weights are exact, all below 2^24, and a
@@ -88,8 +96,7 @@ class WordKeys:
             self.table[identity] = True
         else:
             self.table = None
-            self.seen = np.empty(order or 1, dtype=np.uint64)
-            self.seen[0] = identity
+            self.seen = np.array([identity], dtype=np.uint64)
         self.first_of_equal = FirstOfEqual(width, most, np.intp if table else np.uint64)
 
     def pack(self, columns: np.ndarray) -> np.ndarray:
@@ -98,10 +105,10 @@ class WordKeys:
 
     def new(self, keys: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The positions, in order, of the first of each key of a block
-        that no row found has, and those keys, in key order (of rows, the
-        rows found, only their number is read).  A table sorts only the
-        keys it has not seen, the sorted store the whole block, which also
-        orders its one searchsorted."""
+        that no row found has, and those keys, in key order (rows, the
+        rows found, are not read).  A table sorts only the keys it has not
+        seen, the sorted store the whole block, which also orders its one
+        searchsorted."""
         if self.table is not None:
             if len(keys) == 1:
                 return (_NONE if self.table[keys[0]] else _FIRST), keys
@@ -110,28 +117,19 @@ class WordKeys:
             at = picks.take(at)
         else:
             keys, at = self.first_of_equal(keys)
-            seen = self.seen[: len(rows)]
-            new = seen.take(seen.searchsorted(keys), mode="clip") != keys
-            keys, at = keys[new], at[new]
+            places = self.seen.searchsorted(keys)
+            new = self.seen.take(places, mode="clip") != keys
+            keys, at, self._places = keys[new], at[new], places[new]  # places in seen, for add
         at.sort()
         return at, keys
 
     def add(self, keys: np.ndarray, count: int) -> None:
         """Marks keys, those of the rows found from count on, in the table,
-        or merges them into seen in place, grown by doubling."""
+        or inserts them into seen at the places new found."""
         if self.table is not None:
             self.table[keys] = True
-            return
-        end = count + len(keys)
-        if end > len(self.seen):
-            grown = np.empty(max(end, 2 * count), dtype=np.uint64)
-            grown[:count] = self.seen[:count]
-            self.seen = grown
-        self.seen[count:end] = keys
-        # timsort merges two sorted runs in linear time, but a cyclic
-        # group's keys come in order, one a level, and need no sort at all
-        if len(keys) > 1 or keys[0] < self.seen[count - 1]:
-            self.seen[:end].sort(kind="stable")
+        else:
+            self.seen = _insert(self.seen, self._places, keys)
 
 
 class RowKeys:
@@ -168,10 +166,4 @@ class RowKeys:
         """Inserts into seen the ids count, count + 1, ... of the new rows,
         whose keys new returned, in key order at the places new found."""
         order = keys.argsort()  # distinct keys: the places come out nondecreasing
-        slots = self._places[order] + np.arange(len(keys))
-        merged = np.empty(len(self.seen) + len(keys), dtype=np.intp)
-        merged[slots] = count + order
-        kept = np.ones(len(merged), dtype=bool)
-        kept[slots] = False
-        merged[kept] = self.seen
-        self.seen = merged
+        self.seen = _insert(self.seen, self._places[order], count + order)

@@ -106,10 +106,13 @@ class _Scanner:
         self.skip_ws()
         return self.text.startswith(literal, self.pos)
 
+    def at_digit(self) -> bool:  # ASCII only: str.isdigit also takes '²' and '３'
+        return self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9"
+
     def expect_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.at_digit():
             self.pos += 1
         if self.pos == start:
             raise SpecSyntaxError(start, ("integer",))
@@ -166,7 +169,7 @@ def _parse_cycle(scanner: _Scanner) -> list[int]:
     points = [scanner.expect_int()]
     while not scanner.peek_literal(")"):
         scanner.skip_ws()
-        if scanner.pos >= len(scanner.text) or not scanner.text[scanner.pos].isdigit():
+        if not scanner.at_digit():
             raise SpecSyntaxError(scanner.pos, ("integer", "')'"))
         points.append(scanner.expect_int())
     scanner.expect_literal(")")

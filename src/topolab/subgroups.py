@@ -118,11 +118,14 @@ class Subgroup:
 
 
 def _checked_ids(group: FiniteGroup, elements: Iterable[int]) -> np.ndarray:
-    """Element ids as an int64 array; ValueError for one outside 0..order-1."""
-    ids = np.asarray(elements if isinstance(elements, np.ndarray) else list(elements), dtype=np.int64)
+    """Element ids as an int64 array; ValueError for one not an integer
+    (no ids at all come as float64) or outside 0..order-1."""
+    ids = np.asarray(elements if isinstance(elements, np.ndarray) else list(elements))
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"element ids must be integers, got {ids.dtype}")
     if ids.size and (ids.min() < 0 or ids.max() >= group.order):
         raise ValueError(f"element ids must lie in 0..{group.order - 1}")
-    return ids
+    return ids.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

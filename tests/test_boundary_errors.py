@@ -23,6 +23,7 @@ from topolab.subgroups import (
     are_conjugate,
     commutator_subgroup,
     full_subgroup,
+    generated_subgroup,
     normalizer,
     trivial_subgroup,
 )
@@ -85,6 +86,16 @@ CASES = {
         lambda s3, c2: direct_product(group("C200"), group("C200")),
     ),
     "perm action of degree 0": (ValueError, "degree must be at least 1", lambda s3, c2: PermAction(0, [])),
+    # int() would read these as 1, 2 and (1, 0, 2)
+    "generated subgroup of a fractional id": (
+        ValueError, "element ids must be integers", lambda s3, c2: generated_subgroup(group("C4"), [1.5])
+    ),
+    "subgroup of a fractional id": (
+        ValueError, "element ids must be integers", lambda s3, c2: Subgroup(group("C4"), [0, 2.9])
+    ),
+    "perm action of a fractional image": (
+        ValueError, "is not a permutation of 0..2", lambda s3, c2: PermAction(3, [(1, 0, 2.7)])
+    ),
 }
 
 

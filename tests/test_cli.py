@@ -188,6 +188,23 @@ def test_perm_gens_syntax_errors_point_into_the_gens_text(gens, detail, capsys):
     assert captured.err == f"error: syntax error at {detail}\n"
 
 
+@pytest.mark.parametrize(
+    "args, detail",
+    [
+        (("classify", "C\u00b2"), "position 1: expected integer"),
+        (("classify", "C\u0663"), "position 1: expected integer"),
+        (("classify", "Heis(\uff13)"), "position 5: expected integer"),
+        (("perm", "--degree", "3", "--gens", "(0 \u00b9)"), "position 3: expected integer or ')'"),
+    ],
+)
+def test_digits_other_than_ascii_are_a_syntax_error(args, detail):
+    # str.isdigit takes all four; int() rejects '²' and '¹' and reads '٣' and '３' as 3
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: syntax error at {detail}\n"
+
+
 def test_unwritable_dot_path_is_a_one_line_error(tmp_path):
     result = run_cli("lattice", "C4", "--dot", str(tmp_path / "missing" / "x.dot"))
     assert result.returncode == 1

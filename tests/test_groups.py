@@ -48,7 +48,7 @@ from topolab import (
 )
 from topolab import groups
 from topolab.catalog import catalog_entries
-from topolab.sortkeys import FirstOfEqual
+from topolab.sortkeys import FirstOfEqual, _insert
 from topolab.specparse import parse_perm_generators
 
 
@@ -548,11 +548,12 @@ def test_closure_of_perm_specs_matches_the_element_queue_either_side_of_the_tabl
 @pytest.mark.parametrize(
     "text, table",
     [
-        ("S7", True),  # base images of 6 x 3 bits, 256 KiB against 5040 elements
+        ("S7", True),  # base images of 6 x 3 bits, a 256 KiB table
         ("SL(2,5)", True),  # base images of 2 x 5 bits
         ("Q8 x D8", True),  # base images of 2 x 4 bits
-        ("ASL(3,2)", True),  # base images of 4 x 3 bits, 4 KiB against 1344 elements
-        ("C2 x C2 x C2 x C2 x C2", False),  # base images of 5 x 4 bits, 1 MiB against 32 elements
+        ("ASL(3,2)", True),  # base images of 4 x 3 bits, a 4 KiB table
+        ("C2 x C2 x C2 x C2 x C2", True),  # base images of 5 x 4 bits, a 1 MiB table for 32 elements
+        (" x ".join(["C2"] * 6), False),  # base images of 6 x 4 bits, wider than TABLE_BITS
     ],
 )
 def test_closure_of_specs_matches_the_element_queue_with_a_table_and_without(monkeypatch, text, table):
@@ -572,8 +573,10 @@ def test_closure_of_specs_matches_the_element_queue_with_a_table_and_without(mon
         ("A5", "table"),  # base images of 3 x 3 bits
         ("ASL(3,2)", "table"),
         ("Q8 x D8", "table"),
-        ("C2 x C2 x C2 x C2 x C2", "sorted"),  # base images of 5 x 4 bits
-        ("C7 x C7 x C7 x C7", "sorted"),  # base images of 4 x 5 bits
+        ("C2 x C2 x C2 x C2 x C2", "table"),  # base images of 5 x 4 bits
+        ("C7 x C7 x C7 x C7", "table"),  # base images of 4 x 5 bits
+        (" x ".join(["C2"] * 6), "sorted"),  # base images of 6 x 4 bits
+        (" x ".join(["C3"] * 6), "sorted"),  # base images of 6 x 5 bits
         (" x ".join(["C2"] * 12), "argsort"),  # base images of 12 x 5 bits
         ("perm[(0 1),(0 2 4 6 8 10 12 14)(1 3 5 7 9 11 13 15)]", "argsort"),  # C2 wr C8: rows of 15 x 4 bits
         (" x ".join(["C2"] * 13), "bytes"),
@@ -650,6 +653,24 @@ def test_first_of_equal_keeps_the_widest_keys_either_side_of_the_fit(dtype, widt
     assert (first_of_equal.ramp is None) == argsort
     distinct, first = first_of_equal(keys)
     assert distinct.tolist() == [3, 7, top] and first.tolist() == [1, 3, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300, unique=True), st.data())
+def test_insert_merges_new_keys_and_new_ids_into_the_sorted_store(values, data):
+    """Word keys: sorted keys inserted at their searchsorted places give
+    the sorted union.  Row ids: ids in key order, with the new ids inserted
+    in key order at their keys' places, give the argsort of all keys."""
+    found = data.draw(st.integers(1, len(values)))
+    old, fresh = np.array(values[:found], dtype=np.uint64), np.array(values[found:], dtype=np.uint64)
+    seen = np.sort(old)
+    keys = np.sort(fresh)
+    merged = _insert(seen, seen.searchsorted(keys), keys)
+    assert merged.dtype == np.uint64
+    assert np.array_equal(merged, np.sort(np.concatenate([seen, keys])))
+    order = fresh.argsort()
+    ids = _insert(old.argsort(), seen.searchsorted(fresh)[order], found + order)
+    assert np.array_equal(ids, np.concatenate([old, fresh]).argsort())
 
 
 def _record_tables(monkeypatch) -> list[bool]:

@@ -90,6 +90,29 @@ def test_syntax_error_positions(text, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text, position, expected",
+    [
+        ("C\u00b2", 1, ("integer",)),  # superscript two
+        ("C\u0663", 1, ("integer",)),  # Arabic-Indic three
+        ("Heis(\uff13)", 5, ("integer",)),  # fullwidth three
+        ("C1\u00b2", 2, ("'x'", "end of input")),
+        ("perm[(0 \u00b9)]", 8, ("integer", "')'")),
+        ("perm[(\u00b9 0)]", 6, ("integer",)),
+    ],
+)
+def test_integers_take_ascii_digits_only(text, position, expected):
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_group_spec(text)
+    assert (err.value.position, err.value.expected) == (position, expected)
+
+
+def test_perm_generators_take_ascii_digits_only():
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_perm_generators("(0 \u00b9)", 3)
+    assert (err.value.position, err.value.expected) == (3, ("integer", "')'"))
+
+
 def test_repeated_point_in_cycle_rejected():
     with pytest.raises(SpecSyntaxError):
         parse_group_spec("perm[(0 0)]")
