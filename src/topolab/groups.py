@@ -35,6 +35,7 @@ are immutable to callers, so they can be shared freely between threads.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -292,7 +293,8 @@ class FiniteGroup:
         lookup serves them and the meter counts them, plus CALL_CHARGE; the
         first call that finds the meter at order^2 builds the table (ski
         rental), when the order is at most TABLE_LIMIT.  Either path gives
-        the same ids."""
+        the same ids.  Unlike the scalar methods below, it checks no id:
+        it is the batched path of the library's own loops."""
         table = self._table
         if table is None and self.order <= TABLE_LIMIT and self._metered >= self.order**2:
             table = self.table
@@ -305,16 +307,16 @@ class FiniteGroup:
 
     def mul(self, x: int, y: int) -> int:
         """Product x*y (composition: y acts first)."""
-        return int(self.mul_many(x, y))
+        return int(self.mul_many(_checked_id(self, x), _checked_id(self, y)))
 
     def inv(self, x: int) -> int:
-        return int(self.inverses[x])
+        return int(self.inverses[_checked_id(self, x)])
 
     def elements(self) -> range:
         return range(self.order)
 
     def element_perm(self, x: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.perms[x])
+        return tuple(int(v) for v in self.perms[_checked_id(self, x)])
 
     # -- base-image lookup --------------------------------------------------
 
@@ -331,33 +333,14 @@ class FiniteGroup:
         the flattened level at state * degree + image, so an image outside
         0..degree-1 reads a neighbouring row (clipped at the ends); the
         check that each id has the given base images rejects it, as it does
-        any images no element has, with a ValueError.  One element's images
-        are read with Python ints, which cost less than numpy calls."""
-        degree = self.degree
-        if images.ndim == 1:
-            flat = images.tolist()
-            state = 0
-            if all(0 <= image < degree for image in flat):  # else state 0 fails the check
-                for level, image in zip(self._levels, flat):
-                    state = level.item(state * degree + image)
-            if state < 0 or self._base_images[state].tolist() != flat:
-                raise ValueError("permutation is not an element of the group")
-            return np.int32(state)
-        width = np.intp(degree)  # so that state * width is computed in intp
+        any images no element has, with a ValueError."""
+        width = np.intp(self.degree)  # so that state * width is computed in intp
         state = np.zeros(images.shape[:-1], dtype=np.int32)
         for j, level in enumerate(self._levels):
             state = level.take(state * width + images[..., j], mode="clip")
         if (state < 0).any() or not np.array_equal(self._base_images.take(state, axis=0), images):
             raise ValueError("permutation is not an element of the group")
         return state
-
-    def _lookup(self, perm_rows: np.ndarray) -> np.ndarray:
-        """Element ids of full permutation rows (last axis)."""
-        perm_rows = np.asarray(perm_rows)
-        ids = self._ids(perm_rows.take(self._base, axis=-1))
-        if not np.array_equal(self.perms.take(ids, axis=0), perm_rows):
-            raise ValueError("permutation is not an element of the group")
-        return ids
 
     # -- vectorized helpers -------------------------------------------------
 
@@ -367,7 +350,7 @@ class FiniteGroup:
         x g and g x are equal iff they agree on the base, so this compares
         base images and never needs a table or a lookup.
         """
-        pg = self.perms[g]
+        pg = self.perms[_checked_id(self, g)]
         images = self._base_images
         mask = np.ones(self.order, dtype=bool)
         # one base point at a time: a row-wise all() over so few columns is slow
@@ -395,10 +378,9 @@ class FiniteGroup:
         if self._factors is None:
             raise ValueError("not a direct product")
         g1, g2 = self._factors
-        combined = np.concatenate(
-            [g1.perms[x1].astype(np.int64), g2.perms[x2].astype(np.int64) + g1.degree]
-        )
-        return int(self._lookup(combined))
+        left = g1.perms[_checked_id(g1, x1)]
+        right = g2.perms[_checked_id(g2, x2)].astype(np.int64) + g1.degree
+        return int(self._ids(np.concatenate([left, right]).take(self._base)))
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -490,6 +472,16 @@ def cayley_table(n: int, lmul: Sequence[np.ndarray]) -> np.ndarray:
 # Spec validation and closed-form orders
 
 
+def _checked_id(group: FiniteGroup, x) -> int:
+    """x as an int; ValueError, as from subgroups._checked_ids, unless an
+    integer in 0..order-1 (numpy would read -1 as the last id, True as 1)."""
+    if not (type(x) is int or isinstance(x, np.integer)):
+        raise ValueError(f"element ids must be integers, got {type(x).__name__}")
+    if not 0 <= x < group.order:
+        raise ValueError(f"element ids must lie in 0..{group.order - 1}")
+    return int(x)
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise InvalidSpec(msg)
@@ -527,7 +519,11 @@ def spec_order(spec: GroupSpec, cap: Optional[int] = None, orders: Optional[dict
     sizes are tested for primality by build_group, after the order cap:
     trial division of a huge field size would not end.  orders, when
     given, receives the order of every node by id, for build_group.
+    A bool or other non-int in an int field, or a non-integer perm image, is an InvalidSpec.
     """
+    for field in dataclasses.fields(spec) if dataclasses.is_dataclass(spec) else ():
+        value, name = getattr(spec, field.name), f"{type(spec).__name__}.{field.name}"
+        _require(field.type not in ("int", int) or type(value) is int, f"{name} must be an int, got {value!r}")
     order = _node_order(spec, cap, orders)
     if orders is not None:
         orders[id(spec)] = order
@@ -572,7 +568,8 @@ def _node_order(spec: GroupSpec, cap: Optional[int], orders: Optional[dict]) -> 
         _require(spec.degree >= 1, "perm degree must be >= 1")
         for gen in spec.generators:
             _require(
-                len(gen) == spec.degree and sorted(gen) == list(range(spec.degree)),
+                all(type(v) is int or isinstance(v, np.integer) for v in gen)
+                and len(gen) == spec.degree and sorted(gen) == list(range(spec.degree)),
                 f"generator {gen} is not a permutation of 0..{spec.degree - 1}",
             )
         return None
@@ -1004,7 +1001,7 @@ def invert(group: FiniteGroup, x: int) -> int:
 
 def commutator(group: FiniteGroup, x: int, y: int) -> int:
     """[x, y] = x y x^-1 y^-1."""
-    return int(_commutators(group, x, y))
+    return int(_commutators(group, _checked_id(group, x), _checked_id(group, y)))
 
 
 def _conjugates(group: FiniteGroup, hs, xs) -> np.ndarray:
@@ -1035,5 +1032,5 @@ def centralizer(group: FiniteGroup, elems: Iterable[int]) -> tuple[int, ...]:
     """Intersection of the centralizers of elems; the whole group if empty."""
     mask = np.ones(group.order, dtype=bool)
     for s in elems:
-        mask &= group.commuting_mask(int(s))
+        mask &= group.commuting_mask(s)
     return tuple(int(i) for i in np.flatnonzero(mask))

@@ -39,7 +39,7 @@ def _compose(a: Perm, b: Perm) -> Perm:
 
 
 def _validate_perm(perm: Sequence[int], degree: int) -> Perm:
-    p = tuple(int(x) for x in perm if isinstance(x, (int, np.integer)))  # a non-integer shortens p
+    p = tuple(int(x) for x in perm if type(x) is int or isinstance(x, np.integer))  # non-integers and bools shorten p
     if len(p) != degree or sorted(p) != list(range(degree)):
         raise ValueError(f"{perm!r} is not a permutation of 0..{degree - 1}")
     return p

@@ -732,11 +732,11 @@ def _principal_closures(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _powers(group: FiniteGroup, x: int) -> np.ndarray:
-    """x^0, x^1, ..., x^(m-1) for the order m of x; each mul_many call
-    doubles the list."""
+    """x^0, x^1, ..., x^(m-1) for the order m of x: while the list holds
+    x^0..x^k, one mul_many call appends x^k times x^1..x^k."""
     powers = np.array([0, x])
     while not (powers[1:] == 0).any():
-        powers = np.concatenate([powers, group.mul_many(powers, group.mul(int(powers[-1]), x))])
+        powers = np.concatenate([powers, group.mul_many(powers[-1], powers[1:])])
     return powers[: 1 + int(np.argmax(powers[1:] == 0))]
 
 

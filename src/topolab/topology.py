@@ -147,14 +147,15 @@ def product_topology(
 ) -> AlmostTrivialTopology:
     """zeta_{N1} x zeta_{N2} = zeta_{N1 x N2} on the direct product."""
     product = direct_product(tau1.group, tau2.group)
-    split = tau1.group.degree
-    left = tau1.group.perms[tau1.kernel.mask]
-    right = tau2.group.perms[tau2.kernel.mask].astype(np.int64) + split
+    base, split = product._base, tau1.group.degree
+    on_left = base < split  # the base points among the left factor's points
+    left = tau1.group.perms[tau1.kernel.mask][:, base[on_left]]
+    right = tau2.group.perms[tau2.kernel.mask][:, base[~on_left] - split].astype(np.int64) + split
     kernel = np.zeros(product.order, dtype=bool)
-    # the rows (x1, x2) for a block of x1 and every x2, one lookup a block
-    for block in row_blocks(len(left), len(right) * product.degree):
-        rows = np.empty((len(left[block]), len(right), product.degree), dtype=np.int64)
-        rows[..., :split] = left[block, None]
-        rows[..., split:] = right
-        kernel[product._lookup(rows)] = True
+    # the base images of (x1, x2) for a block of x1 and every x2, one lookup a block
+    for block in row_blocks(len(left), len(right) * len(base)):
+        images = np.empty((len(left[block]), len(right), len(base)), dtype=np.int64)
+        images[..., on_left] = left[block, None]
+        images[..., ~on_left] = right
+        kernel[product._ids(images)] = True
     return make_topology(product, Subgroup(product, kernel, _normal=True))

@@ -57,6 +57,7 @@ from topolab.subgroups import (
     _coset_labels,
     _JoinTable,
     _orbit_minima,
+    _powers,
     _principal_closures,
     normal_lattice,
     trivial_subgroup,
@@ -692,9 +693,25 @@ def test_principal_closures_of_s7_close_little_more_than_two_subgroups(count_pro
     assert sum(served) <= 100_000
 
 
+def test_powers_match_the_scalar_loop_with_one_product_call_a_doubling(count_products):
+    tabled, s7 = group("Q8 x D8"), group("S7")
+    assert tabled.table is not None and s7.table is None
+    served = count_products()
+    for g in (tabled, s7):
+        for x in range(g.order):
+            expected, power = [0], x
+            while power != 0:
+                expected.append(power)
+                power = g.mul(power, x)
+            before = len(served)
+            assert _powers(g, x).tolist() == expected, (g, x)
+            # the list grows from x^0..x^k to x^0..x^2k a call
+            assert len(served) - before == (len(expected) - 1).bit_length(), (g, x)
+
+
 # exact (mul_many calls, products) of one closure on a fresh group
 CLOSURE_WORK = {
-    "principals": {"S7": (99, 16730), "D2000": (312, 260637), "C2^6": (126, 189), "Q8 x D8": (183, 464)},
+    "principals": {"S7": (83, 16705), "D2000": (250, 260562), "C2^6": (63, 63), "Q8 x D8": (142, 365)},
     "generated": {"S7": (29, 10098), "D2000": (24, 8108), "C2^6": (18, 390), "Q8 x D8": (16, 271)},
     "normal": {"S7": (4, 5761), "D2000": (4, 126001), "C2^6": (3, 3), "Q8 x D8": (3, 3)},
 }
